@@ -8,8 +8,6 @@ from .densela import (
     NonSymmetricError,
     SymmetricMatrix,
     eigendecompose,
-    frobenius_norm,
-    shifted_abs_determinant,
 )
 from .graphcore import (
     GenerationFailureError,
@@ -23,7 +21,6 @@ from .graphcore import (
     complete,
     complete_bipartite,
     cycle,
-    degree_matrix,
     delete_edge,
     erdos_renyi,
     generate,
@@ -41,7 +38,6 @@ from .spectra import (
     AlphaSpectrum,
     alpha_matrix,
     alpha_spectrum,
-    energy_via_partial_sums,
     two_s,
     zagreb_index,
 )

@@ -458,6 +458,8 @@ def rho_lb_star(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
         return _na("rho_lb_star", "lower", "requires connected")
     if sp.alpha >= 1.0:
         return _na("rho_lb_star", "lower", "requires alpha in [0, 1)")
+    if sp.n < 2:
+        return _na("rho_lb_star", "lower", "requires n >= 2")
     value = 0.5 * _star_radius_bound(sp.alpha, g.max_degree)
     return _verdict(
         "rho_lb_star", "lower", value, float(sp.rho[0]),

@@ -1,31 +1,26 @@
-"""Dense real symmetric linear algebra: eigendecomposition, Frobenius norm,
-and determinants of shifted matrices.
+"""Dense real symmetric matrices and their eigendecomposition.
 
-The eigensolver is cyclic Jacobi: unconditionally stable for symmetric
-matrices at the scales this package targets (n up to a few hundred), and
-deterministic because the sweep order is fixed.
+`SymmetricMatrix` validates its entries once (square, finite, symmetric
+within SYMMETRY_ATOL) and freezes them. `eigendecompose` hands the
+symmetrised matrix to LAPACK through `numpy.linalg.eigh` and returns the
+eigenvalues in descending order with their eigenvectors as paired columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 SYMMETRY_ATOL = 1e-12
-OFF_NORM_RTOL = 1e-13
-MAX_SWEEPS = 100
 
 
 class NonSymmetricError(ValueError):
-    """Input matrix is not symmetric within tolerance."""
+    """Input matrix is not square, not finite, or not symmetric within tolerance."""
 
 
 class NoConvergenceError(RuntimeError):
-    """Off-diagonal norm still above threshold after the sweep cap."""
+    """LAPACK's symmetric eigensolver reported that it failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -38,6 +33,9 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise NonSymmetricError(f"expected a square matrix, got shape {a.shape}")
+        # Before the symmetry test: NaN compares false against any tolerance.
+        if not np.all(np.isfinite(a)):
+            raise NonSymmetricError("matrix has non-finite entries")
         if a.shape[0] > 1 and float(np.max(np.abs(a - a.T))) > SYMMETRY_ATOL:
             raise NonSymmetricError(
                 f"matrix is not symmetric within {SYMMETRY_ATOL:g} absolute"
@@ -56,44 +54,21 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    iterations: int
 
 
-def eigendecompose(
-    m: SymmetricMatrix,
-    backend: str | None = None,
-    max_sweeps: int = MAX_SWEEPS,
-) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi.
+def eigendecompose(m: SymmetricMatrix) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix via LAPACK.
 
-    Eigenvalues come out descending; ties keep the rotation-produced order,
-    stabilized by index. Raises NoConvergenceError if the off-diagonal
-    Frobenius norm is not below 1e-13 * (1 + ||m||_F) after `max_sweeps`.
+    Eigenvalues come out descending, column i of the eigenvectors paired
+    with eigenvalue i. Raises NoConvergenceError if LAPACK fails.
     """
     a = m.entries
-    a = (a + a.T) / 2.0
-    fro = math.sqrt(float(np.sum(a * a)))
-    off_tol = OFF_NORM_RTOL * (1.0 + fro)
-    w, v, sweeps, off_norm = _kernels.jacobi_eigh(a, off_tol, max_sweeps, backend)
-    if off_norm > off_tol:
-        raise NoConvergenceError(
-            f"off-diagonal norm {off_norm:.3e} above {off_tol:.3e} "
-            f"after {sweeps} sweeps"
-        )
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    try:
+        w, v = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    w = w[::-1]
+    v = v[:, ::-1]
     w.setflags(write=False)
     v.setflags(write=False)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v, iterations=sweeps)
-
-
-def frobenius_norm(m: SymmetricMatrix) -> float:
-    """sqrt of the sum of squared entries; equals sqrt(sum of squared eigenvalues)."""
-    return math.sqrt(float(np.sum(m.entries * m.entries)))
-
-
-def shifted_abs_determinant(m: SymmetricMatrix, shift: float) -> float:
-    """|det(m - shift * I)|, evaluated as the product of shifted eigenvalues."""
-    dec = eigendecompose(m)
-    return abs(float(np.prod(dec.eigenvalues - shift)))
+    return EigenDecomposition(eigenvalues=w, eigenvectors=v)

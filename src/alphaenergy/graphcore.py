@@ -100,11 +100,6 @@ def adjacency_matrix(g: Graph) -> SymmetricMatrix:
     return SymmetricMatrix(a)
 
 
-def degree_matrix(g: Graph) -> SymmetricMatrix:
-    """Diagonal matrix of vertex degrees."""
-    return SymmetricMatrix(np.diag(g.degrees().astype(np.float64)))
-
-
 def is_connected(g: Graph) -> bool:
     """True iff breadth-first traversal from vertex 0 reaches all n vertices."""
     adj = [[] for _ in range(g.n)]

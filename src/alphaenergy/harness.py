@@ -68,9 +68,9 @@ def analyze(graph_id: str, g: Graph, alpha: float,
             equality_tol: float = bounds.EQUALITY_RTOL) -> Report:
     """Spectrum plus every bound verdict for one graph at one alpha."""
     sp = spectra.alpha_spectrum(g, alpha)
+    cert = bounds.certify(g, sp)
     evals = tuple(
-        op(g, sp, cert=bounds.certify(g, sp), equality_tol=equality_tol)
-        for op in bounds._OPS
+        op(g, sp, cert=cert, equality_tol=equality_tol) for op in bounds._OPS
     )
     return Report(
         graph_id=graph_id,
@@ -223,19 +223,19 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
     for trial in range(trials):
         g = _random_connected_graph(rng, n_min, n_max, trial)
         gid = graphcore.serialize_graph6(g).decode("ascii")
-        for alpha in alphas:
-            reports.append(analyze(gid, g, alpha, equality_tol))
+        graph_reports = [analyze(gid, g, alpha, equality_tol) for alpha in alphas]
+        reports.extend(graph_reports)
         if g.m == 0:
             continue
         edge = sorted(g.edges)[int(rng.integers(0, g.m))]
         smaller = graphcore.delete_edge(g, *edge)
-        for alpha in alphas:
-            if not 0.5 <= alpha < 1.0:
+        for rep in graph_reports:
+            if not 0.5 <= rep.alpha < 1.0:
                 continue
-            before = spectra.alpha_spectrum(g, alpha).rho
-            after = spectra.alpha_spectrum(smaller, alpha).rho
+            before = np.array(rep.spectrum)
+            after = spectra.alpha_spectrum(smaller, rep.alpha).rho
             if np.any(after > before + 1e-9):
-                mono.append((gid, alpha, "edge_deletion_monotonicity"))
+                mono.append((gid, rep.alpha, "edge_deletion_monotonicity"))
     return FuzzResult(tuple(reports), tuple(mono), trials)
 
 

@@ -5,6 +5,10 @@ For a graph with adjacency A and degree matrix D, the matrix under study is
 alpha*D + (1-alpha)*A. Its eigenvalues rho_i (descending), centered copies
 s_i = rho_i - 2*alpha*m/n, and the derived scalars (energy, eta, 2S, the
 shifted determinant Gamma, theta, Zagreb index) are packed into one record.
+
+The eigenvalues come from one LAPACK solve (`densela.eigendecompose`) per
+(graph, alpha). Repeated runs with the same numpy/LAPACK build give
+bit-identical spectra; another build may differ in the last few digits.
 """
 
 from __future__ import annotations
@@ -103,12 +107,3 @@ def alpha_spectrum(g: Graph, alpha: float) -> AlphaSpectrum:
         zagreb=zg,
         connected=graphcore.is_connected(g),
     )
-
-
-def energy_via_partial_sums(sp: AlphaSpectrum) -> float:
-    """2 * max over j of (sum of the j largest eigenvalues minus j * shift).
-
-    Tie-robust identity for the energy; equal to sp.energy.
-    """
-    partial = np.cumsum(sp.rho) - sp.shift * np.arange(1, sp.n + 1)
-    return 2.0 * float(np.max(partial))

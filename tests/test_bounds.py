@@ -258,6 +258,26 @@ def test_rho_lb_star():
     assert got.holds and not got.equality
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95, 1.0])
+def test_k1_k2_no_applicable_bound_violated(alpha):
+    star_index = BOUND_IDS.index("rho_lb_star")
+    for g in (Graph(1), complete(2)):
+        evals = evaluate_all(g, alpha)
+        for e in evals:
+            assert not e.applicable or e.holds, (g.n, alpha, e.bound_id)
+        if alpha == 1.0:
+            assert evals[star_index].reason == "requires alpha in [0, 1)"
+    k1_star = evaluate_all(Graph(1), alpha)[star_index]
+    assert not k1_star.applicable
+    if alpha < 1.0:
+        assert k1_star.reason == "requires n >= 2"
+        # K2 is the star K_{1,1}: rho_1 = 1 meets the bound exactly.
+        k2_star = evaluate_all(complete(2), alpha)[star_index]
+        assert k2_star.value == pytest.approx(1.0, abs=1e-12)
+        assert k2_star.energy == pytest.approx(1.0, abs=1e-12)
+        assert k2_star.equality and k2_star.equality_claim_matched
+
+
 def test_rho_lb_chain():
     for alpha in (0.0, 0.5, 1.0):
         got = ev(B.rho_lb_chain, complete(4), alpha)

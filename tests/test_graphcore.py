@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alphaenergy import graphcore
+from alphaenergy import graphcore, spectra
 from alphaenergy.graphcore import (
     GenerationFailureError,
     Graph,
@@ -14,7 +14,6 @@ from alphaenergy.graphcore import (
     complete,
     complete_bipartite,
     cycle,
-    degree_matrix,
     delete_edge,
     erdos_renyi,
     generate,
@@ -47,6 +46,9 @@ def test_generators_shapes():
     assert s3.m == 3 and s3.degree_sequence == (3, 1, 1, 1)
     assert cycle(5).degree_sequence == (2,) * 5
     assert path(4).degree_sequence == (2, 2, 1, 1)
+    # degrees() is per vertex in vertex order, not sorted.
+    assert s3.degrees().tolist() == [3, 1, 1, 1]
+    assert path(3).degrees().tolist() == [1, 2, 1]
     assert path(1).m == 0
     kab = complete_bipartite(2, 3)
     assert kab.n == 5 and kab.m == 6 and kab.degree_sequence == (3, 3, 2, 2, 2)
@@ -76,9 +78,11 @@ def test_adjacency_matrix():
 
 
 def test_degree_matrix():
-    assert np.allclose(degree_matrix(complete(4)).entries, 3 * np.eye(4))
-    assert np.allclose(degree_matrix(star(3)).entries, np.diag([3, 1, 1, 1]))
-    assert np.allclose(degree_matrix(path(3)).entries, np.diag([1, 2, 1]))
+    # D = A_1 = diag(degrees()), the degree term of every A_alpha.
+    for g, d in ((complete(4), [3, 3, 3, 3]), (star(3), [3, 1, 1, 1]),
+                 (path(3), [1, 2, 1])):
+        assert g.degrees().tolist() == d
+        assert np.allclose(spectra.alpha_matrix(g, 1.0).entries, np.diag(d))
 
 
 def test_is_connected():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from alphaenergy import cli, harness
+from alphaenergy import bounds, cli, harness
 from alphaenergy.bounds import BOUND_IDS
 from alphaenergy.graphcore import complete, cycle, serialize_graph6, star
 from alphaenergy.harness import (
@@ -30,6 +30,19 @@ def g6(g) -> str:
 
 
 K4 = complete(4)
+
+
+def test_analyze_certifies_once(monkeypatch):
+    calls = []
+    real = bounds.certify
+
+    def counting(g, sp):
+        calls.append(sp.alpha)
+        return real(g, sp)
+
+    monkeypatch.setattr(bounds, "certify", counting)
+    analyze("C~", K4, 0.5)
+    assert calls == [0.5]
 
 
 def test_analyze_report_invariants():

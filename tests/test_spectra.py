@@ -11,7 +11,6 @@ from alphaenergy.spectra import (
     AlphaOutOfRangeError,
     alpha_matrix,
     alpha_spectrum,
-    energy_via_partial_sums,
     two_s,
     zagreb_index,
 )
@@ -37,7 +36,7 @@ def test_alpha_matrix_k4_half():
 def test_alpha_matrix_signless_identity():
     g = petersen()
     q = 2.0 * alpha_matrix(g, 0.5).entries
-    d_plus_a = graphcore.degree_matrix(g).entries + graphcore.adjacency_matrix(g).entries
+    d_plus_a = np.diag(g.degrees()) + graphcore.adjacency_matrix(g).entries
     assert np.array_equal(q, d_plus_a)
 
 
@@ -59,6 +58,13 @@ def test_k4_half_spectrum_fixture():
     assert sp.theta == pytest.approx(1.5, abs=1e-12)
     assert sp.zagreb == 36
     assert sp.connected
+    # Gamma = |det(A_alpha - shift*I)| against cofactor expansion, at alpha = 1/2
+    # and at alpha = 0 where it is |det A(K4)| = 3.
+    for alpha, gamma in ((0.5, 0.1875), (0.0, 3.0)):
+        sp = alpha_spectrum(complete(4), alpha)
+        shifted = oracles.alpha_matrix(complete(4), alpha) - sp.shift * np.eye(4)
+        assert sp.gamma_det == pytest.approx(gamma, abs=1e-10)
+        assert sp.gamma_det == pytest.approx(abs(oracles.det_cofactor(shifted)), abs=1e-10)
 
 
 def test_regular_alpha_one_energy_zero():
@@ -92,10 +98,15 @@ def test_two_s_values():
     assert two_s(star(3), 0.5) == pytest.approx(2.25, abs=1e-12)
 
 
+def _partial_sum_energy(g, alpha):
+    sp = alpha_spectrum(g, alpha)
+    return oracles.energy_via_partial_sums(sp.rho, sp.shift)
+
+
 def test_partial_sum_energy_fixtures():
-    assert energy_via_partial_sums(alpha_spectrum(complete(4), 0.5)) == pytest.approx(3.0, abs=1e-10)
-    assert energy_via_partial_sums(alpha_spectrum(complete(4), 0.0)) == pytest.approx(6.0, abs=1e-10)
-    assert energy_via_partial_sums(alpha_spectrum(cycle(6), 1.0)) == pytest.approx(0.0, abs=1e-10)
+    assert _partial_sum_energy(complete(4), 0.5) == pytest.approx(3.0, abs=1e-10)
+    assert _partial_sum_energy(complete(4), 0.0) == pytest.approx(6.0, abs=1e-10)
+    assert _partial_sum_energy(cycle(6), 1.0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_spectrum_invariants_on_corpus(er_corpus_small):
@@ -112,7 +123,7 @@ def test_spectrum_invariants_on_corpus(er_corpus_small):
             assert abs(s2 - sp.two_s) <= 1e-9 * (1 + sp.two_s)
             assert sp.energy == float(np.abs(sp.s).sum())
             assert 1 <= sp.eta <= g.n
-            assert energy_via_partial_sums(sp) == pytest.approx(
+            assert oracles.energy_via_partial_sums(sp.rho, sp.shift) == pytest.approx(
                 sp.energy, abs=1e-9 * (1 + sp.energy)
             )
 
@@ -195,6 +206,8 @@ def test_gamma_singular_shift_clamped():
     sp = alpha_spectrum(cycle(4), 0.5)
     assert np.allclose(sp.rho, [2.0, 1.0, 1.0, 0.0], atol=1e-10)
     assert sp.gamma_det == 0.0
+    # Regular graph at alpha = 1: A_alpha = k*I, so every s_i is zero.
+    assert alpha_spectrum(cycle(5), 1.0).gamma_det == 0.0
 
 
 def test_disconnected_spectrum_still_computed():
