@@ -36,8 +36,11 @@ from .graphcore import (
 from .spectra import (
     AlphaOutOfRangeError,
     AlphaSpectrum,
+    GraphInvariants,
+    alpha_matrices,
     alpha_matrix,
     alpha_spectrum,
+    graph_spectra,
     two_s,
     zagreb_index,
 )
@@ -46,6 +49,7 @@ from .bounds import (
     BoundEvaluation,
     ExtremalCertificate,
     certify,
+    evaluate,
     evaluate_all,
 )
 from .harness import (
@@ -53,6 +57,7 @@ from .harness import (
     EqualityHit,
     Report,
     analyze,
+    analyze_graph,
     run_fuzz,
     run_hunt,
     run_sweep,

@@ -2,7 +2,9 @@
 spectral radius), with numerical certification of the stated equality classes.
 
 Every operation takes the graph plus its precomputed AlphaSpectrum and
-returns a BoundEvaluation. Hypothesis failures are reported as
+returns a BoundEvaluation. Facts about the graph alone (degrees, flags,
+adjacency spectrum) are read from the spectrum's GraphInvariants, so no
+operation recomputes or re-solves them. Hypothesis failures are reported as
 applicable=False with a reason, never raised: sweeps must be able to walk
 straight through hypothesis-violating regions.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densela, graphcore, spectra
+from . import spectra
 from .graphcore import Graph
 from .spectra import AlphaSpectrum
 
@@ -140,20 +142,18 @@ def _matches_values(observed: np.ndarray, stated: list[float], tol: float = DIST
 
 def certify(g: Graph, sp: AlphaSpectrum) -> ExtremalCertificate:
     """Structural certificate for the equality classes: completeness,
-    regularity, star shape, distinct eigenvalue count, adjacency inertia."""
-    degs = g.degree_sequence
-    if sp.alpha == 0.0:
-        adj_eigs = sp.rho
-    else:
-        adj_eigs = densela.eigendecompose(graphcore.adjacency_matrix(g)).eigenvalues
+    regularity, star shape, distinct eigenvalue count, adjacency inertia.
+    Reads the graph's invariants from `sp`; solves nothing."""
+    inv = sp.graph
+    adj_eigs = inv.adjacency_eigenvalues
     pos = int(np.sum(adj_eigs > INERTIA_TOL))
     neg = int(np.sum(adj_eigs < -INERTIA_TOL))
     return ExtremalCertificate(
-        is_complete=g.m == g.n * (g.n - 1) // 2,
-        is_regular=degs[0] == degs[-1],
-        is_star=g.m == g.n - 1 and degs[0] == g.n - 1,
+        is_complete=inv.is_complete,
+        is_regular=inv.is_regular,
+        is_star=inv.is_star,
         distinct_alpha_eigenvalue_count=len(_merged_eigenvalues(sp.rho)),
-        adjacency_inertia=(pos, g.n - pos - neg, neg),
+        adjacency_inertia=(pos, inv.n - pos - neg, neg),
     )
 
 
@@ -161,7 +161,7 @@ def _cert(g: Graph, sp: AlphaSpectrum, cert: ExtremalCertificate | None) -> Extr
     return cert if cert is not None else certify(g, sp)
 
 
-def _koolen_claim(g: Graph, sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
+def _koolen_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
     # Complete graphs, or regular graphs whose three distinct eigenvalues are
     # the average degree and the two symmetric Cauchy-Schwarz saturation values.
     if cert.is_complete:
@@ -174,12 +174,12 @@ def _koolen_claim(g: Graph, sp: AlphaSpectrum, cert: ExtremalCertificate) -> boo
     return _matches_values(sp.rho, [avg, sp.alpha * avg + sat, sp.alpha * avg - sat])
 
 
-def _log_claim(g: Graph, sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
+def _log_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
     if cert.is_complete and sp.alpha == 0.0:
         return True
     if not cert.is_regular:
         return False
-    k = float(g.degree_sequence[0])
+    k = float(sp.graph.degree_sequence[0])
     return _matches_values(sp.rho, [k, sp.alpha * k + 1.0, sp.alpha * k - 1.0])
 
 
@@ -221,7 +221,7 @@ def ub_koolen_alpha(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
     value = (1.0 - sp.alpha) * avg + math.sqrt((sp.n - 1) * max(inner, 0.0))
     return _verdict(
         "ub_koolen_alpha", "upper", value, sp.energy,
-        _koolen_claim(g, sp, _cert(g, sp, cert)), equality_tol,
+        _koolen_claim(sp, _cert(g, sp, cert)), equality_tol,
     )
 
 
@@ -237,7 +237,7 @@ def ub_koolen_energy(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
     value = avg + math.sqrt((sp.n - 1) * max(2.0 * sp.m - avg * avg, 0.0))
     return _verdict(
         "ub_koolen_energy", "upper", value, sp.energy,
-        _koolen_claim(g, sp, _cert(g, sp, cert)), equality_tol,
+        _koolen_claim(sp, _cert(g, sp, cert)), equality_tol,
     )
 
 
@@ -316,7 +316,7 @@ def ub_log_zagreb(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
     )
     return _verdict(
         "ub_log_zagreb", "upper", value, sp.energy,
-        _log_claim(g, sp, _cert(g, sp, cert)), equality_tol,
+        _log_claim(sp, _cert(g, sp, cert)), equality_tol,
     )
 
 
@@ -335,7 +335,7 @@ def ub_log_degree(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
     )
     return _verdict(
         "ub_log_degree", "upper", value, sp.energy,
-        _log_claim(g, sp, _cert(g, sp, cert)), equality_tol,
+        _log_claim(sp, _cert(g, sp, cert)), equality_tol,
     )
 
 
@@ -420,7 +420,7 @@ def lb_maxdeg(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
         return _na("lb_maxdeg", "lower", "requires n >= 3")
     if sp.alpha >= 1.0:
         return _na("lb_maxdeg", "lower", "requires alpha in [0, 1)")
-    value = _star_radius_bound(sp.alpha, g.max_degree) - 4.0 * sp.alpha * sp.m / sp.n
+    value = _star_radius_bound(sp.alpha, sp.graph.degree_sequence[0]) - 4.0 * sp.alpha * sp.m / sp.n
     return _verdict(
         "lb_maxdeg", "lower", value, sp.energy,
         _cert(g, sp, cert).is_star, equality_tol,
@@ -444,7 +444,7 @@ def lb_log(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
     )
     return _verdict(
         "lb_log", "lower", value, sp.energy,
-        _log_claim(g, sp, _cert(g, sp, cert)), equality_tol,
+        _log_claim(sp, _cert(g, sp, cert)), equality_tol,
     )
 
 
@@ -460,7 +460,7 @@ def rho_lb_star(g, sp, cert=None, equality_tol=EQUALITY_RTOL):
         return _na("rho_lb_star", "lower", "requires alpha in [0, 1)")
     if sp.n < 2:
         return _na("rho_lb_star", "lower", "requires n >= 2")
-    value = 0.5 * _star_radius_bound(sp.alpha, g.max_degree)
+    value = 0.5 * _star_radius_bound(sp.alpha, sp.graph.degree_sequence[0])
     return _verdict(
         "rho_lb_star", "lower", value, float(sp.rho[0]),
         _cert(g, sp, cert).is_star, equality_tol,
@@ -499,10 +499,17 @@ _OPS = (
 )
 
 
+def evaluate(
+    g: Graph, sp: AlphaSpectrum, equality_tol: float = EQUALITY_RTOL
+) -> tuple[BoundEvaluation, ...]:
+    """Every bound on one graph's spectrum at one alpha, in BOUND_IDS order,
+    certified once."""
+    cert = certify(g, sp)
+    return tuple(op(g, sp, cert=cert, equality_tol=equality_tol) for op in _OPS)
+
+
 def evaluate_all(
     g: Graph, alpha: float, equality_tol: float = EQUALITY_RTOL
 ) -> tuple[BoundEvaluation, ...]:
     """Evaluate every bound on one (graph, alpha) pair, in BOUND_IDS order."""
-    sp = spectra.alpha_spectrum(g, alpha)
-    cert = certify(g, sp)
-    return tuple(op(g, sp, cert=cert, equality_tol=equality_tol) for op in _OPS)
+    return evaluate(g, spectra.alpha_spectrum(g, alpha), equality_tol)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -68,8 +69,11 @@ def _input_graphs(args) -> list[tuple[str, graphcore.Graph]]:
 
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -97,17 +101,15 @@ def _spectrum_row(graph_id: str, sp: spectra.AlphaSpectrum) -> dict:
 def _cmd_spectrum(args) -> int:
     alphas = _parse_alphas(args.alpha, (0.0,))
     for graph_id, g in _input_graphs(args):
-        for alpha in alphas:
-            row = _spectrum_row(graph_id, spectra.alpha_spectrum(g, alpha))
-            print(json.dumps(row, separators=(",", ":")))
+        for sp in spectra.graph_spectra(g, alphas):
+            print(json.dumps(_spectrum_row(graph_id, sp), separators=(",", ":")))
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
     alphas = _parse_alphas(args.alpha, (0.0,))
     for graph_id, g in _input_graphs(args):
-        for alpha in alphas:
-            rep = harness.analyze(graph_id, g, alpha, args.tolerance)
+        for rep in harness.analyze_graph(graph_id, g, alphas, args.tolerance):
             print(json.dumps(harness.report_to_dict(rep), separators=(",", ":")))
     return EXIT_OK
 
@@ -214,11 +216,25 @@ def _cmd_hunt(args) -> int:
     return EXIT_OK
 
 
-def _add_alpha_and_tolerance(p: argparse.ArgumentParser) -> None:
+def _tolerance(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(val) or val < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return val
+
+
+def _add_alpha(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", help="comma-separated alpha values in [0, 1]")
+
+
+def _add_alpha_and_tolerance(p: argparse.ArgumentParser) -> None:
+    _add_alpha(p)
     p.add_argument(
-        "--tolerance", type=float, default=bounds_mod.EQUALITY_RTOL,
-        help="relative equality tolerance (default 1e-7)",
+        "--tolerance", type=_tolerance, default=bounds_mod.EQUALITY_RTOL,
+        help="relative equality tolerance, finite and >= 0 (default 1e-7)",
     )
 
 
@@ -233,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues and derived scalars")
     p.add_argument("graph", nargs="?", help="one graph6 record")
     p.add_argument("--input", help="file of graph6 lines or one edge list")
-    _add_alpha_and_tolerance(p)
+    _add_alpha(p)
 
     p = sub.add_parser("bounds", help="every bound verdict for one graph")
     p.add_argument("graph", nargs="?", help="one graph6 record")

@@ -1,9 +1,11 @@
 """Dense real symmetric matrices and their eigendecomposition.
 
-`SymmetricMatrix` validates its entries once (square, finite, symmetric
-within SYMMETRY_ATOL) and freezes them. `eigendecompose` hands the
-symmetrised matrix to LAPACK through `numpy.linalg.eigh` and returns the
+`SymmetricMatrix` holds one (n, n) matrix or a (k, n, n) stack of them. It
+validates every slice once (square, finite, symmetric within SYMMETRY_ATOL)
+and freezes the entries. `eigendecompose` hands the symmetrised matrix or
+stack to LAPACK in one `numpy.linalg.eigh` call and returns each slice's
 eigenvalues in descending order with their eigenvectors as paired columns.
+A stacked solve gives the same bits as one solve per slice.
 """
 
 from __future__ import annotations
@@ -23,52 +25,62 @@ class NoConvergenceError(RuntimeError):
     """LAPACK's symmetric eigensolver reported that it failed to converge."""
 
 
+def _first_bad(per_slice: np.ndarray) -> str:
+    """'matrix' or 'slice i of the stack', naming the first flagged slice."""
+    if per_slice.ndim == 0:
+        return "matrix"
+    return f"slice {int(np.argmax(per_slice))} of the stack"
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Immutable dense real symmetric matrix."""
+    """Immutable dense real symmetric matrix, or a (k, n, n) stack of them."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise NonSymmetricError(f"expected a square matrix, got shape {a.shape}")
-        # Before the symmetry test: NaN compares false against any tolerance.
-        if not np.all(np.isfinite(a)):
-            raise NonSymmetricError("matrix has non-finite entries")
-        if a.shape[0] > 1 and float(np.max(np.abs(a - a.T))) > SYMMETRY_ATOL:
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or 0 in a.shape:
             raise NonSymmetricError(
-                f"matrix is not symmetric within {SYMMETRY_ATOL:g} absolute"
+                f"expected a square matrix or a stack of them, got shape {a.shape}"
+            )
+        # Before the symmetry test: NaN compares false against any tolerance.
+        finite = np.all(np.isfinite(a), axis=(-2, -1))
+        if not np.all(finite):
+            raise NonSymmetricError(f"{_first_bad(~finite)} has non-finite entries")
+        skew = np.max(np.abs(a - a.swapaxes(-2, -1)), axis=(-2, -1))
+        if np.any(skew > SYMMETRY_ATOL):
+            raise NonSymmetricError(
+                f"{_first_bad(skew > SYMMETRY_ATOL)} is not symmetric within "
+                f"{SYMMETRY_ATOL:g} absolute"
             )
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues sorted descending with column-paired orthogonal eigenvectors."""
+    """Eigenvalues sorted descending with column-paired orthogonal
+    eigenvectors; for a stack, one row of eigenvalues and one eigenvector
+    matrix per slice."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def eigendecompose(m: SymmetricMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix via LAPACK.
+    """Full eigendecomposition of a symmetric matrix or stack via LAPACK.
 
     Eigenvalues come out descending, column i of the eigenvectors paired
     with eigenvalue i. Raises NoConvergenceError if LAPACK fails.
     """
     a = m.entries
     try:
-        w, v = np.linalg.eigh((a + a.T) / 2.0)
+        w, v = np.linalg.eigh((a + a.swapaxes(-2, -1)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    w = w[::-1]
-    v = v[:, ::-1]
+    w = w[..., ::-1]
+    v = v[..., ::-1]
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -70,12 +71,20 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    def _endpoints(self) -> np.ndarray:
+        """(m, 2) array of the edges' endpoints, in no particular order."""
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * self.m)
+        return flat.reshape(self.m, 2)
+
     def degrees(self) -> np.ndarray:
-        """Per-vertex degrees, indexed by vertex."""
-        d = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
+        """Per-vertex degrees, indexed by vertex; computed on the first call
+        and returned read-only after that."""
+        d = self.__dict__.get("_degrees")
+        if d is None:
+            d = np.bincount(self._endpoints().ravel(), minlength=self.n)
+            d.setflags(write=False)
+            object.__setattr__(self, "_degrees", d)
         return d
 
     @property
@@ -83,20 +92,15 @@ class Graph:
         """Degrees sorted in non-increasing order."""
         return tuple(sorted(self.degrees().tolist(), reverse=True))
 
-    @property
-    def max_degree(self) -> int:
-        return int(self.degrees().max()) if self.n else 0
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
 
 def adjacency_matrix(g: Graph) -> SymmetricMatrix:
     """0/1 adjacency matrix with zero diagonal."""
+    u, v = g._endpoints().T
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    a[np.concatenate((u, v)), np.concatenate((v, u))] = 1.0
     return SymmetricMatrix(a)
 
 

@@ -1,6 +1,10 @@
 """Corpus drivers: single-graph reports, sweeps over alpha grids, randomized
 fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 
+Every driver goes through `analyze_graph`, or `spectra.graph_spectra` for the
+hunt: a graph's invariants are built once and its whole alpha list is solved
+in one stacked eigensolve. `analyze` is the one-alpha case of the same path.
+
 Reports are plain dataclasses; the CSV and JSON writers round every float to
 12 significant digits so the two formats carry identical numeric values and
 reruns produce byte-identical files.
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, graphcore, spectra
+from . import bounds, densela, graphcore, spectra
 from .bounds import BOUND_IDS, BoundEvaluation, ExtremalCertificate
 from .graphcore import Graph
 
@@ -64,25 +68,29 @@ class EqualityHit:
         return self.claim_matched is False
 
 
+def analyze_graph(graph_id: str, g: Graph, alphas: list[float],
+                  equality_tol: float = bounds.EQUALITY_RTOL) -> list[Report]:
+    """Spectrum plus every bound verdict for one graph, one report per alpha."""
+    return [
+        Report(
+            graph_id=graph_id,
+            n=sp.n,
+            m=sp.m,
+            zagreb=sp.zagreb,
+            alpha=sp.alpha,
+            spectrum=tuple(sp.rho.tolist()),
+            energy=sp.energy,
+            eta=sp.eta,
+            evaluations=bounds.evaluate(g, sp, equality_tol),
+        )
+        for sp in spectra.graph_spectra(g, alphas)
+    ]
+
+
 def analyze(graph_id: str, g: Graph, alpha: float,
             equality_tol: float = bounds.EQUALITY_RTOL) -> Report:
     """Spectrum plus every bound verdict for one graph at one alpha."""
-    sp = spectra.alpha_spectrum(g, alpha)
-    cert = bounds.certify(g, sp)
-    evals = tuple(
-        op(g, sp, cert=cert, equality_tol=equality_tol) for op in bounds._OPS
-    )
-    return Report(
-        graph_id=graph_id,
-        n=sp.n,
-        m=sp.m,
-        zagreb=sp.zagreb,
-        alpha=alpha,
-        spectrum=tuple(float(x) for x in sp.rho),
-        energy=sp.energy,
-        eta=sp.eta,
-        evaluations=evals,
-    )
+    return analyze_graph(graph_id, g, [alpha], equality_tol)[0]
 
 
 # -- corpus ingestion ------------------------------------------------------
@@ -133,9 +141,9 @@ def run_sweep(corpus: list[tuple[str, Graph]], alphas: list[float],
     if not corpus:
         raise ValueError("empty corpus")
     return [
-        analyze(graph_id, g, alpha, equality_tol)
+        rep
         for graph_id, g in corpus
-        for alpha in alphas
+        for rep in analyze_graph(graph_id, g, alphas, equality_tol)
     ]
 
 
@@ -223,18 +231,20 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
     for trial in range(trials):
         g = _random_connected_graph(rng, n_min, n_max, trial)
         gid = graphcore.serialize_graph6(g).decode("ascii")
-        graph_reports = [analyze(gid, g, alpha, equality_tol) for alpha in alphas]
+        graph_reports = analyze_graph(gid, g, alphas, equality_tol)
         reports.extend(graph_reports)
         if g.m == 0:
             continue
         edge = sorted(g.edges)[int(rng.integers(0, g.m))]
+        checked = [rep for rep in graph_reports if 0.5 <= rep.alpha < 1.0]
+        if not checked:
+            continue
         smaller = graphcore.delete_edge(g, *edge)
-        for rep in graph_reports:
-            if not 0.5 <= rep.alpha < 1.0:
-                continue
-            before = np.array(rep.spectrum)
-            after = spectra.alpha_spectrum(smaller, rep.alpha).rho
-            if np.any(after > before + 1e-9):
+        after = densela.eigendecompose(
+            spectra.alpha_matrices(smaller, [rep.alpha for rep in checked])
+        ).eigenvalues
+        for rep, rho in zip(checked, after):
+            if np.any(rho > np.array(rep.spectrum) + 1e-9):
                 mono.append((gid, rep.alpha, "edge_deletion_monotonicity"))
     return FuzzResult(tuple(reports), tuple(mono), trials)
 
@@ -251,14 +261,13 @@ def run_hunt(corpus: list[tuple[str, Graph]], alphas: list[float], bound_id: str
     op = bounds._OPS[BOUND_IDS.index(bound_id)]
     hits = []
     for graph_id, g in corpus:
-        for alpha in alphas:
-            sp = spectra.alpha_spectrum(g, alpha)
+        for sp in spectra.graph_spectra(g, alphas):
             cert = bounds.certify(g, sp)
             ev = op(g, sp, cert=cert, equality_tol=equality_tol)
             if ev.applicable and ev.equality:
                 hits.append(EqualityHit(
                     graph_id=graph_id,
-                    alpha=alpha,
+                    alpha=sp.alpha,
                     bound_id=bound_id,
                     value=ev.value,
                     energy=ev.energy,

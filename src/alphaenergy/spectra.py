@@ -4,11 +4,17 @@ scalar invariants the bound verdicts consume.
 For a graph with adjacency A and degree matrix D, the matrix under study is
 alpha*D + (1-alpha)*A. Its eigenvalues rho_i (descending), centered copies
 s_i = rho_i - 2*alpha*m/n, and the derived scalars (energy, eta, 2S, the
-shifted determinant Gamma, theta, Zagreb index) are packed into one record.
+shifted determinant Gamma, theta) are packed into one AlphaSpectrum record.
 
-The eigenvalues come from one LAPACK solve (`densela.eigendecompose`) per
-(graph, alpha). Repeated runs with the same numpy/LAPACK build give
-bit-identical spectra; another build may differ in the last few digits.
+What depends on the graph alone (order, size, degrees, Zagreb index,
+connectivity, adjacency spectrum, complete/regular/star flags) lives in one
+GraphInvariants record, built once per graph and shared by all its
+AlphaSpectrum records. `graph_spectra` solves a graph's whole alpha list,
+plus alpha = 0 for the adjacency spectrum when the list lacks it, in one
+stacked LAPACK call (`densela.eigendecompose`). The stacked solve gives the
+same bits as one solve per alpha, and repeated runs with the same
+numpy/LAPACK build give bit-identical spectra; another build may differ in
+the last few digits.
 """
 
 from __future__ import annotations
@@ -38,12 +44,27 @@ def _check_alpha(alpha: float) -> float:
 
 
 @dataclass(frozen=True)
+class GraphInvariants:
+    """Everything the bound verdicts read that depends on the graph alone."""
+
+    n: int
+    m: int
+    degrees: np.ndarray                  # per vertex, read-only
+    degree_sequence: tuple[int, ...]     # non-increasing
+    zagreb: int                          # sum of squared degrees
+    connected: bool
+    adjacency_eigenvalues: np.ndarray    # descending
+    is_complete: bool
+    is_regular: bool
+    is_star: bool
+
+
+@dataclass(frozen=True)
 class AlphaSpectrum:
     """Spectrum of alpha*D + (1-alpha)*A plus every derived scalar."""
 
     alpha: float
-    n: int
-    m: int
+    graph: GraphInvariants
     rho: np.ndarray          # eigenvalues, descending
     shift: float             # 2*alpha*m/n, the eigenvalue mean
     s: np.ndarray            # rho - shift; sums to zero
@@ -52,58 +73,111 @@ class AlphaSpectrum:
     two_s: float             # sum s_i^2, via the degree closed form
     gamma_det: float         # |prod s_i|, clamped to 0 near a singular shift
     theta: float             # sqrt(Zg/n) - shift
-    zagreb: int              # sum of squared degrees
-    connected: bool
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def m(self) -> int:
+        return self.graph.m
+
+    @property
+    def zagreb(self) -> int:
+        return self.graph.zagreb
+
+    @property
+    def connected(self) -> bool:
+        return self.graph.connected
+
+
+def _stack(a: np.ndarray, d: np.ndarray, alphas) -> np.ndarray:
+    """(k, n, n) array of alpha*D + (1-alpha)*A, one slice per checked alpha."""
+    al = np.array(alphas, dtype=np.float64)[:, None, None]
+    return al * np.diag(d.astype(np.float64)) + (1.0 - al) * a
+
+
+def alpha_matrices(g: Graph, alphas) -> SymmetricMatrix:
+    """alpha*D + (1-alpha)*A for each alpha, as one (k, n, n) stack."""
+    a = graphcore.adjacency_matrix(g).entries
+    return SymmetricMatrix(_stack(a, g.degrees(), [_check_alpha(x) for x in alphas]))
 
 
 def alpha_matrix(g: Graph, alpha: float) -> SymmetricMatrix:
     """alpha*D + (1-alpha)*A as a dense symmetric matrix."""
-    alpha = _check_alpha(alpha)
-    a = graphcore.adjacency_matrix(g).entries
-    d = g.degrees().astype(np.float64)
-    return SymmetricMatrix(alpha * np.diag(d) + (1.0 - alpha) * a)
+    return SymmetricMatrix(alpha_matrices(g, [alpha]).entries[0])
+
+
+def _zagreb(d: np.ndarray) -> int:
+    return int(np.sum(d * d))
 
 
 def zagreb_index(g: Graph) -> int:
     """Sum of squared vertex degrees."""
-    d = g.degrees()
-    return int(np.sum(d * d))
+    return _zagreb(g.degrees())
+
+
+def _two_s(d: np.ndarray, n: int, m: int, alpha: float) -> float:
+    d = d.astype(np.float64)
+    mean = 2.0 * alpha * m / n
+    return float((1.0 - alpha) ** 2 * 2.0 * m + np.sum((alpha * d - mean) ** 2))
 
 
 def two_s(g: Graph, alpha: float) -> float:
     """(1-alpha)^2 * 2m plus the squared deviation of alpha-scaled degrees
     from their mean; equals the sum of squared centered eigenvalues."""
-    alpha = _check_alpha(alpha)
-    d = g.degrees().astype(np.float64)
-    mean = 2.0 * alpha * g.m / g.n
-    return float((1.0 - alpha) ** 2 * 2.0 * g.m + np.sum((alpha * d - mean) ** 2))
+    return _two_s(g.degrees(), g.n, g.m, _check_alpha(alpha))
 
 
-def alpha_spectrum(g: Graph, alpha: float) -> AlphaSpectrum:
-    """Eigendecompose alpha*D + (1-alpha)*A and populate every derived field."""
-    alpha = _check_alpha(alpha)
-    dec = densela.eigendecompose(alpha_matrix(g, alpha))
-    rho = dec.eigenvalues
-    shift = 2.0 * alpha * g.m / g.n
+def _spectrum(inv: GraphInvariants, alpha: float, rho: np.ndarray) -> AlphaSpectrum:
+    shift = 2.0 * alpha * inv.m / inv.n
     s = rho - shift
     s.setflags(write=False)
     if float(np.min(np.abs(s))) < SINGULAR_SHIFT_TOL:
         gamma = 0.0
     else:
         gamma = abs(float(np.prod(s)))
-    zg = zagreb_index(g)
     return AlphaSpectrum(
         alpha=alpha,
-        n=g.n,
-        m=g.m,
+        graph=inv,
         rho=rho,
         shift=shift,
         s=s,
         energy=float(np.sum(np.abs(s))),
         eta=int(np.sum(rho >= shift - SHIFT_TIE_TOL)),
-        two_s=two_s(g, alpha),
+        two_s=_two_s(inv.degrees, inv.n, inv.m, alpha),
         gamma_det=gamma,
-        theta=math.sqrt(zg / g.n) - shift,
-        zagreb=zg,
-        connected=graphcore.is_connected(g),
+        theta=math.sqrt(inv.zagreb / inv.n) - shift,
     )
+
+
+def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
+    """One AlphaSpectrum per alpha, in order, all sharing one GraphInvariants.
+
+    The alpha matrices, and the adjacency matrix when alpha = 0 is not in
+    the list, are solved in one stacked LAPACK call.
+    """
+    alphas = [_check_alpha(x) for x in alphas]
+    grid = alphas if 0.0 in alphas else alphas + [0.0]
+    d = g.degrees()
+    a = graphcore.adjacency_matrix(g).entries
+    rho = densela.eigendecompose(SymmetricMatrix(_stack(a, d, grid))).eigenvalues
+    seq = tuple(sorted(d.tolist(), reverse=True))
+    inv = GraphInvariants(
+        n=g.n,
+        m=g.m,
+        degrees=d,
+        degree_sequence=seq,
+        zagreb=_zagreb(d),
+        connected=graphcore.is_connected(g),
+        adjacency_eigenvalues=rho[grid.index(0.0)],
+        is_complete=g.m == g.n * (g.n - 1) // 2,
+        is_regular=seq[0] == seq[-1],
+        is_star=g.m == g.n - 1 and seq[0] == g.n - 1,
+    )
+    return tuple(_spectrum(inv, alpha, r) for alpha, r in zip(alphas, rho))
+
+
+def alpha_spectrum(g: Graph, alpha: float) -> AlphaSpectrum:
+    """Eigendecompose alpha*D + (1-alpha)*A and populate every derived field."""
+    return graph_spectra(g, [alpha])[0]

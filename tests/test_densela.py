@@ -144,14 +144,47 @@ def test_nonsymmetric_rejected():
         SymmetricMatrix(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_rejected(bad):
-    with pytest.raises(NonSymmetricError, match="non-finite"):
-        SymmetricMatrix([[bad]])
-    with pytest.raises(NonSymmetricError, match="non-finite"):
-        SymmetricMatrix([[0.0, bad], [bad, 0.0]])
-    with pytest.raises(NonSymmetricError, match="non-finite"):
-        SymmetricMatrix([[1.0, 2.0], [2.0, bad]])
+def _stack_with(bad_slice):
+    """Three 2x2 identity slices with the middle one replaced."""
+    stack = np.stack([np.eye(2)] * 3)
+    stack[1] = bad_slice
+    return stack
+
+
+@pytest.mark.parametrize("matrices, match", [
+    pytest.param([[[bad]], [[0.0, bad], [bad, 0.0]], [[1.0, 2.0], [2.0, bad]]],
+                 "non-finite", id=str(bad))
+    for bad in (np.nan, np.inf, -np.inf)
+] + [
+    pytest.param([_stack_with([[0.0, np.nan], [np.nan, 0.0]])],
+                 "slice 1 of the stack has non-finite", id="nan-slice"),
+    pytest.param([_stack_with([[0.0, 1.0], [0.5, 0.0]])],
+                 "slice 1 of the stack is not symmetric", id="asymmetric-slice"),
+])
+def test_non_finite_rejected(matrices, match):
+    for m in matrices:
+        with pytest.raises(NonSymmetricError, match=match):
+            SymmetricMatrix(m)
+
+
+def test_stack_shapes_rejected():
+    for shape in ((2, 2, 3), (0, 2, 2), (2, 2, 2, 2), (3,)):
+        with pytest.raises(NonSymmetricError, match="square"):
+            SymmetricMatrix(np.zeros(shape))
+
+
+def test_stack_solve_matches_per_slice_bitwise():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 7, 20):
+        slices = [random_symmetric(rng, n) for _ in range(5)]
+        stacked = eigendecompose(SymmetricMatrix(np.stack([m.entries for m in slices])))
+        assert stacked.eigenvalues.shape == (5, n)
+        assert stacked.eigenvectors.shape == (5, n, n)
+        for i, m in enumerate(slices):
+            one = eigendecompose(m)
+            assert stacked.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+            assert stacked.eigenvectors[i].tobytes() == one.eigenvectors.tobytes()
+            assert np.all(np.diff(stacked.eigenvalues[i]) <= 0)
 
 
 def test_tiny_asymmetry_tolerated():

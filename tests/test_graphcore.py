@@ -77,6 +77,23 @@ def test_adjacency_matrix():
         assert a[row].sum() == 1 and a[row][0] == 1
 
 
+def test_degrees_computed_once_and_read_only():
+    g = erdos_renyi(12, 0.4, 5)
+    d = g.degrees()
+    assert g.degrees() is d
+    with pytest.raises(ValueError):
+        d[0] = 99
+    loop = np.zeros(g.n, dtype=np.int64)
+    for u, v in g.edges:
+        loop[u] += 1
+        loop[v] += 1
+    assert d.tolist() == loop.tolist()
+    a = adjacency_matrix(g).entries
+    assert a.sum(axis=1).tolist() == d.tolist()
+    assert all(a[u, v] == a[v, u] == 1.0 for u, v in g.edges)
+    assert Graph(3).degrees().tolist() == [0, 0, 0]
+
+
 def test_degree_matrix():
     # D = A_1 = diag(degrees()), the degree term of every A_alpha.
     for g, d in ((complete(4), [3, 3, 3, 3]), (star(3), [3, 1, 1, 1]),

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from alphaenergy import bounds, cli, harness
@@ -43,6 +44,40 @@ def test_analyze_certifies_once(monkeypatch):
     monkeypatch.setattr(bounds, "certify", counting)
     analyze("C~", K4, 0.5)
     assert calls == [0.5]
+
+
+def _count_eigh(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_sweep_solves_each_graph_at_most_twice(monkeypatch):
+    calls = _count_eigh(monkeypatch)
+    corpus = [("C~", K4), (g6(star(3)), star(3)), (g6(cycle(5)), cycle(5))]
+    reports = run_sweep(corpus, list(DEFAULT_ALPHA_GRID))
+    assert len(reports) == 3 * len(DEFAULT_ALPHA_GRID)
+    assert len(calls) <= 2 * len(corpus)
+
+
+def test_fuzz_solves_each_graph_at_most_three_times(monkeypatch):
+    calls = _count_eigh(monkeypatch)
+    result = run_fuzz(4, 6, 4, 1, list(DEFAULT_ALPHA_GRID))
+    assert result.generated == 4
+    assert len(calls) <= 3 * result.generated
+
+
+def test_analyze_is_the_one_alpha_case_of_the_sweep():
+    for g in (K4, star(3), cycle(5)):
+        swept = run_sweep([(g6(g), g)], list(DEFAULT_ALPHA_GRID))
+        single = [analyze(g6(g), g, alpha) for alpha in DEFAULT_ALPHA_GRID]
+        assert reports_to_json(swept) == reports_to_json(single)
 
 
 def test_analyze_report_invariants():
@@ -267,6 +302,46 @@ def test_cli_hunt_requires_one_source(capsys):
     assert cli.main(["hunt-equality", "--bound", "lb_maxdeg"]) == 1
     assert cli.main(["hunt-equality", "--bound", "bogus", "--family", "star"]) == 1
     capsys.readouterr()
+
+
+def _cli_with_out(kind, tmp_path, out):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("C~\nBg\n")
+    argv = {
+        "sweep": ["sweep", "--input", str(corpus), "--alpha", "0,0.5"],
+        "fuzz": ["fuzz", "--n-min", "4", "--n-max", "5", "--trials", "2",
+                 "--alpha", "0.5"],
+        "hunt-equality": ["hunt-equality", "--bound", "lb_maxdeg", "--family",
+                          "star", "--n-min", "3", "--n-max", "4"],
+    }[kind]
+    return cli.main(argv + ["--out", str(out)])
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("kind", ["sweep", "fuzz", "hunt-equality"])
+def test_cli_unwritable_out_is_a_usage_error(kind, where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    assert _cli_with_out(kind, tmp_path, out) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+def test_cli_tolerance_must_be_finite_and_nonnegative(bad, tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("C~\n")
+    for argv in (["bounds", "C~"], ["sweep", "--input", str(corpus)],
+                 ["fuzz", "--trials", "1"],
+                 ["hunt-equality", "--bound", "lb_maxdeg", "--family", "star"]):
+        assert cli.main(argv + [f"--tolerance={bad}"]) == 1, argv
+        assert "--tolerance" in capsys.readouterr().err
+    assert cli.main(["bounds", "C~", "--tolerance", "0"]) == 0
+
+
+def test_cli_spectrum_takes_no_tolerance(capsys):
+    assert cli.main(["spectrum", "C~", "--tolerance", "1e-7"]) == 1
+    assert "--tolerance" in capsys.readouterr().err
 
 
 def test_cli_usage_error_returns_one():

@@ -11,6 +11,7 @@ from alphaenergy.spectra import (
     AlphaOutOfRangeError,
     alpha_matrix,
     alpha_spectrum,
+    graph_spectra,
     two_s,
     zagreb_index,
 )
@@ -222,3 +223,42 @@ def test_eta_counts_shift_ties():
     # Regular graph at alpha = 1: every eigenvalue equals the shift.
     sp = alpha_spectrum(cycle(5), 1.0)
     assert sp.eta == 5
+
+
+STACK_GRAPHS = {
+    "K1": Graph(1),
+    "K2": complete(2),
+    "2K2": Graph(4, [(0, 1), (2, 3)]),
+    "petersen": petersen(),
+    "er62": graphcore.erdos_renyi(62, 0.3, 2005),
+}
+
+
+def _one_solve(a: np.ndarray) -> np.ndarray:
+    return np.linalg.eigh((a + a.T) / 2.0)[0][::-1]
+
+
+@pytest.mark.parametrize("alphas", [(0.0,), (0.5,), (1.0,), (0.0, 0.5, 1.0), DEFAULT_ALPHA_GRID],
+                         ids=["0", "half", "1", "0-half-1", "grid"])
+@pytest.mark.parametrize("name", list(STACK_GRAPHS))
+def test_stacked_spectra_bit_identical(name, alphas):
+    # One stacked solve per graph gives the bits of one LAPACK call per alpha.
+    g = STACK_GRAPHS[name]
+    sps = graph_spectra(g, alphas)
+    assert [sp.alpha for sp in sps] == list(alphas)
+    for sp in sps:
+        assert sp.rho.tobytes() == _one_solve(alpha_matrix(g, sp.alpha).entries).tobytes()
+        assert sp.graph is sps[0].graph
+    adjacency = graphcore.adjacency_matrix(g).entries
+    assert sps[0].graph.adjacency_eigenvalues.tobytes() == _one_solve(adjacency).tobytes()
+
+
+def test_graph_invariants():
+    inv = alpha_spectrum(star(3), 0.3).graph
+    assert (inv.n, inv.m, inv.zagreb, inv.connected) == (4, 3, 12, True)
+    assert inv.degrees.tolist() == [3, 1, 1, 1]
+    assert inv.degree_sequence == (3, 1, 1, 1)
+    assert inv.is_star and not inv.is_regular and not inv.is_complete
+    assert np.allclose(inv.adjacency_eigenvalues, [SQRT3, 0.0, 0.0, -SQRT3], atol=1e-12)
+    inv = alpha_spectrum(Graph(4, [(0, 1), (2, 3)]), 0.0).graph
+    assert inv.is_regular and not inv.connected and not inv.is_star
