@@ -18,6 +18,9 @@ import numpy as np
 from .densela import SymmetricMatrix
 
 GRAPH6_MAX_ORDER = 62
+# Largest order an edge list may declare. The solvers hold dense (k, n, n)
+# stacks: at n = 1000 an 11-alpha sweep stack is 96 MB.
+MAX_ORDER = 1000
 
 
 class InvalidParametersError(ValueError):
@@ -33,7 +36,8 @@ class MalformedGraph6Error(ValueError):
 
 
 class GraphTooLargeError(ValueError):
-    """Graph order exceeds what the single-byte graph6 header can carry."""
+    """Graph order exceeds what a codec accepts: 62 for the single-byte
+    graph6 header, MAX_ORDER for an edge-list header."""
 
 
 class MalformedEdgeListError(ValueError):
@@ -354,7 +358,11 @@ def serialize_graph6(g: Graph) -> bytes:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse 'n m' followed by m 'u v' lines; '#' starts a comment line."""
+    """Parse 'n m' followed by m 'u v' lines; '#' starts a comment line.
+
+    Raises MalformedEdgeListError for malformed text and GraphTooLargeError
+    for an order above MAX_ORDER.
+    """
     header = None
     edges = []
     expected = 0
@@ -375,6 +383,10 @@ def parse_edge_list(text: str) -> Graph:
                 ) from None
             if n < 1 or expected < 0:
                 raise MalformedEdgeListError(f"line {lineno}: bad counts n={n} m={expected}")
+            if n > MAX_ORDER:
+                raise GraphTooLargeError(
+                    f"line {lineno}: order {n} exceeds the edge-list cap of {MAX_ORDER}"
+                )
             header = (n, expected)
             continue
         if len(edges) == expected:

@@ -5,9 +5,10 @@ Every driver goes through `analyze_graph`, or `spectra.graph_spectra` for the
 hunt: a graph's invariants are built once and its whole alpha list is solved
 in one stacked eigensolve. `analyze` is the one-alpha case of the same path.
 
-Reports are plain dataclasses; the CSV and JSON writers round every float to
-12 significant digits so the two formats carry identical numeric values and
-reruns produce byte-identical files.
+Reports are plain dataclasses. The CSV writer formats each float once to 12
+significant digits with `fmt12`; the JSON writer rounds each float through
+`round12`, which parses that same string back. So the two formats carry
+identical numeric values, and reruns produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,36 +324,50 @@ def reports_to_json(reports: list[Report]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return fmt12(x)
-    return str(x)
+# CSV quoting is csv.writer's, applied only where it can change a field: a
+# graph id with a character outside the graph6 bytes 63..126 (which csv never
+# quotes), and a reason string. Every other field is an integer, a formatted
+# float, a bound id or kind, or true/false.
+_GRAPH6_ID = re.compile("[?-~]+")
+_CSV_BOOL = {None: "", True: "true", False: "false"}
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it inside a row, quoted only if needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
 
 
 def reports_to_csv(reports: list[Report]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """One CSV row per (report, bound) under the `CSV_COLUMNS` header.
+
+    Each float is formatted once with `fmt12`, which gives the same string
+    as the JSON writer's `round12` value, so both formats carry the same
+    numbers. A report's eight leading fields are built once and shared by
+    its bound rows.
+    """
+    reasons = {None: ""}
+    lines = [",".join(CSV_COLUMNS)]
     for rep in reports:
-        row = report_to_dict(rep)
-        prefix = [
-            row["graph_id"], row["n"], row["m"], row["zagreb"],
-            _csv_cell(row["alpha"]),
-            ";".join(fmt12(x) for x in row["spectrum"]),
-            _csv_cell(row["energy"]), row["eta"],
-        ]
-        for ev in row["bounds"]:
-            writer.writerow(prefix + [
-                ev["id"], ev["kind"], _csv_cell(ev["applicable"]),
-                _csv_cell(ev["reason"]), _csv_cell(ev["value"]),
-                _csv_cell(ev["holds"]), _csv_cell(ev["gap"]),
-                _csv_cell(ev["equality"]),
-            ])
-    return buf.getvalue()
+        gid = rep.graph_id
+        prefix = ",".join((
+            gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid),
+            str(rep.n), str(rep.m), str(rep.zagreb), fmt12(rep.alpha),
+            ";".join(map(fmt12, rep.spectrum)), fmt12(rep.energy), str(rep.eta),
+        ))
+        for ev in rep.evaluations:
+            reason = reasons.get(ev.reason)
+            if reason is None:
+                reason = reasons[ev.reason] = _csv_field(ev.reason)
+            lines.append(",".join((
+                prefix, ev.bound_id, ev.kind, _CSV_BOOL[ev.applicable], reason,
+                "" if ev.value is None else fmt12(ev.value),
+                _CSV_BOOL[ev.holds],
+                "" if ev.gap is None else fmt12(ev.gap),
+                _CSV_BOOL[ev.equality],
+            )))
+    return "\n".join(lines) + "\n"
 
 
 def hit_to_dict(hit: EqualityHit) -> dict:

@@ -7,9 +7,9 @@ s_i = rho_i - 2*alpha*m/n, and the derived scalars (energy, eta, 2S, the
 shifted determinant Gamma, theta) are packed into one AlphaSpectrum record.
 
 What depends on the graph alone (order, size, degrees, Zagreb index,
-connectivity, adjacency spectrum, complete/regular/star flags) lives in one
-GraphInvariants record, built once per graph and shared by all its
-AlphaSpectrum records. `graph_spectra` solves a graph's whole alpha list,
+connectivity, adjacency spectrum and inertia, complete/regular/star flags)
+lives in one GraphInvariants record, built once per graph and shared by all
+its AlphaSpectrum records. `graph_spectra` solves a graph's whole alpha list,
 plus alpha = 0 for the adjacency spectrum when the list lacks it, in one
 stacked LAPACK call (`densela.eigendecompose`). The stacked solve gives the
 same bits as one solve per alpha, and repeated runs with the same
@@ -30,6 +30,7 @@ from .graphcore import Graph
 
 SHIFT_TIE_TOL = 1e-9     # eigenvalues within this of the shift count as >=
 SINGULAR_SHIFT_TOL = 1e-10  # any |rho_i - shift| below this zeroes gamma_det
+INERTIA_TOL = 1e-9       # adjacency eigenvalues within this of 0 count as zero
 
 
 class AlphaOutOfRangeError(ValueError):
@@ -54,6 +55,7 @@ class GraphInvariants:
     zagreb: int                          # sum of squared degrees
     connected: bool
     adjacency_eigenvalues: np.ndarray    # descending
+    adjacency_inertia: tuple[int, int, int]  # (positive, zero, negative) counts
     is_complete: bool
     is_regular: bool
     is_star: bool
@@ -163,6 +165,9 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
     a = graphcore.adjacency_matrix(g).entries
     rho = densela.eigendecompose(SymmetricMatrix(_stack(a, d, grid))).eigenvalues
     seq = tuple(sorted(d.tolist(), reverse=True))
+    adj = rho[grid.index(0.0)]
+    pos = int(np.sum(adj > INERTIA_TOL))
+    neg = int(np.sum(adj < -INERTIA_TOL))
     inv = GraphInvariants(
         n=g.n,
         m=g.m,
@@ -170,7 +175,8 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
         degree_sequence=seq,
         zagreb=_zagreb(d),
         connected=graphcore.is_connected(g),
-        adjacency_eigenvalues=rho[grid.index(0.0)],
+        adjacency_eigenvalues=adj,
+        adjacency_inertia=(pos, g.n - pos - neg, neg),
         is_complete=g.m == g.n * (g.n - 1) // 2,
         is_regular=seq[0] == seq[-1],
         is_star=g.m == g.n - 1 and seq[0] == g.n - 1,

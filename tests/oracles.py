@@ -4,11 +4,13 @@ Everything here deliberately avoids the package's own code: matrices are
 built from edge lists, spectra come from LAPACK (numpy.linalg.eigvalsh) or,
 independently of LAPACK, from a cyclic Jacobi sweep; characteristic
 polynomials from the Faddeev-LeVerrier recursion, determinants from cofactor
-expansion.
+expansion; CSV reports from `csv.writer`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -118,3 +120,38 @@ def energy_via_partial_sums(rho: np.ndarray, shift: float) -> float:
     """
     partial = np.cumsum(rho) - shift * np.arange(1, len(rho) + 1)
     return 2.0 * float(np.max(partial))
+
+
+def reports_to_csv_reference(reports) -> str:
+    """CSV report written row by row with `csv.writer`.
+
+    Each float is rounded to 12 significant digits, parsed back and formatted
+    again, as the JSON writer's values are; booleans are true/false and None
+    is empty.
+    """
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, float):
+            return f"{float(f'{x:.12g}'):.12g}"
+        return str(x)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow((
+        "graph_id", "n", "m", "zagreb", "alpha", "spectrum", "energy", "eta",
+        "id", "kind", "applicable", "reason", "value", "holds", "gap", "equality",
+    ))
+    for rep in reports:
+        prefix = [
+            rep.graph_id, rep.n, rep.m, rep.zagreb, cell(rep.alpha),
+            ";".join(cell(x) for x in rep.spectrum), cell(rep.energy), rep.eta,
+        ]
+        for ev in rep.evaluations:
+            writer.writerow(prefix + [
+                ev.bound_id, ev.kind, cell(ev.applicable), cell(ev.reason),
+                cell(ev.value), cell(ev.holds), cell(ev.gap), cell(ev.equality),
+            ])
+    return buf.getvalue()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,15 @@ def test_certify_star():
     cert = certify(star(3), alpha_spectrum(star(3), 0.0))
     assert cert.is_star and not cert.is_regular
     assert cert.adjacency_inertia == (1, 2, 1)
+
+
+def test_certify_reads_inertia_from_graph_record():
+    sp = alpha_spectrum(petersen(), 0.5)
+    marked = dataclasses.replace(
+        sp, graph=dataclasses.replace(sp.graph, adjacency_inertia=(7, 2, 1))
+    )
+    assert certify(petersen(), sp).adjacency_inertia == (6, 0, 4)
+    assert certify(petersen(), marked).adjacency_inertia == (7, 2, 1)
 
 
 def test_certificate_invariants(er_corpus_small):

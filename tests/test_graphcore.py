@@ -188,6 +188,13 @@ def test_edge_list_parse():
     assert commented.edges == complete(3).edges
 
 
+def test_edge_list_order_cap():
+    cap = graphcore.MAX_ORDER
+    assert parse_edge_list(f"{cap} 1\n0 1").n == cap
+    with pytest.raises(GraphTooLargeError, match=f"order {cap + 1} exceeds"):
+        parse_edge_list(f"{cap + 1} 1\n0 1")
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("2 1\n0 0", "self-loop"),
     ("2 2\n0 1\n0 1", "duplicate"),

@@ -3,13 +3,16 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from alphaenergy import bounds, cli, harness
+import oracles
+from alphaenergy import bounds, cli, graphcore, harness
 from alphaenergy.bounds import BOUND_IDS
-from alphaenergy.graphcore import complete, cycle, serialize_graph6, star
+from alphaenergy.graphcore import Graph, complete, cycle, petersen, serialize_graph6, star
 from alphaenergy.harness import (
     DEFAULT_ALPHA_GRID,
     analyze,
@@ -31,6 +34,7 @@ def g6(g) -> str:
 
 
 K4 = complete(4)
+ATLAS = Path(__file__).resolve().parents[1] / "perfbench" / "corpora" / "atlas7.g6"
 
 
 def test_analyze_certifies_once(monkeypatch):
@@ -133,6 +137,47 @@ def test_csv_and_json_carry_identical_values():
             assert (crow["holds"] == "true") == jbound["holds"]
 
 
+def _atlas_slice(tmp_path):
+    corpus, skipped = load_corpus(str(ATLAS))
+    assert skipped == [] and len(corpus) == 996
+    # Every 16th graph: K1 first, then orders 2..7 in atlas order.
+    return run_sweep(corpus[::16][:60], list(DEFAULT_ALPHA_GRID))
+
+
+def _awkward_ids(tmp_path):
+    ids = ['odd,"id"', "line\nbreak", "cr\rid", " leading space", "trailing ",
+           "tab\tid", "ünïcödé", "", '"', "C~;x", "plain-ascii:1"]
+    graphs = [K4, cycle(5), star(3)]
+    return [rep for i, gid in enumerate(ids)
+            for rep in harness.analyze_graph(gid, graphs[i % 3], [0.0, 0.5, 1.0])]
+
+
+def _comma_path(tmp_path):
+    folder = tmp_path / "a,b"
+    folder.mkdir()
+    path = folder / 'petersen "g".txt'
+    g = petersen()
+    path.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    corpus, skipped = load_corpus(str(path))
+    assert skipped == [] and "," in corpus[0][0]
+    return run_sweep(corpus, list(DEFAULT_ALPHA_GRID))
+
+
+def _k1(tmp_path):
+    reports = run_sweep([("@", Graph(1))], list(DEFAULT_ALPHA_GRID) + [1.0])
+    reasons = {ev.reason for rep in reports for ev in rep.evaluations
+               if ev.bound_id == "rho_lb_star"}
+    assert None not in reasons
+    return reports
+
+
+@pytest.mark.parametrize("build", [_atlas_slice, _awkward_ids, _comma_path, _k1],
+                         ids=["atlas-60", "awkward-ids", "comma-path", "k1"])
+def test_csv_writer_matches_reference(build, tmp_path):
+    reports = build(tmp_path)
+    assert reports_to_csv(reports) == oracles.reports_to_csv_reference(reports)
+
+
 def test_reports_byte_identical_across_runs():
     first = reports_to_json(run_sweep([("C~", K4)], list(DEFAULT_ALPHA_GRID)))
     second = reports_to_json(run_sweep([("C~", K4)], list(DEFAULT_ALPHA_GRID)))
@@ -203,6 +248,13 @@ def test_float_formatting():
     assert fmt12(1.0 / 3.0) == "0.333333333333"
     assert fmt12(1.5e-11) == "1.5e-11"
     assert round12(float(fmt12(1 / 3))) == round12(1 / 3)
+
+
+@given(st.floats())
+def test_fmt12_of_round12_is_fmt12(x):
+    # The CSV writer formats once; the JSON writer's round12 value must
+    # format to the same string.
+    assert fmt12(round12(x)) == fmt12(x)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -342,6 +394,22 @@ def test_cli_tolerance_must_be_finite_and_nonnegative(bad, tmp_path, capsys):
 def test_cli_spectrum_takes_no_tolerance(capsys):
     assert cli.main(["spectrum", "C~", "--tolerance", "1e-7"]) == 1
     assert "--tolerance" in capsys.readouterr().err
+
+
+def test_cli_oversized_edge_list_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_matrix(g):
+        pytest.fail(f"built an adjacency matrix of order {g.n}")
+
+    monkeypatch.setattr(graphcore, "adjacency_matrix", no_matrix)
+    big = tmp_path / "big.txt"
+    big.write_text("20000 1\n0 1\n")
+    for argv in (["spectrum", "--input", str(big)],
+                 ["sweep", "--input", str(big), "--format", "csv"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "20000" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_cli_usage_error_returns_one():

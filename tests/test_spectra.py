@@ -260,5 +260,7 @@ def test_graph_invariants():
     assert inv.degree_sequence == (3, 1, 1, 1)
     assert inv.is_star and not inv.is_regular and not inv.is_complete
     assert np.allclose(inv.adjacency_eigenvalues, [SQRT3, 0.0, 0.0, -SQRT3], atol=1e-12)
+    assert inv.adjacency_inertia == (1, 2, 1)
     inv = alpha_spectrum(Graph(4, [(0, 1), (2, 3)]), 0.0).graph
     assert inv.is_regular and not inv.connected and not inv.is_star
+    assert inv.adjacency_inertia == (2, 0, 2)
