@@ -46,6 +46,7 @@ from .spectra import (
 )
 from .bounds import (
     BOUND_IDS,
+    BOUNDS,
     BoundEvaluation,
     ExtremalCertificate,
     certify,

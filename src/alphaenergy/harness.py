@@ -260,12 +260,12 @@ def run_hunt(corpus: list[tuple[str, Graph]], alphas: list[float], bound_id: str
     the structural certificate so claim contradictions stand out."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound_id {bound_id!r}")
-    op = bounds._OPS[BOUND_IDS.index(bound_id)]
+    row = bounds.BOUNDS[BOUND_IDS.index(bound_id)]
     hits = []
     for graph_id, g in corpus:
         for sp in spectra.graph_spectra(g, alphas):
             cert = bounds.certify(g, sp)
-            ev = op(g, sp, cert=cert, equality_tol=equality_tol)
+            ev = row.evaluate(sp, cert, equality_tol)
             if ev.applicable and ev.equality:
                 hits.append(EqualityHit(
                     graph_id=graph_id,

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import oracles
-from alphaenergy import bounds as B
 from alphaenergy import densela, graphcore
+from alphaenergy.bounds import BOUND_IDS, evaluate_all
 from alphaenergy.graphcore import complete, cycle, parse_graph6, petersen, serialize_graph6, star
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, violations
 from alphaenergy.spectra import alpha_spectrum
@@ -76,9 +76,8 @@ def test_criterion_3_regular_graph_energy():
     _ok(3, f"{len(graphs)} regular graphs scale their energy by (1 - alpha)")
 
 
-def _gap(op, g, alpha, expected_value):
-    sp = alpha_spectrum(g, alpha)
-    got = op(g, sp)
+def _gap(bound_id, g, alpha, expected_value):
+    got = evaluate_all(g, alpha)[BOUND_IDS.index(bound_id)]
     assert got.applicable
     assert abs(got.value - expected_value) <= 1e-9
     assert abs(got.gap) <= 1e-9
@@ -88,17 +87,17 @@ def _gap(op, g, alpha, expected_value):
 def test_criterion_4_equality_fixtures():
     k4, k13 = complete(4), star(3)
     assert abs(alpha_spectrum(k4, 0.5).energy - 3.0) <= 1e-9
-    _gap(B.ub_koolen_alpha, k4, 0.5, 3.0)
-    _gap(B.ub_eta, k4, 0.5, 3.0)
-    _gap(B.lb_average_degree, k4, 0.5, 3.0)
-    _gap(B.lb_zagreb, k4, 0.5, 3.0)
-    _gap(B.ub_koolen_energy, k4, 0.0, 6.0)
-    _gap(B.ub_log_zagreb, k4, 0.0, 6.0)
-    _gap(B.ub_log_degree, k4, 0.0, 6.0)
-    _gap(B.lb_log, k4, 0.0, 6.0)
-    _gap(B.lb_maxdeg, k13, 0.0, 2 * SQRT3)
-    _gap(B.lb_maxdeg, k13, 0.5, 2.5)
-    _gap(B.rho_lb_star, k13, 0.5, 2.0)
+    _gap("ub_koolen_alpha", k4, 0.5, 3.0)
+    _gap("ub_eta", k4, 0.5, 3.0)
+    _gap("lb_average_degree", k4, 0.5, 3.0)
+    _gap("lb_zagreb", k4, 0.5, 3.0)
+    _gap("ub_koolen_energy", k4, 0.0, 6.0)
+    _gap("ub_log_zagreb", k4, 0.0, 6.0)
+    _gap("ub_log_degree", k4, 0.0, 6.0)
+    _gap("lb_log", k4, 0.0, 6.0)
+    _gap("lb_maxdeg", k13, 0.0, 2 * SQRT3)
+    _gap("lb_maxdeg", k13, 0.5, 2.5)
+    _gap("rho_lb_star", k13, 0.5, 2.0)
     # Cross-check the fixture numbers against the LAPACK oracle.
     assert abs(oracles.energy(k4, 0.5) - 3.0) <= 1e-12
     assert abs(oracles.energy(k13, 0.0) - 2 * SQRT3) <= 1e-12
@@ -134,12 +133,11 @@ def test_criterion_5_fuzz_soundness(tmp_path):
 
 
 def test_criterion_6_counterexample_regression():
-    k4 = complete(4)
-    sp = alpha_spectrum(k4, 0.5)
-    stated = B.lb_frobenius_asstated(k4, sp)
+    evals = evaluate_all(complete(4), 0.5)
+    stated = evals[BOUND_IDS.index("lb_frobenius_asstated")]
     assert abs(stated.value - math.sqrt(15)) <= 1e-9
     assert stated.holds is False
-    repaired = B.lb_frobenius_repaired(k4, sp)
+    repaired = evals[BOUND_IDS.index("lb_frobenius_repaired")]
     assert abs(repaired.value - math.sqrt(6)) <= 1e-9
     assert repaired.holds is True
     _ok(6, "as-stated Frobenius bound fails on (K_4, 1/2); repaired form holds")

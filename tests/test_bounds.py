@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +10,14 @@ import oracles
 from alphaenergy import bounds as B
 from alphaenergy.bounds import BOUND_IDS, certify, evaluate_all
 from alphaenergy.graphcore import Graph, complete, cycle, path, petersen, star
-from alphaenergy.harness import DEFAULT_ALPHA_GRID
+from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
 from alphaenergy.spectra import alpha_spectrum
 
 SQRT3 = math.sqrt(3.0)
 
 
-def ev(op, g, alpha, **kw):
-    sp = alpha_spectrum(g, alpha)
-    return op(g, sp, **kw)
+def ev(bound_id, g, alpha, equality_tol=B.EQUALITY_RTOL):
+    return evaluate_all(g, alpha, equality_tol)[BOUND_IDS.index(bound_id)]
 
 
 DISCONNECTED = Graph(4, [(0, 1), (2, 3)])
@@ -67,72 +68,72 @@ def test_certificate_invariants(er_corpus_small):
 
 
 def test_ub_mcclelland():
-    got = ev(B.ub_mcclelland, complete(4), 0.5)
+    got = ev("ub_mcclelland", complete(4), 0.5)
     assert got.value == pytest.approx(math.sqrt(12), abs=1e-12)
     assert got.holds and not got.equality
-    got = ev(B.ub_mcclelland, complete(3), 0.0)
+    got = ev("ub_mcclelland", complete(3), 0.0)
     assert got.value == pytest.approx(math.sqrt(18), abs=1e-12)
     assert got.energy == pytest.approx(4.0, abs=1e-10)
-    na = ev(B.ub_mcclelland, DISCONNECTED, 0.3)
+    na = ev("ub_mcclelland", DISCONNECTED, 0.3)
     assert not na.applicable and na.reason == "requires connected"
 
 
 def test_ub_koolen_alpha():
-    got = ev(B.ub_koolen_alpha, complete(4), 0.5)
+    got = ev("ub_koolen_alpha", complete(4), 0.5)
     assert got.value == pytest.approx(3.0, abs=1e-12)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.ub_koolen_alpha, complete(4), 0.0)
+    got = ev("ub_koolen_alpha", complete(4), 0.0)
     assert got.value == pytest.approx(6.0, abs=1e-12)
     assert got.equality
-    got = ev(B.ub_koolen_alpha, star(3), 0.0)
+    got = ev("ub_koolen_alpha", star(3), 0.0)
     assert got.value == pytest.approx(1.5 + math.sqrt(3 * (6 - 2.25)), abs=1e-12)
     assert got.holds and not got.equality
     # C_6 at alpha = 0.6: Zg = 24 is neither above 8m^2/n - 2m = 36 nor
     # below 4m^2/n = 24, so the side condition rejects it.
-    na = ev(B.ub_koolen_alpha, cycle(6), 0.6)
+    na = ev("ub_koolen_alpha", cycle(6), 0.6)
     assert not na.applicable and "side condition" in na.reason
-    assert ev(B.ub_koolen_alpha, cycle(6), 0.5).applicable
+    assert ev("ub_koolen_alpha", cycle(6), 0.5).applicable
 
 
 def test_ub_koolen_energy():
-    got = ev(B.ub_koolen_energy, complete(4), 0.0)
+    got = ev("ub_koolen_energy", complete(4), 0.0)
     assert got.value == pytest.approx(6.0, abs=1e-12)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.ub_koolen_energy, cycle(5), 0.0)
+    got = ev("ub_koolen_energy", cycle(5), 0.0)
     assert got.value == pytest.approx(2 + math.sqrt(24), abs=1e-12)
     assert got.energy == pytest.approx(oracles.energy(cycle(5), 0.0), abs=1e-10)
     assert got.holds and not got.equality
-    assert not ev(B.ub_koolen_energy, complete(4), 0.5).applicable
+    assert not ev("ub_koolen_energy", complete(4), 0.5).applicable
 
 
 def test_ub_koolen_signless():
-    got = ev(B.ub_koolen_signless, complete(4), 0.5)
+    got = ev("ub_koolen_signless", complete(4), 0.5)
     assert got.energy == pytest.approx(6.0, abs=1e-10)  # QE = 2 * energy
     assert got.value == pytest.approx(6.0, abs=1e-12)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.ub_koolen_signless, cycle(4), 0.5)
+    got = ev("ub_koolen_signless", cycle(4), 0.5)
     assert got.energy == pytest.approx(4.0, abs=1e-10)
     assert got.value == pytest.approx(2 + math.sqrt(12), abs=1e-12)
     assert got.holds and not got.equality
-    assert not ev(B.ub_koolen_signless, complete(4), 0.0).applicable
+    assert not ev("ub_koolen_signless", complete(4), 0.0).applicable
 
 
 def test_ub_eta():
-    got = ev(B.ub_eta, complete(4), 0.5)
+    got = ev("ub_eta", complete(4), 0.5)
     assert got.value == pytest.approx(3.0, abs=1e-12)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.ub_eta, star(3), 0.5)
+    got = ev("ub_eta", star(3), 0.5)
     assert got.value == pytest.approx(4.5, abs=1e-12)
     assert got.energy == pytest.approx(2.5, abs=1e-10)
     assert got.holds and not got.equality
-    assert not ev(B.ub_eta, complete(4), 0.0).applicable
+    assert not ev("ub_eta", complete(4), 0.0).applicable
 
 
 def test_ub_log_zagreb():
-    got = ev(B.ub_log_zagreb, complete(4), 0.0)
+    got = ev("ub_log_zagreb", complete(4), 0.0)
     assert got.value == pytest.approx(6.0, abs=1e-10)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.ub_log_zagreb, complete(4), 0.25)
+    got = ev("ub_log_zagreb", complete(4), 0.25)
     # Direct arithmetic: theta = 2.25, Gamma = 2.25 * 0.75^3.
     gamma = 2.25 * 0.75**3
     expect = (
@@ -141,18 +142,18 @@ def test_ub_log_zagreb():
     assert got.value == pytest.approx(expect, abs=1e-10)
     assert got.energy == pytest.approx(4.5, abs=1e-10)
     assert got.holds and got.gap > 0
-    na = ev(B.ub_log_zagreb, cycle(4), 0.5)
+    na = ev("ub_log_zagreb", cycle(4), 0.5)
     assert not na.applicable and na.reason == "singular shift"
 
 
 def test_ub_log_degree():
-    got = ev(B.ub_log_degree, complete(4), 0.0)
+    got = ev("ub_log_degree", complete(4), 0.0)
     assert got.value == pytest.approx(6.0, abs=1e-10)
     assert got.equality
-    got = ev(B.ub_log_degree, complete(3), 0.0)
+    got = ev("ub_log_degree", complete(3), 0.0)
     assert got.value == pytest.approx(4.0, abs=1e-10)
     assert got.equality and got.equality_claim_matched
-    na = ev(B.ub_log_degree, complete(4), 0.7)  # 0.7 > 1 - 4/12
+    na = ev("ub_log_degree", complete(4), 0.7)  # 0.7 > 1 - 4/12
     assert not na.applicable and "1 - n/(2m)" in na.reason
 
 
@@ -160,40 +161,40 @@ def test_ub_log_degree():
 
 
 def test_lb_frobenius_asstated():
-    got = ev(B.lb_frobenius_asstated, complete(4), 0.0)
+    got = ev("lb_frobenius_asstated", complete(4), 0.0)
     assert got.value == pytest.approx(math.sqrt(24), abs=1e-12)
     assert got.holds
-    got = ev(B.lb_frobenius_asstated, complete(4), 0.5)
+    got = ev("lb_frobenius_asstated", complete(4), 0.5)
     assert got.value == pytest.approx(math.sqrt(15), abs=1e-12)
     assert got.holds is False
     assert got.value - got.energy >= 0.87
     # At alpha = 0 the printed form reduces to sqrt(4m), tight on stars.
-    got = ev(B.lb_frobenius_asstated, star(3), 0.0)
+    got = ev("lb_frobenius_asstated", star(3), 0.0)
     assert got.value == pytest.approx(2 * SQRT3, abs=1e-12)
     assert got.holds and got.equality
 
 
 def test_lb_frobenius_repaired():
-    got = ev(B.lb_frobenius_repaired, complete(4), 0.5)
+    got = ev("lb_frobenius_repaired", complete(4), 0.5)
     assert got.value == pytest.approx(math.sqrt(6), abs=1e-12)
     assert got.holds
-    got = ev(B.lb_frobenius_repaired, complete(4), 0.0)
+    got = ev("lb_frobenius_repaired", complete(4), 0.0)
     assert got.value == pytest.approx(math.sqrt(24), abs=1e-12)
     for alpha in (0.0, 0.3, 0.7):
-        got = ev(B.lb_frobenius_repaired, petersen(), alpha)
+        got = ev("lb_frobenius_repaired", petersen(), alpha)
         assert got.value == pytest.approx(
             math.sqrt(2 * (1 - alpha) ** 2 * 2 * 15), abs=1e-12
         )
 
 
 def test_lb_average_degree():
-    got = ev(B.lb_average_degree, complete(4), 0.0)
+    got = ev("lb_average_degree", complete(4), 0.0)
     assert got.value == pytest.approx(6.0, abs=1e-12)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.lb_average_degree, complete(4), 0.5)
+    got = ev("lb_average_degree", complete(4), 0.5)
     assert got.value == pytest.approx(3.0, abs=1e-12)
     assert got.equality
-    got = ev(B.lb_average_degree, star(3), 0.0)
+    got = ev("lb_average_degree", star(3), 0.0)
     assert got.value == pytest.approx(3.0, abs=1e-12)
     assert got.holds and not got.equality and not got.equality_claim_matched
 
@@ -201,51 +202,51 @@ def test_lb_average_degree():
 def test_lb_average_degree_c4_attains_outside_stated_class():
     # C_4 is regular with adjacency spectrum {2, 0, 0, -2}: the bound is tight
     # even though the stated class requires n-1 negative eigenvalues.
-    got = ev(B.lb_average_degree, cycle(4), 0.0)
+    got = ev("lb_average_degree", cycle(4), 0.0)
     assert got.equality
     assert got.equality_claim_matched is False
 
 
 def test_lb_zagreb():
-    got = ev(B.lb_zagreb, complete(4), 0.5)
+    got = ev("lb_zagreb", complete(4), 0.5)
     assert got.value == pytest.approx(3.0, abs=1e-12)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.lb_zagreb, star(3), 0.0)
+    got = ev("lb_zagreb", star(3), 0.0)
     assert got.value == pytest.approx(2 * SQRT3, abs=1e-12)
     assert got.equality
     assert got.equality_claim_matched is False  # tight on a non-regular graph
-    got = ev(B.lb_zagreb, path(3), 0.0)
+    got = ev("lb_zagreb", path(3), 0.0)
     assert got.value == pytest.approx(2 * math.sqrt(2), abs=1e-12)
     assert got.equality
 
 
 def test_lb_maxdeg():
-    got = ev(B.lb_maxdeg, star(3), 0.0)
+    got = ev("lb_maxdeg", star(3), 0.0)
     assert got.value == pytest.approx(2 * SQRT3, abs=1e-12)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.lb_maxdeg, star(3), 0.5)
+    got = ev("lb_maxdeg", star(3), 0.5)
     assert got.value == pytest.approx(2.5, abs=1e-12)
     assert got.equality
-    got = ev(B.lb_maxdeg, complete(4), 0.0)
+    got = ev("lb_maxdeg", complete(4), 0.0)
     assert got.value == pytest.approx(2 * SQRT3, abs=1e-12)
     assert got.holds and not got.equality
 
 
 def test_lb_log():
-    got = ev(B.lb_log, complete(4), 0.0)
+    got = ev("lb_log", complete(4), 0.0)
     assert got.value == pytest.approx(6.0, abs=1e-10)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.lb_log, complete(3), 0.0)
+    got = ev("lb_log", complete(3), 0.0)
     assert got.value == pytest.approx(4.0, abs=1e-10)
     assert got.equality
-    na = ev(B.lb_log, cycle(4), 0.5)
+    na = ev("lb_log", cycle(4), 0.5)
     assert not na.applicable and na.reason == "singular shift"
 
 
 def test_lb_log_holds_at_positive_alpha():
     # The centering term matters here: without -2am/n the value would be
     # 3.9206 > 3 on this input.
-    got = ev(B.lb_log, complete(4), 0.5)
+    got = ev("lb_log", complete(4), 0.5)
     assert got.applicable
     assert got.value == pytest.approx(3 + 3 + math.log(0.1875 / 1.5) - 1.5, abs=1e-10)
     assert got.holds
@@ -255,14 +256,14 @@ def test_lb_log_holds_at_positive_alpha():
 
 
 def test_rho_lb_star():
-    got = ev(B.rho_lb_star, star(3), 0.5)
+    got = ev("rho_lb_star", star(3), 0.5)
     assert got.value == pytest.approx(2.0, abs=1e-12)
     assert got.energy == pytest.approx(2.0, abs=1e-10)
     assert got.equality and got.equality_claim_matched
-    got = ev(B.rho_lb_star, star(3), 0.0)
+    got = ev("rho_lb_star", star(3), 0.0)
     assert got.value == pytest.approx(SQRT3, abs=1e-12)
     assert got.equality
-    got = ev(B.rho_lb_star, complete(4), 0.0)
+    got = ev("rho_lb_star", complete(4), 0.0)
     assert got.value == pytest.approx(SQRT3, abs=1e-12)
     assert got.energy == pytest.approx(3.0, abs=1e-10)
     assert got.holds and not got.equality
@@ -290,15 +291,15 @@ def test_k1_k2_no_applicable_bound_violated(alpha):
 
 def test_rho_lb_chain():
     for alpha in (0.0, 0.5, 1.0):
-        got = ev(B.rho_lb_chain, complete(4), alpha)
+        got = ev("rho_lb_chain", complete(4), alpha)
         assert got.value == pytest.approx(3.0, abs=1e-12)
         assert got.energy == pytest.approx(3.0, abs=1e-10)
         assert got.equality and got.equality_claim_matched
-    got = ev(B.rho_lb_chain, star(3), 0.0)
+    got = ev("rho_lb_chain", star(3), 0.0)
     assert got.value == pytest.approx(SQRT3, abs=1e-12)
     assert got.equality
     assert got.equality_claim_matched is False  # tight without regularity
-    got = ev(B.rho_lb_chain, path(3), 0.0)
+    got = ev("rho_lb_chain", path(3), 0.0)
     assert got.equality and got.equality_claim_matched is False
 
 
@@ -365,13 +366,13 @@ def test_soundness_and_equality_classes(er_corpus_small):
 def test_stars_attain_maxdeg_for_every_alpha():
     for leaves in range(2, 9):
         for alpha in DEFAULT_ALPHA_GRID:
-            e = ev(B.lb_maxdeg, star(leaves), alpha)
+            e = ev("lb_maxdeg", star(leaves), alpha)
             assert e.applicable and e.equality
 
 
 def test_equality_tolerance_is_configurable():
-    tight = ev(B.ub_mcclelland, complete(4), 0.5, equality_tol=1e-7)
-    loose = ev(B.ub_mcclelland, complete(4), 0.5, equality_tol=0.2)
+    tight = ev("ub_mcclelland", complete(4), 0.5, equality_tol=1e-7)
+    loose = ev("ub_mcclelland", complete(4), 0.5, equality_tol=0.2)
     assert not tight.equality
     assert loose.equality
 
@@ -382,3 +383,82 @@ def test_equality_implies_holds(er_corpus_small):
             for e in evaluate_all(g, alpha):
                 if e.applicable and e.equality:
                     assert e.holds
+
+
+# -- frozen atlas7 verdicts -----------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+ATLAS = Path(__file__).resolve().parents[1] / "perfbench" / "corpora" / "atlas7.g6"
+ATLAS_ALPHAS = DEFAULT_ALPHA_GRID + (1.0,)
+
+# Not-applicable verdicts per (bound, reason) on the same sweep. The atlas is
+# all connected graphs, so "requires connected" never shows; alpha = 1 is what
+# reaches each "alpha < 1" or "alpha in [0, 1)" reason.
+ATLAS_NOT_APPLICABLE = {
+    ("ub_koolen_alpha", "requires alpha < 1"): 994,
+    ("ub_koolen_alpha", "requires n >= 3"): 24,
+    ("ub_koolen_alpha", "zagreb side condition fails for alpha > 1/2"): 4935,
+    ("ub_koolen_energy", "requires alpha = 0"): 10956,
+    ("ub_koolen_energy", "requires n >= 3"): 2,
+    ("ub_koolen_signless", "requires alpha = 1/2"): 10956,
+    ("ub_koolen_signless", "requires n >= 3"): 2,
+    ("ub_eta", "requires alpha in [1/2, 1)"): 5964,
+    ("ub_eta", "requires n >= 3"): 24,
+    ("ub_log_zagreb", "requires alpha <= 1 - n/(2m)"): 4759,
+    ("ub_log_zagreb", "requires n >= 3"): 24,
+    ("ub_log_zagreb", "singular shift"): 888,
+    ("ub_log_degree", "requires alpha <= 1 - n/(2m)"): 4759,
+    ("ub_log_degree", "requires n >= 3"): 24,
+    ("ub_log_degree", "singular shift"): 888,
+    ("lb_frobenius_asstated", "requires alpha in [0, 1)"): 994,
+    ("lb_frobenius_asstated", "requires n >= 3"): 24,
+    ("lb_frobenius_repaired", "requires alpha in [0, 1)"): 994,
+    ("lb_frobenius_repaired", "requires n >= 3"): 24,
+    ("lb_average_degree", "requires alpha in [0, 1)"): 994,
+    ("lb_average_degree", "requires n >= 3"): 24,
+    ("lb_zagreb", "requires alpha in [0, 1)"): 994,
+    ("lb_zagreb", "requires n >= 3"): 24,
+    ("lb_maxdeg", "requires alpha in [0, 1)"): 994,
+    ("lb_maxdeg", "requires n >= 3"): 24,
+    ("lb_log", "requires alpha <= 1 - n/(2m)"): 4759,
+    ("lb_log", "requires n >= 3"): 24,
+    ("lb_log", "singular shift"): 888,
+    ("rho_lb_star", "requires alpha in [0, 1)"): 996,
+    ("rho_lb_star", "requires n >= 2"): 11,
+}
+
+
+@pytest.fixture(scope="module")
+def atlas_reports():
+    corpus, skipped = load_corpus(str(ATLAS))
+    assert len(corpus) == 996 and not skipped
+    return run_sweep(corpus, list(ATLAS_ALPHAS))
+
+
+def test_atlas7_equality_hits_frozen(atlas_reports):
+    # On this corpus equality gaps are at most 1.3e-14 relative and every
+    # other gap is at least 3.8e-5, so the table does not depend on the
+    # LAPACK build.
+    claim_text = {None: "null", True: "true", False: "false"}
+    got = [
+        f"{rep.graph_id} {fmt12(rep.alpha)} {e.bound_id} {claim_text[e.equality_claim_matched]}"
+        for rep in atlas_reports
+        for e in rep.evaluations
+        if e.applicable and e.equality
+    ]
+    frozen = [
+        line for line in (DATA / "atlas7_equality.txt").read_text().splitlines()
+        if not line.startswith("#")
+    ]
+    assert got == frozen
+    assert "Cl 0 lb_average_degree false" in frozen  # C4, outside the stated class
+
+
+def test_atlas7_not_applicable_counts_frozen(atlas_reports):
+    got = Counter(
+        (e.bound_id, e.reason)
+        for rep in atlas_reports
+        for e in rep.evaluations
+        if not e.applicable
+    )
+    assert got == ATLAS_NOT_APPLICABLE

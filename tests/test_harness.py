@@ -309,7 +309,7 @@ def test_cli_sweep_csv_format(tmp_path):
         "sweep", "--input", str(corpus), "--alpha", "0", "--format", "csv",
         "--out", str(out),
     ]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == len(BOUND_IDS)
     assert rows[0]["graph_id"] == "C~"
 
@@ -323,8 +323,9 @@ def test_cli_sweep_empty_corpus(tmp_path, capsys):
 
 def test_cli_fuzz_usage_errors(capsys):
     assert cli.main(["fuzz", "--trials", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert cli.main(["fuzz", "--n-min", "2", "--n-max", "5", "--trials", "1"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_fuzz_small_clean(capsys):
@@ -348,6 +349,27 @@ def test_cli_hunt_family(capsys):
     hits = [json.loads(line) for line in captured.out.splitlines()]
     assert len(hits) == 8  # four stars, two alphas
     assert all(h["claim_matched"] for h in hits)
+
+
+def test_cli_hunt_family_order_cap_checked_before_building(capsys, monkeypatch):
+    def no_build(n):
+        pytest.fail(f"built K_{n}")
+
+    monkeypatch.setattr(graphcore, "complete", no_build)
+    for n_max in ("20000", "63"):
+        assert cli.main([
+            "hunt-equality", "--bound", "lb_maxdeg", "--family", "complete",
+            "--n-min", n_max, "--n-max", n_max, "--alpha", "0",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and n_max in captured.err
+        assert "Traceback" not in captured.err
+    # The Petersen graph has one order and ignores the range.
+    assert cli.main([
+        "hunt-equality", "--bound", "ub_eta", "--family", "petersen",
+        "--n-max", "20000", "--alpha", "0.5",
+    ]) == 0
+    assert "for ub_eta" in capsys.readouterr().err
 
 
 def test_cli_hunt_requires_one_source(capsys):
