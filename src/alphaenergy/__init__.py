@@ -3,7 +3,6 @@ the associated centered-spectrum energy, and mechanical verification of the
 published upper/lower bounds with equality-case certification."""
 
 from .densela import (
-    EigenDecomposition,
     NoConvergenceError,
     NonSymmetricError,
     SymmetricMatrix,
@@ -19,11 +18,9 @@ from .graphcore import (
     NoSuchEdgeError,
     adjacency_matrix,
     complete,
-    complete_bipartite,
     cycle,
     delete_edge,
     erdos_renyi,
-    generate,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -41,8 +38,6 @@ from .spectra import (
     alpha_matrix,
     alpha_spectrum,
     graph_spectra,
-    two_s,
-    zagreb_index,
 )
 from .bounds import (
     BOUND_IDS,

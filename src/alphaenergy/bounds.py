@@ -91,7 +91,7 @@ def _matches_values(observed: np.ndarray, stated: list[float], tol: float = DIST
     )
 
 
-def certify(g: Graph, sp: AlphaSpectrum) -> ExtremalCertificate:
+def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
     """Structural certificate for the equality classes: completeness,
     regularity, star shape, distinct eigenvalue count, adjacency inertia.
     Reads the graph's invariants from `sp`; solves nothing."""
@@ -336,11 +336,11 @@ BOUND_IDS = tuple(b.id for b in BOUNDS)
 
 
 def evaluate(
-    g: Graph, sp: AlphaSpectrum, equality_tol: float = EQUALITY_RTOL
+    sp: AlphaSpectrum, equality_tol: float = EQUALITY_RTOL
 ) -> tuple[BoundEvaluation, ...]:
     """Every bound on one graph's spectrum at one alpha, in BOUND_IDS order,
     certified once."""
-    cert = certify(g, sp)
+    cert = certify(sp)
     return tuple(b.evaluate(sp, cert, equality_tol) for b in BOUNDS)
 
 
@@ -348,4 +348,4 @@ def evaluate_all(
     g: Graph, alpha: float, equality_tol: float = EQUALITY_RTOL
 ) -> tuple[BoundEvaluation, ...]:
     """Evaluate every bound on one (graph, alpha) pair, in BOUND_IDS order."""
-    return evaluate(g, spectra.alpha_spectrum(g, alpha), equality_tol)
+    return evaluate(spectra.alpha_spectrum(g, alpha), equality_tol)

@@ -1,11 +1,11 @@
-"""Dense real symmetric matrices and their eigendecomposition.
+"""Dense real symmetric matrices and their eigenvalues.
 
 `SymmetricMatrix` holds one (n, n) matrix or a (k, n, n) stack of them. It
 validates every slice once (square, finite, symmetric within SYMMETRY_ATOL)
 and freezes the entries. `eigendecompose` hands the symmetrised matrix or
-stack to LAPACK in one `numpy.linalg.eigh` call and returns each slice's
-eigenvalues in descending order with their eigenvectors as paired columns.
-A stacked solve gives the same bits as one solve per slice.
+stack to LAPACK in one `numpy.linalg.eigvalsh` call and returns each slice's
+eigenvalues, descending, without eigenvectors: nothing the package derives
+reads them. A stacked solve gives the same bits as one solve per slice.
 """
 
 from __future__ import annotations
@@ -58,29 +58,15 @@ class SymmetricMatrix:
         object.__setattr__(self, "entries", a)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending with column-paired orthogonal
-    eigenvectors; for a stack, one row of eigenvalues and one eigenvector
-    matrix per slice."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigendecompose(m: SymmetricMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix or stack via LAPACK.
-
-    Eigenvalues come out descending, column i of the eigenvectors paired
-    with eigenvalue i. Raises NoConvergenceError if LAPACK fails.
-    """
+def eigendecompose(m: SymmetricMatrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix or stack via LAPACK: a read-only
+    (n,) or (k, n) array, descending per slice. Raises NoConvergenceError if
+    LAPACK fails."""
     a = m.entries
     try:
-        w, v = np.linalg.eigh((a + a.swapaxes(-2, -1)) / 2.0)
+        w = np.linalg.eigvalsh((a + a.swapaxes(-2, -1)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     w = w[..., ::-1]
-    v = v[..., ::-1]
     w.setflags(write=False)
-    v.setflags(write=False)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return w

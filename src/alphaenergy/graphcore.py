@@ -8,7 +8,6 @@ identical streams for identical seeds on every platform.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -21,6 +20,9 @@ GRAPH6_MAX_ORDER = 62
 # Largest order an edge list may declare. The solvers hold dense (k, n, n)
 # stacks: at n = 1000 an 11-alpha sweep stack is 96 MB.
 MAX_ORDER = 1000
+# Draw budgets of the randomized generators before GenerationFailureError.
+ER_MAX_DRAWS = 1000
+REGULAR_MAX_PAIRINGS = 20000
 
 
 class InvalidParametersError(ValueError):
@@ -166,14 +168,6 @@ def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise InvalidParametersError(
-            f"complete_bipartite(a, b) needs a, b >= 1, got ({a}, {b})"
-        )
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def petersen() -> Graph:
     """Kneser graph on the 2-subsets of a 5-set; edges join disjoint pairs."""
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -185,29 +179,23 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
-def erdos_renyi(
-    n: int,
-    p: float,
-    seed: int,
-    connected: bool = False,
-    max_retries: int = 1000,
-) -> Graph:
+def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
     """G(n, p) sample; with `connected=True`, redraws until connected."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParametersError(f"erdos_renyi needs n >= 1 and p in [0,1], got ({n}, {p})")
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for _ in range(max_retries):
+    for _ in range(ER_MAX_DRAWS):
         mask = rng.random(len(pairs)) < p
         g = Graph(n, [e for e, keep in zip(pairs, mask) if keep])
         if not connected or is_connected(g):
             return g
     raise GenerationFailureError(
-        f"no connected G({n}, {p}) sample in {max_retries} draws"
+        f"no connected G({n}, {p}) sample in {ER_MAX_DRAWS} draws"
     )
 
 
-def random_regular(n: int, k: int, seed: int, max_retries: int = 20000) -> Graph:
+def random_regular(n: int, k: int, seed: int) -> Graph:
     """k-regular graph by the pairing model, rejecting non-simple matchings.
 
     For k above (n-1)/2 the (n-1-k)-regular complement is paired instead and
@@ -220,7 +208,7 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 20000) -> Graph
         raise InvalidParametersError(f"random_regular needs n*k even, got ({n}, {k})")
     if k > (n - 1) // 2:
         # n(n-1-k) inherits evenness from nk, so the recursion is valid.
-        inner = random_regular(n, n - 1 - k, seed, max_retries)
+        inner = random_regular(n, n - 1 - k, seed)
         return Graph(n, [
             (i, j) for i in range(n) for j in range(i + 1, n)
             if not inner.has_edge(i, j)
@@ -229,7 +217,7 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 20000) -> Graph
         return Graph(n)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), k)
-    for _ in range(max_retries):
+    for _ in range(REGULAR_MAX_PAIRINGS):
         perm = rng.permutation(stubs)
         us, vs = perm[0::2], perm[1::2]
         if np.any(us == vs):
@@ -239,47 +227,8 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 20000) -> Graph
             continue
         return Graph(n, edges)
     raise GenerationFailureError(
-        f"no simple {k}-regular pairing on {n} vertices in {max_retries} attempts"
+        f"no simple {k}-regular pairing on {n} vertices in {REGULAR_MAX_PAIRINGS} attempts"
     )
-
-
-_FAMILIES = {
-    "complete": complete,
-    "star": star,
-    "cycle": cycle,
-    "path": path,
-    "complete_bipartite": complete_bipartite,
-    "petersen": petersen,
-    "erdos_renyi": erdos_renyi,
-    "random_regular": random_regular,
-}
-
-_DESCRIPTOR_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
-
-
-def generate(descriptor: str) -> Graph:
-    """Build a named graph from a descriptor such as 'complete(4)',
-    'erdos_renyi(10, 0.3, 42)' or 'petersen'."""
-    m = _DESCRIPTOR_RE.match(descriptor)
-    if not m or m.group(1) not in _FAMILIES:
-        raise InvalidParametersError(f"unknown family descriptor {descriptor!r}")
-    name, raw = m.group(1), m.group(2)
-    args = []
-    if raw:
-        for tok in raw.split(","):
-            tok = tok.strip()
-            try:
-                args.append(float(tok) if "." in tok or "e" in tok.lower() else int(tok))
-            except ValueError:
-                raise InvalidParametersError(
-                    f"bad parameter {tok!r} in descriptor {descriptor!r}"
-                ) from None
-    try:
-        return _FAMILIES[name](*args)
-    except TypeError:
-        raise InvalidParametersError(
-            f"wrong parameter count in descriptor {descriptor!r}"
-        ) from None
 
 
 # -- graph6 codec --------------------------------------------------------

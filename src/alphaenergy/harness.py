@@ -83,7 +83,7 @@ def analyze_graph(graph_id: str, g: Graph, alphas: list[float],
             spectrum=tuple(sp.rho.tolist()),
             energy=sp.energy,
             eta=sp.eta,
-            evaluations=bounds.evaluate(g, sp, equality_tol),
+            evaluations=bounds.evaluate(sp, equality_tol),
         )
         for sp in spectra.graph_spectra(g, alphas)
     ]
@@ -244,7 +244,7 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         smaller = graphcore.delete_edge(g, *edge)
         after = densela.eigendecompose(
             spectra.alpha_matrices(smaller, [rep.alpha for rep in checked])
-        ).eigenvalues
+        )
         for rep, rho in zip(checked, after):
             if np.any(rho > np.array(rep.spectrum) + 1e-9):
                 mono.append((gid, rep.alpha, "edge_deletion_monotonicity"))
@@ -264,7 +264,7 @@ def run_hunt(corpus: list[tuple[str, Graph]], alphas: list[float], bound_id: str
     hits = []
     for graph_id, g in corpus:
         for sp in spectra.graph_spectra(g, alphas):
-            cert = bounds.certify(g, sp)
+            cert = bounds.certify(sp)
             ev = row.evaluate(sp, cert, equality_tol)
             if ev.applicable and ev.equality:
                 hits.append(EqualityHit(
@@ -333,10 +333,11 @@ _CSV_BOOL = {None: "", True: "true", False: "false"}
 
 
 def _csv_field(text: str) -> str:
-    """`text` as csv.writer writes it inside a row, quoted only if needed."""
+    """`text` as csv.writer writes it inside a row, quoted only if needed.
+    The CR LF terminator makes csv.writer quote a lone carriage return too."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+    return buf.getvalue()[:-3]
 
 
 def reports_to_csv(reports: list[Report]) -> str:

@@ -11,10 +11,10 @@ connectivity, adjacency spectrum and inertia, complete/regular/star flags)
 lives in one GraphInvariants record, built once per graph and shared by all
 its AlphaSpectrum records. `graph_spectra` solves a graph's whole alpha list,
 plus alpha = 0 for the adjacency spectrum when the list lacks it, in one
-stacked LAPACK call (`densela.eigendecompose`). The stacked solve gives the
-same bits as one solve per alpha, and repeated runs with the same
-numpy/LAPACK build give bit-identical spectra; another build may differ in
-the last few digits.
+stacked LAPACK call (`densela.eigendecompose`) for eigenvalues only. The
+stacked solve gives the same bits as one solve per alpha, and repeated runs
+with the same numpy/LAPACK build give bit-identical spectra; another build
+may differ in the last few digits.
 """
 
 from __future__ import annotations
@@ -110,25 +110,12 @@ def alpha_matrix(g: Graph, alpha: float) -> SymmetricMatrix:
     return SymmetricMatrix(alpha_matrices(g, [alpha]).entries[0])
 
 
-def _zagreb(d: np.ndarray) -> int:
-    return int(np.sum(d * d))
-
-
-def zagreb_index(g: Graph) -> int:
-    """Sum of squared vertex degrees."""
-    return _zagreb(g.degrees())
-
-
 def _two_s(d: np.ndarray, n: int, m: int, alpha: float) -> float:
+    """(1-alpha)^2 * 2m plus the squared deviation of alpha-scaled degrees
+    from their mean; equals the sum of squared centered eigenvalues."""
     d = d.astype(np.float64)
     mean = 2.0 * alpha * m / n
     return float((1.0 - alpha) ** 2 * 2.0 * m + np.sum((alpha * d - mean) ** 2))
-
-
-def two_s(g: Graph, alpha: float) -> float:
-    """(1-alpha)^2 * 2m plus the squared deviation of alpha-scaled degrees
-    from their mean; equals the sum of squared centered eigenvalues."""
-    return _two_s(g.degrees(), g.n, g.m, _check_alpha(alpha))
 
 
 def _spectrum(inv: GraphInvariants, alpha: float, rho: np.ndarray) -> AlphaSpectrum:
@@ -163,8 +150,8 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
     grid = alphas if 0.0 in alphas else alphas + [0.0]
     d = g.degrees()
     a = graphcore.adjacency_matrix(g).entries
-    rho = densela.eigendecompose(SymmetricMatrix(_stack(a, d, grid))).eigenvalues
-    seq = tuple(sorted(d.tolist(), reverse=True))
+    rho = densela.eigendecompose(SymmetricMatrix(_stack(a, d, grid)))
+    seq = g.degree_sequence
     adj = rho[grid.index(0.0)]
     pos = int(np.sum(adj > INERTIA_TOL))
     neg = int(np.sum(adj < -INERTIA_TOL))
@@ -173,7 +160,7 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
         m=g.m,
         degrees=d,
         degree_sequence=seq,
-        zagreb=_zagreb(d),
+        zagreb=int(np.sum(d * d)),
         connected=graphcore.is_connected(g),
         adjacency_eigenvalues=adj,
         adjacency_inertia=(pos, g.n - pos - neg, neg),
@@ -185,5 +172,5 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
 
 
 def alpha_spectrum(g: Graph, alpha: float) -> AlphaSpectrum:
-    """Eigendecompose alpha*D + (1-alpha)*A and populate every derived field."""
+    """Eigenvalues of alpha*D + (1-alpha)*A and every derived field."""
     return graph_spectra(g, [alpha])[0]

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own code: matrices are
 built from edge lists, spectra come from LAPACK (numpy.linalg.eigvalsh) or,
-independently of LAPACK, from a cyclic Jacobi sweep; characteristic
-polynomials from the Faddeev-LeVerrier recursion, determinants from cofactor
-expansion; CSV reports from `csv.writer`.
+independently of LAPACK, from a cyclic Jacobi sweep; eigenvalue residuals
+from a singular value decomposition; characteristic polynomials from the
+Faddeev-LeVerrier recursion, determinants from cofactor expansion; CSV
+reports from `csv.writer`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def signless_energy(g) -> float:
     a = adjacency(g)
     q = np.sort(np.linalg.eigvalsh(np.diag(a.sum(axis=1)) + a))
     return float(np.abs(q - 2.0 * g.m / g.n).sum())
+
+
+def eigenvalue_residual(m, lam: float) -> float:
+    """Smallest singular value of m - lam*I. For a symmetric m this is the
+    distance from lam to the nearest eigenvalue, so it is zero up to rounding
+    exactly when lam is one."""
+    m = np.asarray(m, dtype=np.float64)
+    return float(np.linalg.svd(m - lam * np.eye(m.shape[0]), compute_uv=False)[-1])
 
 
 def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
@@ -127,7 +136,9 @@ def reports_to_csv_reference(reports) -> str:
 
     Each float is rounded to 12 significant digits, parsed back and formatted
     again, as the JSON writer's values are; booleans are true/false and None
-    is empty.
+    is empty. Rows are written with a CR LF terminator, so csv.writer quotes
+    a field holding a lone carriage return as well as one holding a newline,
+    and then joined with a bare newline.
     """
     def cell(x):
         if x is None:
@@ -138,20 +149,23 @@ def reports_to_csv_reference(reports) -> str:
             return f"{float(f'{x:.12g}'):.12g}"
         return str(x)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow((
+    def row(fields) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        return buf.getvalue()[:-2]
+
+    lines = [row((
         "graph_id", "n", "m", "zagreb", "alpha", "spectrum", "energy", "eta",
         "id", "kind", "applicable", "reason", "value", "holds", "gap", "equality",
-    ))
+    ))]
     for rep in reports:
         prefix = [
             rep.graph_id, rep.n, rep.m, rep.zagreb, cell(rep.alpha),
             ";".join(cell(x) for x in rep.spectrum), cell(rep.energy), rep.eta,
         ]
         for ev in rep.evaluations:
-            writer.writerow(prefix + [
+            lines.append(row(prefix + [
                 ev.bound_id, ev.kind, cell(ev.applicable), cell(ev.reason),
                 cell(ev.value), cell(ev.holds), cell(ev.gap), cell(ev.equality),
-            ])
-    return buf.getvalue()
+            ]))
+    return "\n".join(lines) + "\n"

@@ -179,15 +179,17 @@ def test_criterion_9_eigensolver_oracle():
         n = int(rng.integers(1, 21))
         a = rng.normal(size=(n, n)) * float(rng.uniform(0.5, 5.0))
         m = densela.SymmetricMatrix((a + a.T) / 2)
-        dec = densela.eigendecompose(m)
+        w = densela.eigendecompose(m)
         fro = np.linalg.norm(m.entries)
-        v, w = dec.eigenvectors, dec.eigenvalues
-        assert np.linalg.norm(m.entries - v @ np.diag(w) @ v.T) <= 1e-10 * (1 + fro)
-        assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10 * (1 + fro)
+        for lam in w:
+            assert oracles.eigenvalue_residual(m.entries, lam) <= 1e-10 * (1 + fro)
+        # Residuals cannot see multiplicities; the sorted spectra can.
+        assert np.max(np.abs(w - oracles.jacobi_eigvals(m.entries))) <= 1e-10 * (1 + fro)
     for _ in range(10):
         n = int(rng.integers(2, 5))
         a = rng.normal(size=(n, n))
         m = densela.SymmetricMatrix((a + a.T) / 2)
-        got = densela.eigendecompose(m).eigenvalues
+        got = densela.eigendecompose(m)
         assert np.allclose(got, oracles.charpoly_eigs(m.entries), atol=1e-8)
-    _ok(9, "residuals within 1e-10 and spectra match characteristic-polynomial roots")
+    _ok(9, "residuals within 1e-10, spectra match the Jacobi oracle and "
+           "characteristic-polynomial roots")

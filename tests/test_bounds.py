@@ -27,14 +27,14 @@ DISCONNECTED = Graph(4, [(0, 1), (2, 3)])
 
 
 def test_certify_complete():
-    cert = certify(complete(4), alpha_spectrum(complete(4), 0.5))
+    cert = certify(alpha_spectrum(complete(4), 0.5))
     assert cert.is_complete and cert.is_regular and not cert.is_star
     assert cert.distinct_alpha_eigenvalue_count == 2
     assert cert.adjacency_inertia == (1, 0, 3)
 
 
 def test_certify_petersen():
-    cert = certify(petersen(), alpha_spectrum(petersen(), 0.0))
+    cert = certify(alpha_spectrum(petersen(), 0.0))
     assert cert.is_regular and not cert.is_complete
     assert cert.distinct_alpha_eigenvalue_count == 3
     # Adjacency spectrum {3, 1^5, (-2)^4}: six positive, four negative.
@@ -42,7 +42,7 @@ def test_certify_petersen():
 
 
 def test_certify_star():
-    cert = certify(star(3), alpha_spectrum(star(3), 0.0))
+    cert = certify(alpha_spectrum(star(3), 0.0))
     assert cert.is_star and not cert.is_regular
     assert cert.adjacency_inertia == (1, 2, 1)
 
@@ -52,13 +52,13 @@ def test_certify_reads_inertia_from_graph_record():
     marked = dataclasses.replace(
         sp, graph=dataclasses.replace(sp.graph, adjacency_inertia=(7, 2, 1))
     )
-    assert certify(petersen(), sp).adjacency_inertia == (6, 0, 4)
-    assert certify(petersen(), marked).adjacency_inertia == (7, 2, 1)
+    assert certify(sp).adjacency_inertia == (6, 0, 4)
+    assert certify(marked).adjacency_inertia == (7, 2, 1)
 
 
 def test_certificate_invariants(er_corpus_small):
     for g in er_corpus_small[:20]:
-        cert = certify(g, alpha_spectrum(g, 0.3))
+        cert = certify(alpha_spectrum(g, 0.3))
         if cert.is_complete:
             assert cert.is_regular
         assert sum(cert.adjacency_inertia) == g.n

@@ -12,8 +12,6 @@ from alphaenergy.spectra import (
     alpha_matrix,
     alpha_spectrum,
     graph_spectra,
-    two_s,
-    zagreb_index,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -30,7 +28,7 @@ def test_alpha_matrix_k4_half():
     assert np.allclose(np.diag(a), 1.5)
     off = a[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 0.5)
-    eigs = densela.eigendecompose(alpha_matrix(complete(4), 0.5)).eigenvalues
+    eigs = densela.eigendecompose(alpha_matrix(complete(4), 0.5))
     assert np.allclose(eigs, [3.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -88,15 +86,17 @@ def test_star_alpha_half_spectrum():
 
 
 def test_zagreb_values():
-    assert zagreb_index(complete(4)) == 36
-    assert zagreb_index(star(3)) == 12
-    assert zagreb_index(Graph(3)) == 0
+    assert graph_spectra(complete(4), [0.5])[0].zagreb == 36
+    assert graph_spectra(star(3), [0.5])[0].zagreb == 12
+    assert graph_spectra(Graph(3), [0.5])[0].zagreb == 0
 
 
 def test_two_s_values():
-    assert two_s(complete(4), 0.5) == pytest.approx(3.0, abs=1e-12)
-    assert two_s(star(3), 0.0) == pytest.approx(6.0, abs=1e-12)
-    assert two_s(star(3), 0.5) == pytest.approx(2.25, abs=1e-12)
+    k4_half, = graph_spectra(complete(4), [0.5])
+    star_0, star_half = graph_spectra(star(3), [0.0, 0.5])
+    for sp, expect in ((k4_half, 3.0), (star_0, 6.0), (star_half, 2.25)):
+        assert sp.two_s == pytest.approx(expect, abs=1e-12)
+        assert float(np.sum(sp.s**2)) == pytest.approx(sp.two_s, abs=1e-12)
 
 
 def _partial_sum_energy(g, alpha):
@@ -235,7 +235,7 @@ STACK_GRAPHS = {
 
 
 def _one_solve(a: np.ndarray) -> np.ndarray:
-    return np.linalg.eigh((a + a.T) / 2.0)[0][::-1]
+    return np.linalg.eigvalsh((a + a.T) / 2.0)[::-1]
 
 
 @pytest.mark.parametrize("alphas", [(0.0,), (0.5,), (1.0,), (0.0, 0.5, 1.0), DEFAULT_ALPHA_GRID],
