@@ -1,6 +1,6 @@
 """The published bounds on the centered-spectrum energy (or the spectral
-radius) as one table, with numerical certification of the stated equality
-classes.
+radius) as one table evaluated over columns, with numerical certification of
+the stated equality classes.
 
 `BOUNDS` holds one `Bound` row per bound, in `BOUND_IDS` order. A row is data:
 
@@ -8,22 +8,23 @@ classes.
   first predicate that is false makes the bound not applicable with that
   reason. Hypothesis failures are reported, never raised, so sweeps walk
   straight through hypothesis-violating regions.
-- `value(sp)`: the bound's closed form.
-- `target(sp)`: the quantity it constrains, the energy unless stated.
+- `value(c)`: the bound's closed form.
+- `target(c)`: the quantity it constrains, the energy unless stated.
 - `claim(sp, cert)`: whether the graph lies in the equality class the paper
   names, or None when the paper names none.
 
-Every row reads the spectrum at one alpha and the graph's invariants
-(degrees, flags, adjacency spectrum) from its GraphInvariants, so no row
-recomputes or re-solves them. `evaluate` certifies a spectrum once and runs
-every row on it.
+Guards, value and target are array expressions over `Columns`, one entry per
+(graph, alpha) row. `evaluate_many` runs the table once over every row of a
+call into (15, R) `Verdicts`; `Verdicts.evaluations(r)` certifies row r and
+builds its `BoundEvaluation` objects only when asked. `evaluate` is R = 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,123 +106,115 @@ def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
     )
 
 
-Guard = tuple[str, Callable[[AlphaSpectrum], bool]]
+# The scalars the bound table reads, one float64 entry per (graph, alpha) row
+# (exact for the integers); `connected` is boolean.
+Columns = namedtuple("Columns", "n m zagreb max_degree alpha shift energy eta two_s "
+                                "gamma_det theta rho_1 connected")
+
+
+Guard = tuple[str, Callable[[Columns], np.ndarray]]
 
 
 @dataclass(frozen=True)
 class Bound:
     """One published bound: hypotheses, closed form, constrained quantity
-    and stated equality class. `second_link(sp, value)` must also be true for
-    the bound to hold (the chain bound's middle inequality)."""
+    and stated equality class (read from one row's spectrum and certificate).
+    `second_link(c, value)` must also be true for the bound to hold (the
+    chain bound's middle inequality)."""
 
     id: str
     kind: str
     guards: tuple[Guard, ...]
-    value: Callable[[AlphaSpectrum], float]
-    target: Callable[[AlphaSpectrum], float] = lambda sp: sp.energy
+    value: Callable[[Columns], np.ndarray]
+    target: Callable[[Columns], np.ndarray] = lambda c: c.energy
     claim: Callable[[AlphaSpectrum, ExtremalCertificate], bool | None] = lambda sp, cert: None
-    second_link: Callable[[AlphaSpectrum, float], bool] = lambda sp, value: True
+    second_link: Callable[[Columns, np.ndarray], np.ndarray] | None = None
 
-    def evaluate(self, sp: AlphaSpectrum, cert: ExtremalCertificate,
-                 equality_tol: float = EQUALITY_RTOL) -> BoundEvaluation:
-        """This bound's verdict on one spectrum, given its certificate."""
-        for reason, ok in self.guards:
-            if not ok(sp):
-                return BoundEvaluation(
-                    bound_id=self.id, kind=self.kind, applicable=False,
-                    reason=reason, value=None, energy=None, holds=None,
-                    gap=None, equality=None, equality_claim_matched=None,
-                )
-        value = self.value(sp)
-        target = self.target(sp)
-        gap = (value - target) if self.kind == "upper" else (target - value)
-        holds = bool(gap >= -HOLDS_RTOL * (1.0 + abs(value))) and self.second_link(sp, value)
-        return BoundEvaluation(
-            bound_id=self.id,
-            kind=self.kind,
-            applicable=True,
-            reason=None,
-            value=float(value),
-            energy=float(target),
-            holds=holds,
-            gap=float(gap),
-            equality=bool(abs(gap) <= equality_tol * (1.0 + abs(target))),
-            equality_claim_matched=self.claim(sp, cert),
-        )
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    """x ** 2 through C pow, as Python squares a float; numpy's x ** 2 is
+    x * x, which differs from pow in the last bit for about 1 in 1,200."""
+    return np.float_power(x, 2)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log per entry: the bits of the scalar formula, and a raised
+    ValueError, never a silent NaN, on a non-positive argument."""
+    return np.array([math.log(v) for v in x.tolist()], dtype=np.float64)
 
 
 # -- hypotheses -------------------------------------------------------------
 
-_CONNECTED: Guard = ("requires connected", lambda sp: sp.connected)
-_N_AT_LEAST_3: Guard = ("requires n >= 3", lambda sp: sp.n >= 3)
-_ALPHA_BELOW_1: Guard = ("requires alpha in [0, 1)", lambda sp: sp.alpha < 1.0)
+_CONNECTED: Guard = ("requires connected", lambda c: c.connected)
+_N_AT_LEAST_3: Guard = ("requires n >= 3", lambda c: c.n >= 3)
+_ALPHA_BELOW_1: Guard = ("requires alpha in [0, 1)", lambda c: c.alpha < 1.0)
 _LOG_GUARDS: tuple[Guard, ...] = (
     _CONNECTED,
     _N_AT_LEAST_3,
-    ("requires alpha <= 1 - n/(2m)", lambda sp: sp.alpha <= 1.0 - sp.n / (2.0 * sp.m)),
-    ("singular shift", lambda sp: sp.gamma_det > GAMMA_FLOOR),
-    ("requires theta > 0", lambda sp: sp.theta > 0.0),
+    ("requires alpha <= 1 - n/(2m)", lambda c: c.alpha <= 1.0 - c.n / (2.0 * c.m)),
+    ("singular shift", lambda c: c.gamma_det > GAMMA_FLOOR),
+    ("requires theta > 0", lambda c: c.theta > 0.0),
 )
 
 
-def _zagreb_side_condition(sp: AlphaSpectrum) -> bool:
+def _zagreb_side_condition(c: Columns) -> np.ndarray:
     """For alpha > 1/2, Zg lies above 8m^2/n - 2m or below 4m^2/n."""
     return (
-        sp.alpha <= 0.5
-        or sp.zagreb > 8.0 * sp.m * sp.m / sp.n - 2.0 * sp.m
-        or sp.zagreb < 4.0 * sp.m * sp.m / sp.n
+        (c.alpha <= 0.5)
+        | (c.zagreb > 8.0 * c.m * c.m / c.n - 2.0 * c.m)
+        | (c.zagreb < 4.0 * c.m * c.m / c.n)
     )
 
 
 # -- closed forms -------------------------------------------------------------
 
 
-def _koolen_alpha(sp: AlphaSpectrum) -> float:
-    avg = 2.0 * sp.m / sp.n
-    inner = sp.two_s - (1.0 - sp.alpha) ** 2 * avg * avg
-    return (1.0 - sp.alpha) * avg + math.sqrt((sp.n - 1) * max(inner, 0.0))
+def _koolen_alpha(c: Columns) -> np.ndarray:
+    avg = 2.0 * c.m / c.n
+    inner = c.two_s - _sq(1.0 - c.alpha) * avg * avg
+    return (1.0 - c.alpha) * avg + np.sqrt((c.n - 1) * np.maximum(inner, 0.0))
 
 
-def _koolen_energy(sp: AlphaSpectrum) -> float:
-    avg = 2.0 * sp.m / sp.n
-    return avg + math.sqrt((sp.n - 1) * max(2.0 * sp.m - avg * avg, 0.0))
+def _koolen_energy(c: Columns) -> np.ndarray:
+    avg = 2.0 * c.m / c.n
+    return avg + np.sqrt((c.n - 1) * np.maximum(2.0 * c.m - avg * avg, 0.0))
 
 
-def _koolen_signless(sp: AlphaSpectrum) -> float:
-    avg = 2.0 * sp.m / sp.n
-    inner = 2.0 * sp.m + sp.zagreb - (4.0 * sp.m * sp.m / sp.n) * (1.0 + 1.0 / sp.n)
-    return avg + math.sqrt((sp.n - 1) * max(inner, 0.0))
+def _koolen_signless(c: Columns) -> np.ndarray:
+    avg = 2.0 * c.m / c.n
+    inner = 2.0 * c.m + c.zagreb - (4.0 * c.m * c.m / c.n) * (1.0 + 1.0 / c.n)
+    return avg + np.sqrt((c.n - 1) * np.maximum(inner, 0.0))
 
 
-def _log_zagreb(sp: AlphaSpectrum) -> float:
-    sq = math.sqrt(sp.zagreb / sp.n)
+def _log_zagreb(c: Columns) -> np.ndarray:
+    sq = np.sqrt(c.zagreb / c.n)
     return (
-        sp.alpha ** 2 * sp.zagreb
-        + (1.0 - sp.alpha) ** 2 * 2.0 * sp.m
-        - (2.0 * sp.alpha * sp.m / sp.n ** 2)
-        * (2.0 * sp.alpha * sp.n * sp.m + 2.0 * sp.alpha * sp.m + sp.n)
-        + math.log(sp.theta / sp.gamma_det)
-        + (4.0 * sp.alpha * sp.m / sp.n) * sq
+        _sq(c.alpha) * c.zagreb
+        + _sq(1.0 - c.alpha) * 2.0 * c.m
+        - (2.0 * c.alpha * c.m / c.n ** 2)
+        * (2.0 * c.alpha * c.n * c.m + 2.0 * c.alpha * c.m + c.n)
+        + _log(c.theta / c.gamma_det)
+        + (4.0 * c.alpha * c.m / c.n) * sq
         - sq * (sq - 1.0)
     )
 
 
-def _log_degree(sp: AlphaSpectrum) -> float:
+def _log_degree(c: Columns) -> np.ndarray:
     return (
-        sp.alpha ** 2 * sp.zagreb
-        + (1.0 - sp.alpha) ** 2 * 2.0 * sp.m
-        + math.log(2.0 * sp.m * (1.0 - sp.alpha) / (sp.n * sp.gamma_det))
-        - (2.0 * sp.alpha * sp.m / sp.n ** 2)
-        * (2.0 * sp.n * sp.alpha * sp.m + 2.0 * sp.alpha * sp.m - 4.0 * sp.m + sp.n)
-        - (2.0 * sp.m / sp.n ** 2) * (2.0 * sp.m - sp.n)
+        _sq(c.alpha) * c.zagreb
+        + _sq(1.0 - c.alpha) * 2.0 * c.m
+        + _log(2.0 * c.m * (1.0 - c.alpha) / (c.n * c.gamma_det))
+        - (2.0 * c.alpha * c.m / c.n ** 2)
+        * (2.0 * c.n * c.alpha * c.m + 2.0 * c.alpha * c.m - 4.0 * c.m + c.n)
+        - (2.0 * c.m / c.n ** 2) * (2.0 * c.m - c.n)
     )
 
 
-def _star_radius_bound(sp: AlphaSpectrum) -> float:
+def _star_radius_bound(c: Columns) -> np.ndarray:
     """a(D+1) + sqrt(a^2 (D+1)^2 + 4D(1-2a)), D the maximum degree."""
-    alpha, max_deg = sp.alpha, sp.graph.degree_sequence[0]
-    disc = alpha ** 2 * (max_deg + 1) ** 2 + 4.0 * max_deg * (1.0 - 2.0 * alpha)
-    return alpha * (max_deg + 1) + math.sqrt(max(disc, 0.0))
+    alpha, max_deg = c.alpha, c.max_degree
+    disc = _sq(alpha) * (max_deg + 1) ** 2 + 4.0 * max_deg * (1.0 - 2.0 * alpha)
+    return alpha * (max_deg + 1) + np.sqrt(np.maximum(disc, 0.0))
 
 
 # -- equality classes -----------------------------------------------------------
@@ -268,27 +261,27 @@ _COMMON_GUARDS = (_CONNECTED, _N_AT_LEAST_3, _ALPHA_BELOW_1)
 BOUNDS: tuple[Bound, ...] = (
     # Cauchy-Schwarz: sqrt(2S n).
     Bound("ub_mcclelland", "upper", (_CONNECTED,),
-          lambda sp: math.sqrt(sp.two_s * sp.n)),
+          lambda c: np.sqrt(c.two_s * c.n)),
     # (1-a)(2m/n) + sqrt((n-1)[2S - (1-a)^2 (2m/n)^2]).
     Bound("ub_koolen_alpha", "upper",
-          (_CONNECTED, _N_AT_LEAST_3, ("requires alpha < 1", lambda sp: sp.alpha < 1.0),
+          (_CONNECTED, _N_AT_LEAST_3, ("requires alpha < 1", lambda c: c.alpha < 1.0),
            ("zagreb side condition fails for alpha > 1/2", _zagreb_side_condition)),
           _koolen_alpha, claim=_koolen_claim),
     # 2m/n + sqrt((n-1)[2m - (2m/n)^2]) on the plain energy.
     Bound("ub_koolen_energy", "upper",
-          (_CONNECTED, ("requires alpha = 0", lambda sp: sp.alpha == 0.0), _N_AT_LEAST_3),
+          (_CONNECTED, ("requires alpha = 0", lambda c: c.alpha == 0.0), _N_AT_LEAST_3),
           _koolen_energy, claim=_koolen_claim),
     # 2m/n + sqrt((n-1)[2m + Zg - (4m^2/n)(1 + 1/n)]) against twice the
     # alpha = 1/2 energy (the signless-Laplacian energy).
     Bound("ub_koolen_signless", "upper",
-          (_CONNECTED, ("requires alpha = 1/2", lambda sp: sp.alpha == 0.5), _N_AT_LEAST_3),
-          _koolen_signless, target=lambda sp: 2.0 * sp.energy, claim=_signless_claim),
+          (_CONNECTED, ("requires alpha = 1/2", lambda c: c.alpha == 0.5), _N_AT_LEAST_3),
+          _koolen_signless, target=lambda c: 2.0 * c.energy, claim=_signless_claim),
     # 2(n-1) + 2(eta-1)(alpha n - 1) - 4 alpha eta m / n.
     Bound("ub_eta", "upper",
           (_CONNECTED, _N_AT_LEAST_3,
-           ("requires alpha in [1/2, 1)", lambda sp: 0.5 <= sp.alpha < 1.0)),
-          lambda sp: (2.0 * (sp.n - 1) + 2.0 * (sp.eta - 1) * (sp.alpha * sp.n - 1.0)
-                      - 4.0 * sp.alpha * sp.eta * sp.m / sp.n),
+           ("requires alpha in [1/2, 1)", lambda c: (0.5 <= c.alpha) & (c.alpha < 1.0))),
+          lambda c: (2.0 * (c.n - 1) + 2.0 * (c.eta - 1) * (c.alpha * c.n - 1.0)
+                     - 4.0 * c.alpha * c.eta * c.m / c.n),
           claim=lambda sp, cert: cert.is_complete),
     # Log-determinant upper bounds through sqrt(Zg/n) and through 2m/n.
     Bound("ub_log_zagreb", "upper", _LOG_GUARDS, _log_zagreb, claim=_log_claim),
@@ -297,51 +290,119 @@ BOUNDS: tuple[Bound, ...] = (
     # Known to exceed the energy for alpha > 0 on some graphs; the verdict
     # records the violation rather than papering over it.
     Bound("lb_frobenius_asstated", "lower", _COMMON_GUARDS,
-          lambda sp: math.sqrt(2.0 * max(
-              sp.alpha ** 2 * sp.zagreb + (1.0 - sp.alpha) ** 2 * 2.0 * sp.m
-              - 2.0 * (sp.alpha * sp.m) ** 2 / sp.n, 0.0))),
+          lambda c: np.sqrt(2.0 * np.maximum(
+              _sq(c.alpha) * c.zagreb + _sq(1.0 - c.alpha) * 2.0 * c.m
+              - 2.0 * _sq(c.alpha * c.m) / c.n, 0.0))),
     # sqrt(2S): what the Cauchy-Schwarz argument supports once the centered
     # eigenvalues are used throughout.
     Bound("lb_frobenius_repaired", "lower", _COMMON_GUARDS,
-          lambda sp: math.sqrt(2.0 * sp.two_s)),
+          lambda c: np.sqrt(2.0 * c.two_s)),
     Bound("lb_average_degree", "lower", _COMMON_GUARDS,
-          lambda sp: 4.0 * (1.0 - sp.alpha) * sp.m / sp.n, claim=_inertia_claim),
+          lambda c: 4.0 * (1.0 - c.alpha) * c.m / c.n, claim=_inertia_claim),
     Bound("lb_zagreb", "lower", _COMMON_GUARDS,
-          lambda sp: 2.0 * math.sqrt(sp.zagreb / sp.n) - 4.0 * sp.alpha * sp.m / sp.n,
+          lambda c: 2.0 * np.sqrt(c.zagreb / c.n) - 4.0 * c.alpha * c.m / c.n,
           claim=_inertia_claim),
     Bound("lb_maxdeg", "lower", _COMMON_GUARDS,
-          lambda sp: _star_radius_bound(sp) - 4.0 * sp.alpha * sp.m / sp.n,
+          lambda c: _star_radius_bound(c) - 4.0 * c.alpha * c.m / c.n,
           claim=lambda sp, cert: cert.is_star),
     # sqrt(Zg/n) + (n-1) + ln(Gamma/theta) - 2am/n. The trailing -2am/n keeps
     # the bound below the energy for alpha > 0; the uncentered variant without
     # it overshoots on dense graphs.
     Bound("lb_log", "lower", _LOG_GUARDS,
-          lambda sp: (math.sqrt(sp.zagreb / sp.n) + (sp.n - 1)
-                      + math.log(sp.gamma_det / sp.theta) - sp.shift),
+          lambda c: (np.sqrt(c.zagreb / c.n) + (c.n - 1)
+                     + _log(c.gamma_det / c.theta) - c.shift),
           claim=_log_claim),
     # Half the star radius bound, on the spectral radius.
     Bound("rho_lb_star", "lower",
-          (_CONNECTED, _ALPHA_BELOW_1, ("requires n >= 2", lambda sp: sp.n >= 2)),
-          lambda sp: 0.5 * _star_radius_bound(sp),
-          target=lambda sp: float(sp.rho[0]), claim=lambda sp, cert: cert.is_star),
+          (_CONNECTED, _ALPHA_BELOW_1, ("requires n >= 2", lambda c: c.n >= 2)),
+          lambda c: 0.5 * _star_radius_bound(c),
+          target=lambda c: c.rho_1, claim=lambda sp, cert: cert.is_star),
     # Chain rho_1 >= sqrt(Zg/n) >= 2m/n; holds requires both links.
     Bound("rho_lb_chain", "lower", (_CONNECTED,),
-          lambda sp: math.sqrt(sp.zagreb / sp.n),
-          target=lambda sp: float(sp.rho[0]), claim=lambda sp, cert: cert.is_regular,
-          second_link=lambda sp, value: (
-              value >= 2.0 * sp.m / sp.n - HOLDS_RTOL * (1.0 + abs(value)))),
+          lambda c: np.sqrt(c.zagreb / c.n),
+          target=lambda c: c.rho_1, claim=lambda sp, cert: cert.is_regular,
+          second_link=lambda c, value: (
+              value >= 2.0 * c.m / c.n - HOLDS_RTOL * (1.0 + np.abs(value)))),
 )
 
 BOUND_IDS = tuple(b.id for b in BOUNDS)
+_UPPER = np.array([[b.kind == "upper"] for b in BOUNDS])
+
+
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """Every bound on R (graph, alpha) rows: (15, R) arrays, rows of BOUNDS
+    in BOUND_IDS order. Where a bound is not applicable its value, target
+    and gap are NaN and holds and equality are False."""
+
+    spectra: tuple[AlphaSpectrum, ...]
+    reason: np.ndarray    # 0 if applicable, else 1 + index of the first false guard
+    value: np.ndarray
+    target: np.ndarray    # the constrained quantity, BoundEvaluation.energy
+    gap: np.ndarray
+    holds: np.ndarray
+    equality: np.ndarray
+
+    def evaluations(self, r: int) -> tuple[BoundEvaluation, ...]:
+        """Row r's verdicts as objects, certified once, with the claims."""
+        sp = self.spectra[r]
+        cert = certify(sp)
+        cols = (self.reason, self.value, self.target, self.holds, self.gap, self.equality)
+        out = []
+        for b, code, *verdict in zip(BOUNDS, *(col[:, r].tolist() for col in cols)):
+            if code:
+                out.append(BoundEvaluation(b.id, b.kind, False, b.guards[code - 1][0], *[None] * 6))
+            else:
+                out.append(BoundEvaluation(b.id, b.kind, True, None, *verdict, b.claim(sp, cert)))
+        return tuple(out)
+
+
+def evaluate_many(sps: Sequence[AlphaSpectrum],
+                  equality_tol: float = EQUALITY_RTOL) -> Verdicts:
+    """Every bound on every spectrum in one pass. Values and targets are
+    computed on applicable rows only; guards run on all, under errstate."""
+    c = np.array([
+        (sp.n, sp.m, sp.zagreb, sp.graph.degree_sequence[0], sp.alpha, sp.shift, sp.energy,
+         sp.eta, sp.two_s, sp.gamma_det, sp.theta, sp.rho[0], sp.connected) for sp in sps
+    ], dtype=np.float64).reshape(len(sps), len(Columns._fields)).T
+    c = Columns(*c[:-1], c[-1] != 0.0)
+    reason = np.zeros((len(BOUNDS), len(sps)), dtype=np.int8)
+    value = np.full(reason.shape, np.nan)
+    target = value.copy()
+    link = np.ones(reason.shape, dtype=bool)
+    shared = {}  # bounds with one guard tuple share its reasons and rows
+    with np.errstate(all="ignore"):
+        for i, b in enumerate(BOUNDS):
+            if id(b.guards) not in shared:
+                code = reason[i]
+                for j in range(len(b.guards), 0, -1):
+                    code[~b.guards[j - 1][1](c)] = j
+                rows = (code == 0).nonzero()[0]
+                if len(rows) == len(sps):  # writing through a slice is cheaper
+                    rows, sub = slice(None), c
+                else:
+                    sub = Columns(*(col[rows] for col in c)) if len(rows) else None
+                shared[id(b.guards)] = code, rows, sub
+            code, rows, sub = shared[id(b.guards)]
+            reason[i] = code
+            if sub is None:
+                continue
+            value[i, rows] = b.value(sub)
+            target[i, rows] = b.target(sub)
+            if b.second_link is not None:
+                link[i, rows] = b.second_link(sub, value[i, rows])
+        gap = np.where(_UPPER, value - target, target - value)
+        holds = (gap >= -HOLDS_RTOL * (1.0 + np.abs(value))) & link
+        equality = np.abs(gap) <= equality_tol * (1.0 + np.abs(target))
+    return Verdicts(tuple(sps), reason, value, target, gap, holds, equality)
 
 
 def evaluate(
     sp: AlphaSpectrum, equality_tol: float = EQUALITY_RTOL
 ) -> tuple[BoundEvaluation, ...]:
     """Every bound on one graph's spectrum at one alpha, in BOUND_IDS order,
-    certified once."""
-    cert = certify(sp)
-    return tuple(b.evaluate(sp, cert, equality_tol) for b in BOUNDS)
+    certified once: the one-row case of `evaluate_many`."""
+    return evaluate_many([sp], equality_tol).evaluations(0)
 
 
 def evaluate_all(

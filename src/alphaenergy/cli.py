@@ -108,9 +108,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_bounds(args) -> int:
     alphas = _parse_alphas(args.alpha, (0.0,))
-    for graph_id, g in _input_graphs(args):
-        for rep in harness.analyze_graph(graph_id, g, alphas, args.tolerance):
-            print(json.dumps(harness.report_to_dict(rep), separators=(",", ":")))
+    reports = harness.run_sweep(_input_graphs(args), alphas, args.tolerance)
+    sys.stdout.write(harness.reports_to_json(reports))
     return EXIT_OK
 
 

@@ -1,14 +1,14 @@
 """Corpus drivers: single-graph reports, sweeps over alpha grids, randomized
 fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 
-Every driver goes through `analyze_graph`, or `spectra.graph_spectra` for the
-hunt: a graph's invariants are built once and its whole alpha list is solved
-in one stacked eigensolve. `analyze` is the one-alpha case of the same path.
-
-Reports are plain dataclasses. The CSV writer formats each float once to 12
-significant digits with `fmt12`; the JSON writer rounds each float through
-`round12`, which parses that same string back. So the two formats carry
-identical numeric values, and reruns produce byte-identical files.
+Every driver solves each graph's alpha list in one stacked eigensolve, then
+runs the bound table once over all (graph, alpha) rows of the call. A
+`Report` is one row of that pass; its `evaluations` are built, and
+certified, on first read. `summarize`, `violations` and both writers read
+the pass's columns instead. The CSV writer formats each float once to 12
+significant digits with `fmt12`; the JSON writer writes the `round12` value,
+the float that string parses to, as `json.dumps` would. So the two formats
+carry identical numeric values, and reruns produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,7 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class Report:
-    """All bound verdicts for one (graph, alpha) pair."""
+    """All bound verdicts for one (graph, alpha) pair: row `row` of `verdicts`."""
 
     graph_id: str
     n: int
@@ -49,7 +50,13 @@ class Report:
     spectrum: tuple[float, ...]
     energy: float
     eta: int
-    evaluations: tuple[BoundEvaluation, ...]
+    verdicts: bounds.Verdicts = field(repr=False, compare=False)
+    row: int = field(repr=False, compare=False)
+
+    @cached_property
+    def evaluations(self) -> tuple[BoundEvaluation, ...]:
+        """The row's BoundEvaluation objects, certified on first read."""
+        return self.verdicts.evaluations(self.row)
 
 
 @dataclass(frozen=True)
@@ -70,29 +77,29 @@ class EqualityHit:
         return self.claim_matched is False
 
 
+def _reports(rows: list[tuple[str, spectra.AlphaSpectrum]],
+             equality_tol: float) -> list[Report]:
+    """One report per (graph id, spectrum) row, all from one bound pass."""
+    verdicts = bounds.evaluate_many([sp for _, sp in rows], equality_tol)
+    return [
+        Report(graph_id, sp.n, sp.m, sp.zagreb, sp.alpha, tuple(sp.rho.tolist()),
+               sp.energy, sp.eta, verdicts, r)
+        for r, (graph_id, sp) in enumerate(rows)
+    ]
+
+
 def analyze_graph(graph_id: str, g: Graph, alphas: list[float],
                   equality_tol: float = bounds.EQUALITY_RTOL) -> list[Report]:
     """Spectrum plus every bound verdict for one graph, one report per alpha."""
-    return [
-        Report(
-            graph_id=graph_id,
-            n=sp.n,
-            m=sp.m,
-            zagreb=sp.zagreb,
-            alpha=sp.alpha,
-            spectrum=tuple(sp.rho.tolist()),
-            energy=sp.energy,
-            eta=sp.eta,
-            evaluations=bounds.evaluate(sp, equality_tol),
-        )
-        for sp in spectra.graph_spectra(g, alphas)
-    ]
+    return run_sweep([(graph_id, g)], alphas, equality_tol)
 
 
 def analyze(graph_id: str, g: Graph, alpha: float,
             equality_tol: float = bounds.EQUALITY_RTOL) -> Report:
-    """Spectrum plus every bound verdict for one graph at one alpha."""
-    return analyze_graph(graph_id, g, [alpha], equality_tol)[0]
+    """Spectrum plus every bound verdict, built, for one graph at one alpha."""
+    rep = analyze_graph(graph_id, g, [alpha], equality_tol)[0]
+    rep.evaluations
+    return rep
 
 
 # -- corpus ingestion ------------------------------------------------------
@@ -142,32 +149,34 @@ def run_sweep(corpus: list[tuple[str, Graph]], alphas: list[float],
     """One report per (graph, alpha), in corpus order then alpha order."""
     if not corpus:
         raise ValueError("empty corpus")
-    return [
-        rep
-        for graph_id, g in corpus
-        for rep in analyze_graph(graph_id, g, alphas, equality_tol)
-    ]
+    return _reports(
+        [(graph_id, sp) for graph_id, g in corpus for sp in spectra.graph_spectra(g, alphas)],
+        equality_tol)
+
+
+def _table_rows(reports: list[Report], per_table):
+    """Each report with its row of `per_table(verdicts)`, which runs once per
+    table."""
+    done = {}
+    for rep in reports:
+        rows = done.get(id(rep.verdicts))
+        if rows is None:
+            rows = done[id(rep.verdicts)] = per_table(rep.verdicts)
+        yield rep, rows[rep.row]
 
 
 def summarize(reports: list[Report]) -> dict[str, dict[str, int]]:
     """Per-bound counts of applicable / holds / violations / equalities."""
-    summary = {
-        bid: {"applicable": 0, "holds": 0, "violations": 0, "equalities": 0}
-        for bid in BOUND_IDS
-    }
+    tables: dict[int, tuple[bounds.Verdicts, list[int]]] = {}
     for rep in reports:
-        for ev in rep.evaluations:
-            row = summary[ev.bound_id]
-            if not ev.applicable:
-                continue
-            row["applicable"] += 1
-            if ev.holds:
-                row["holds"] += 1
-            else:
-                row["violations"] += 1
-            if ev.equality:
-                row["equalities"] += 1
-    return summary
+        tables.setdefault(id(rep.verdicts), (rep.verdicts, []))[1].append(rep.row)
+    counts = np.zeros((4, len(BOUND_IDS)), dtype=np.int64)
+    for v, rows in tables.values():
+        applicable = v.reason == 0
+        flags = np.array([applicable, v.holds, applicable & ~v.holds, v.equality])
+        counts += flags @ np.bincount(rows, minlength=len(v.spectra))  # reports per row
+    keys = ("applicable", "holds", "violations", "equalities")
+    return {bid: dict(zip(keys, col)) for bid, col in zip(BOUND_IDS, counts.T.tolist())}
 
 
 def violations(reports: list[Report], strict: bool = False) -> list[tuple[str, float, str]]:
@@ -176,15 +185,14 @@ def violations(reports: list[Report], strict: bool = False) -> list[tuple[str, f
     Violations of the documented always-violated lower bound are excluded
     unless `strict` is set.
     """
-    out = []
-    for rep in reports:
-        for ev in rep.evaluations:
-            if not ev.applicable or ev.holds:
-                continue
-            if not strict and ev.bound_id in EXPECTED_VIOLATION_IDS:
-                continue
-            out.append((rep.graph_id, rep.alpha, ev.bound_id))
-    return out
+    counted = np.array([[strict or bid not in EXPECTED_VIOLATION_IDS] for bid in BOUND_IDS])
+
+    def failed(v: bounds.Verdicts) -> list[list[str]]:
+        bad = ((v.reason == 0) & ~v.holds & counted).T.tolist()
+        return [[bid for bid, b in zip(BOUND_IDS, row) if b] for row in bad]
+
+    return [(rep.graph_id, rep.alpha, bid)
+            for rep, bids in _table_rows(reports, failed) for bid in bids]
 
 
 # -- fuzz --------------------------------------------------------------------
@@ -228,27 +236,27 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    reports: list[Report] = []
+    rows: list[tuple[str, spectra.AlphaSpectrum]] = []
     mono: list[tuple[str, float, str]] = []
     for trial in range(trials):
         g = _random_connected_graph(rng, n_min, n_max, trial)
         gid = graphcore.serialize_graph6(g).decode("ascii")
-        graph_reports = analyze_graph(gid, g, alphas, equality_tol)
-        reports.extend(graph_reports)
+        sps = spectra.graph_spectra(g, alphas)
+        rows.extend((gid, sp) for sp in sps)
         if g.m == 0:
             continue
         edge = sorted(g.edges)[int(rng.integers(0, g.m))]
-        checked = [rep for rep in graph_reports if 0.5 <= rep.alpha < 1.0]
+        checked = [sp for sp in sps if 0.5 <= sp.alpha < 1.0]
         if not checked:
             continue
         smaller = graphcore.delete_edge(g, *edge)
         after = densela.eigendecompose(
-            spectra.alpha_matrices(smaller, [rep.alpha for rep in checked])
+            spectra.alpha_matrices(smaller, [sp.alpha for sp in checked])
         )
-        for rep, rho in zip(checked, after):
-            if np.any(rho > np.array(rep.spectrum) + 1e-9):
-                mono.append((gid, rep.alpha, "edge_deletion_monotonicity"))
-    return FuzzResult(tuple(reports), tuple(mono), trials)
+        for sp, rho in zip(checked, after):
+            if np.any(rho > sp.rho + 1e-9):
+                mono.append((gid, sp.alpha, "edge_deletion_monotonicity"))
+    return FuzzResult(tuple(_reports(rows, equality_tol)), tuple(mono), trials)
 
 
 # -- equality hunting ---------------------------------------------------------
@@ -260,23 +268,16 @@ def run_hunt(corpus: list[tuple[str, Graph]], alphas: list[float], bound_id: str
     the structural certificate so claim contradictions stand out."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound_id {bound_id!r}")
-    row = bounds.BOUNDS[BOUND_IDS.index(bound_id)]
+    i = BOUND_IDS.index(bound_id)
     hits = []
-    for graph_id, g in corpus:
-        for sp in spectra.graph_spectra(g, alphas):
-            cert = bounds.certify(sp)
-            ev = row.evaluate(sp, cert, equality_tol)
-            if ev.applicable and ev.equality:
-                hits.append(EqualityHit(
-                    graph_id=graph_id,
-                    alpha=sp.alpha,
-                    bound_id=bound_id,
-                    value=ev.value,
-                    energy=ev.energy,
-                    gap=ev.gap,
-                    certificate=cert,
-                    claim_matched=ev.equality_claim_matched,
-                ))
+    for rep in _reports([(graph_id, sp) for graph_id, g in corpus
+                         for sp in spectra.graph_spectra(g, alphas)], equality_tol):
+        if rep.verdicts.equality[i, rep.row]:
+            ev = rep.evaluations[i]
+            hits.append(EqualityHit(
+                rep.graph_id, rep.alpha, bound_id, ev.value, ev.energy, ev.gap,
+                bounds.certify(rep.verdicts.spectra[rep.row]), ev.equality_claim_matched,
+            ))
     return hits
 
 
@@ -292,36 +293,17 @@ def round12(x: float) -> float:
     return float(fmt12(x))
 
 
-def _eval_to_dict(ev: BoundEvaluation) -> dict:
-    return {
-        "id": ev.bound_id,
-        "kind": ev.kind,
-        "applicable": ev.applicable,
-        "reason": ev.reason,
-        "value": None if ev.value is None else round12(ev.value),
-        "holds": ev.holds,
-        "gap": None if ev.gap is None else round12(ev.gap),
-        "equality": ev.equality,
-    }
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def report_to_dict(rep: Report) -> dict:
-    return {
-        "graph_id": rep.graph_id,
-        "n": rep.n,
-        "m": rep.m,
-        "zagreb": rep.zagreb,
-        "alpha": round12(rep.alpha),
-        "spectrum": [round12(x) for x in rep.spectrum],
-        "energy": round12(rep.energy),
-        "eta": rep.eta,
-        "bounds": [_eval_to_dict(ev) for ev in rep.evaluations],
-    }
-
-
-def reports_to_json(reports: list[Report]) -> str:
-    lines = [json.dumps(report_to_dict(rep), separators=(",", ":")) for rep in reports]
-    return "\n".join(lines) + "\n"
+def _json_number(x: float) -> str:
+    """round12(x) as json.dumps writes it. A 12-digit string with a point and
+    no exponent is already that float's repr: no shorter decimal string
+    parses to the same float."""
+    text = f"{x:.12g}"  # fmt12
+    if "." in text and "e" not in text:
+        return text
+    return _JSON_NONFINITE.get(text) or repr(float(text))
 
 
 # CSV quoting is csv.writer's, applied only where it can change a field: a
@@ -329,7 +311,6 @@ def reports_to_json(reports: list[Report]) -> str:
 # quotes), and a reason string. Every other field is an integer, a formatted
 # float, a bound id or kind, or true/false.
 _GRAPH6_ID = re.compile("[?-~]+")
-_CSV_BOOL = {None: "", True: "true", False: "false"}
 
 
 def _csv_field(text: str) -> str:
@@ -340,6 +321,58 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
+def _cell_format(templates: list[str], null: str, quote, spec: str, number):
+    """A format's bound cells from one template per bound over (applicable,
+    reason, value, holds, gap, equality): per bound, its not-applicable cell
+    for each reason code and its applicable template, in which the numbers
+    take `spec`, after `number` when that is given."""
+    cells = [
+        ([""] + [tpl % ("false", quote(reason), null, null, null, null) for reason, _ in b.guards],
+         tpl % ("true", null, spec, "%s", spec, "%s"))
+        for tpl, b in zip(templates, bounds.BOUNDS)
+    ]
+    return cells, number
+
+
+_JSON_CELLS = _cell_format(
+    [f'{{"id":{json.dumps(b.id)},"kind":{json.dumps(b.kind)},"applicable":%s,"reason":%s,'
+     '"value":%s,"holds":%s,"gap":%s,"equality":%s}' for b in bounds.BOUNDS],
+    "null", json.dumps, "%s", _json_number)
+_CSV_CELLS = _cell_format([f"{b.id},{b.kind},%s,%s,%s,%s,%s,%s" for b in bounds.BOUNDS],
+                          "", _csv_field, "%.12g", None)
+_BOOL = ("false", "true")
+
+
+def _bound_cells(v: bounds.Verdicts, cell_format) -> list[tuple[str, ...]]:
+    """Per row of `v`, its 15 bound cells in BOUND_IDS order, built bound by
+    bound; an applicable cell formats only its own value and gap."""
+    cells, number = cell_format
+    columns = []
+    for (na, app), codes, values, holds, gaps, equal in zip(
+            cells, v.reason.tolist(), v.value.tolist(), v.holds.tolist(),
+            v.gap.tolist(), v.equality.tolist()):
+        if number is not None:
+            values, gaps = map(number, values), map(number, gaps)
+        columns.append([na[code] if code else app % (x, _BOOL[h], gap, _BOOL[eq])
+                        for code, x, h, gap, eq in zip(codes, values, holds, gaps, equal)])
+    return list(zip(*columns))
+
+
+def reports_to_json(reports: list[Report]) -> str:
+    """One JSON object per report, one report per line, built directly with
+    the bytes `json.dumps` writes for the same dict with compact separators:
+    numbers are `round12` values and the graph id is `json.dumps`-escaped."""
+    num = _json_number
+    lines = [
+        f'{{"graph_id":{json.dumps(rep.graph_id)},"n":{rep.n},"m":{rep.m},'
+        f'"zagreb":{rep.zagreb},"alpha":{num(rep.alpha)},'
+        f'"spectrum":[{",".join(map(num, rep.spectrum))}],"energy":{num(rep.energy)},'
+        f'"eta":{rep.eta},"bounds":[{",".join(row)}]}}'
+        for rep, row in _table_rows(reports, lambda v: _bound_cells(v, _JSON_CELLS))
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def reports_to_csv(reports: list[Report]) -> str:
     """One CSV row per (report, bound) under the `CSV_COLUMNS` header.
 
@@ -348,26 +381,15 @@ def reports_to_csv(reports: list[Report]) -> str:
     numbers. A report's eight leading fields are built once and shared by
     its bound rows.
     """
-    reasons = {None: ""}
     lines = [",".join(CSV_COLUMNS)]
-    for rep in reports:
+    for rep, row in _table_rows(reports, lambda v: _bound_cells(v, _CSV_CELLS)):
         gid = rep.graph_id
         prefix = ",".join((
             gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid),
             str(rep.n), str(rep.m), str(rep.zagreb), fmt12(rep.alpha),
-            ";".join(map(fmt12, rep.spectrum)), fmt12(rep.energy), str(rep.eta),
+            ";".join(map(fmt12, rep.spectrum)), fmt12(rep.energy), str(rep.eta), "",
         ))
-        for ev in rep.evaluations:
-            reason = reasons.get(ev.reason)
-            if reason is None:
-                reason = reasons[ev.reason] = _csv_field(ev.reason)
-            lines.append(",".join((
-                prefix, ev.bound_id, ev.kind, _CSV_BOOL[ev.applicable], reason,
-                "" if ev.value is None else fmt12(ev.value),
-                _CSV_BOOL[ev.holds],
-                "" if ev.gap is None else fmt12(ev.gap),
-                _CSV_BOOL[ev.equality],
-            )))
+        lines.extend(map(prefix.__add__, row))
     return "\n".join(lines) + "\n"
 
 

@@ -9,12 +9,14 @@ shifted determinant Gamma, theta) are packed into one AlphaSpectrum record.
 What depends on the graph alone (order, size, degrees, Zagreb index,
 connectivity, adjacency spectrum and inertia, complete/regular/star flags)
 lives in one GraphInvariants record, built once per graph and shared by all
-its AlphaSpectrum records. `graph_spectra` solves a graph's whole alpha list,
-plus alpha = 0 for the adjacency spectrum when the list lacks it, in one
-stacked LAPACK call (`densela.eigendecompose`) for eigenvalues only. The
-stacked solve gives the same bits as one solve per alpha, and repeated runs
-with the same numpy/LAPACK build give bit-identical spectra; another build
-may differ in the last few digits.
+its AlphaSpectrum records. `graph_spectra` solves a graph's whole alpha list
+in one stacked LAPACK call (`densela.eigendecompose`) for eigenvalues only,
+and derives each scalar with one reduction along the rows of that solve. The
+adjacency spectrum is its alpha = 0 slice, or, when the list lacks 0, is
+solved on the first read of `adjacency_eigenvalues` or `adjacency_inertia`.
+A stacked solve gives the same bits as one solve per alpha, and repeated
+runs with the same numpy/LAPACK build give bit-identical spectra; another
+build may differ in the last few digits.
 """
 
 from __future__ import annotations
@@ -44,6 +46,31 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+class _AdjacencySlice:
+    """A GraphInvariants field left None by `graph_spectra` when the alpha
+    list lacks 0, and computed on first read."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, inv, owner=None):
+        if inv is not None and inv.__dict__[self.name] is None:
+            inv.__dict__[self.name] = self.compute(inv)
+        return None if inv is None else inv.__dict__[self.name]  # None: field default
+
+    def __set__(self, inv, value):
+        inv.__dict__[self.name] = value
+
+
+def _inertia(inv: GraphInvariants) -> tuple[int, int, int]:
+    adj = inv.adjacency_eigenvalues
+    pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
+    return (pos, inv.n - pos - neg, neg)
+
+
 @dataclass(frozen=True)
 class GraphInvariants:
     """Everything the bound verdicts read that depends on the graph alone."""
@@ -54,11 +81,13 @@ class GraphInvariants:
     degree_sequence: tuple[int, ...]     # non-increasing
     zagreb: int                          # sum of squared degrees
     connected: bool
-    adjacency_eigenvalues: np.ndarray    # descending
-    adjacency_inertia: tuple[int, int, int]  # (positive, zero, negative) counts
+    adjacency: np.ndarray                # 0/1 matrix, read-only
     is_complete: bool
     is_regular: bool
     is_star: bool
+    adjacency_eigenvalues: np.ndarray = _AdjacencySlice(  # descending
+        lambda inv: densela.eigendecompose(SymmetricMatrix(inv.adjacency)))
+    adjacency_inertia: tuple[int, int, int] = _AdjacencySlice(_inertia)  # (+, 0, -) counts
 
 
 @dataclass(frozen=True)
@@ -110,51 +139,19 @@ def alpha_matrix(g: Graph, alpha: float) -> SymmetricMatrix:
     return SymmetricMatrix(alpha_matrices(g, [alpha]).entries[0])
 
 
-def _two_s(d: np.ndarray, n: int, m: int, alpha: float) -> float:
-    """(1-alpha)^2 * 2m plus the squared deviation of alpha-scaled degrees
-    from their mean; equals the sum of squared centered eigenvalues."""
-    d = d.astype(np.float64)
-    mean = 2.0 * alpha * m / n
-    return float((1.0 - alpha) ** 2 * 2.0 * m + np.sum((alpha * d - mean) ** 2))
-
-
-def _spectrum(inv: GraphInvariants, alpha: float, rho: np.ndarray) -> AlphaSpectrum:
-    shift = 2.0 * alpha * inv.m / inv.n
-    s = rho - shift
-    s.setflags(write=False)
-    if float(np.min(np.abs(s))) < SINGULAR_SHIFT_TOL:
-        gamma = 0.0
-    else:
-        gamma = abs(float(np.prod(s)))
-    return AlphaSpectrum(
-        alpha=alpha,
-        graph=inv,
-        rho=rho,
-        shift=shift,
-        s=s,
-        energy=float(np.sum(np.abs(s))),
-        eta=int(np.sum(rho >= shift - SHIFT_TIE_TOL)),
-        two_s=_two_s(inv.degrees, inv.n, inv.m, alpha),
-        gamma_det=gamma,
-        theta=math.sqrt(inv.zagreb / inv.n) - shift,
-    )
-
-
 def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
     """One AlphaSpectrum per alpha, in order, all sharing one GraphInvariants.
 
-    The alpha matrices, and the adjacency matrix when alpha = 0 is not in
-    the list, are solved in one stacked LAPACK call.
+    The alpha matrices are solved in one stacked LAPACK call, and each
+    derived scalar is one reduction along the rows of that solve.
     """
     alphas = [_check_alpha(x) for x in alphas]
-    grid = alphas if 0.0 in alphas else alphas + [0.0]
+    if not alphas:
+        return ()
     d = g.degrees()
     a = graphcore.adjacency_matrix(g).entries
-    rho = densela.eigendecompose(SymmetricMatrix(_stack(a, d, grid)))
+    rho = densela.eigendecompose(SymmetricMatrix(_stack(a, d, alphas)))
     seq = g.degree_sequence
-    adj = rho[grid.index(0.0)]
-    pos = int(np.sum(adj > INERTIA_TOL))
-    neg = int(np.sum(adj < -INERTIA_TOL))
     inv = GraphInvariants(
         n=g.n,
         m=g.m,
@@ -162,13 +159,28 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
         degree_sequence=seq,
         zagreb=int(np.sum(d * d)),
         connected=graphcore.is_connected(g),
-        adjacency_eigenvalues=adj,
-        adjacency_inertia=(pos, g.n - pos - neg, neg),
+        adjacency=a,
         is_complete=g.m == g.n * (g.n - 1) // 2,
         is_regular=seq[0] == seq[-1],
         is_star=g.m == g.n - 1 and seq[0] == g.n - 1,
+        adjacency_eigenvalues=rho[alphas.index(0.0)] if 0.0 in alphas else None,
     )
-    return tuple(_spectrum(inv, alpha, r) for alpha, r in zip(alphas, rho))
+    al = np.array(alphas)
+    shift = 2.0 * al * g.m / g.n
+    s = rho - shift[:, None]
+    s.setflags(write=False)
+    abs_s = np.abs(s)
+    gamma = np.where(np.min(abs_s, axis=1) < SINGULAR_SHIFT_TOL, 0.0, np.abs(np.prod(s, axis=1)))
+    # 2S by the degree closed form: (1-alpha)^2 * 2m plus the squared
+    # deviation of the alpha-scaled degrees from their mean, the shift.
+    # float_power squares through C pow, as Python does for one alpha.
+    two_s = (np.float_power(1.0 - al, 2) * 2.0 * g.m
+             + np.sum((al[:, None] * d - shift[:, None]) ** 2, axis=1))
+    return tuple(AlphaSpectrum(alpha, inv, *row) for alpha, *row in zip(
+        alphas, rho, shift.tolist(), s, np.sum(abs_s, axis=1).tolist(),
+        np.sum(rho >= (shift - SHIFT_TIE_TOL)[:, None], axis=1).tolist(),
+        two_s.tolist(), gamma.tolist(), (math.sqrt(inv.zagreb / inv.n) - shift).tolist(),
+    ))
 
 
 def alpha_spectrum(g: Graph, alpha: float) -> AlphaSpectrum:

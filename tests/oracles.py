@@ -5,13 +5,14 @@ built from edge lists, spectra come from LAPACK (numpy.linalg.eigvalsh) or,
 independently of LAPACK, from a cyclic Jacobi sweep; eigenvalue residuals
 from a singular value decomposition; characteristic polynomials from the
 Faddeev-LeVerrier recursion, determinants from cofactor expansion; CSV
-reports from `csv.writer`.
+reports from `csv.writer` and JSON reports from `json.dumps`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -46,6 +47,14 @@ def signless_energy(g) -> float:
     a = adjacency(g)
     q = np.sort(np.linalg.eigvalsh(np.diag(a.sum(axis=1)) + a))
     return float(np.abs(q - 2.0 * g.m / g.n).sum())
+
+
+def spectra_agree(got, expected, m, rtol: float) -> bool:
+    """Do two sorted spectra of the same length agree entry by entry within
+    rtol * (1 + ||m||_F)? The bound scales with the matrix, not the entry."""
+    got, expected = np.asarray(got, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    scale = 1.0 + float(np.linalg.norm(np.asarray(m, dtype=np.float64)))
+    return got.shape == expected.shape and float(np.max(np.abs(got - expected))) <= rtol * scale
 
 
 def eigenvalue_residual(m, lam: float) -> float:
@@ -168,4 +177,41 @@ def reports_to_csv_reference(reports) -> str:
                 ev.bound_id, ev.kind, cell(ev.applicable), cell(ev.reason),
                 cell(ev.value), cell(ev.holds), cell(ev.gap), cell(ev.equality),
             ]))
+    return "\n".join(lines) + "\n"
+
+
+def reports_to_json_reference(reports) -> str:
+    """JSON report written with `json.dumps`, one compact object per report.
+
+    Each float is rounded to 12 significant digits and parsed back; None is
+    null. Keys follow the report's fields, then each bound's verdict.
+    """
+    def r12(x):
+        return None if x is None else float(f"{x:.12g}")
+
+    lines = []
+    for rep in reports:
+        lines.append(json.dumps({
+            "graph_id": rep.graph_id,
+            "n": rep.n,
+            "m": rep.m,
+            "zagreb": rep.zagreb,
+            "alpha": r12(rep.alpha),
+            "spectrum": [r12(x) for x in rep.spectrum],
+            "energy": r12(rep.energy),
+            "eta": rep.eta,
+            "bounds": [
+                {
+                    "id": ev.bound_id,
+                    "kind": ev.kind,
+                    "applicable": ev.applicable,
+                    "reason": ev.reason,
+                    "value": r12(ev.value),
+                    "holds": ev.holds,
+                    "gap": r12(ev.gap),
+                    "equality": ev.equality,
+                }
+                for ev in rep.evaluations
+            ],
+        }, separators=(",", ":")))
     return "\n".join(lines) + "\n"

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from alphaenergy import bounds as B
 from alphaenergy.bounds import BOUND_IDS, certify, evaluate_all
-from alphaenergy.graphcore import Graph, complete, cycle, path, petersen, star
+from alphaenergy.graphcore import Graph, complete, cycle, erdos_renyi, path, petersen, star
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
 from alphaenergy.spectra import alpha_spectrum
 
@@ -462,3 +463,58 @@ def test_atlas7_not_applicable_counts_frozen(atlas_reports):
         if not e.applicable
     )
     assert got == ATLAS_NOT_APPLICABLE
+
+
+# -- the columnar pass ------------------------------------------------------
+
+
+def _bits(evaluations):
+    """Every field of every verdict, floats as hex so equality is bitwise."""
+    return [
+        tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(e))
+        for e in evaluations
+    ]
+
+
+_GRAPHS = st.builds(erdos_renyi, st.integers(1, 62), st.floats(0.0, 1.0), st.integers(0, 2**32))
+_ALPHAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(st.lists(_GRAPHS, min_size=1, max_size=3), st.lists(_ALPHAS, min_size=1, max_size=4))
+@example([Graph(1), complete(2), Graph(2), Graph(5), DISCONNECTED], [0.0, 0.5, 1.0])
+@example([complete(5), cycle(6), star(4), petersen(), path(3)], [0.0, 0.25, 0.5, 0.75, 1.0])
+@settings(max_examples=40, deadline=None)
+def test_columnar_verdicts_bit_identical_to_one_row(graphs, alphas):
+    # One pass over every (graph, alpha) row of a sweep gives each row the
+    # verdicts, claims included, of evaluating that row alone.
+    reports = run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas)
+    assert len(reports) == len(graphs) * len(alphas)
+    for rep in reports:
+        alone = B.evaluate(rep.verdicts.spectra[rep.row])
+        assert _bits(rep.evaluations) == _bits(alone)
+
+
+def test_squares_keep_the_bits_of_python_floats():
+    # Python squares a float through C pow, numpy's ** 2 is x * x, and the
+    # two differ in the last bit for some x. Pick alphas where that reaches
+    # the bound and 2S; both keep the bits of the scalar formulas.
+    g, n, m, zagreb = petersen(), 10, 15, 90
+
+    def asstated(alpha, sq):
+        return math.sqrt(2.0 * max(
+            sq(alpha) * zagreb + sq(1.0 - alpha) * 2.0 * m - 2.0 * sq(alpha * m) / n, 0.0))
+
+    def two_s(alpha, sq):
+        return sq(1.0 - alpha) * 2.0 * m + (3.0 * alpha - 2.0 * alpha * m / n) ** 2 * n
+
+    pow2, mul2 = (lambda x: x ** 2), (lambda x: x * x)
+    alphas = [
+        a for a in np.random.default_rng(5).uniform(0.0, 1.0, 20000).tolist()
+        if asstated(a, pow2) != asstated(a, mul2) or two_s(a, pow2) != two_s(a, mul2)
+    ][:8]
+    assert len(alphas) == 8
+    for alpha in alphas:
+        sp = alpha_spectrum(g, alpha)
+        dev = alpha * sp.graph.degrees.astype(np.float64) - sp.shift
+        assert sp.two_s.hex() == ((1.0 - alpha) ** 2 * 2.0 * m + float(np.sum(dev ** 2))).hex()
+        assert ev("lb_frobenius_asstated", g, alpha).value.hex() == asstated(alpha, pow2).hex()

@@ -37,7 +37,7 @@ K4 = complete(4)
 ATLAS = Path(__file__).resolve().parents[1] / "perfbench" / "corpora" / "atlas7.g6"
 
 
-def test_analyze_certifies_once(monkeypatch):
+def _count_certify(monkeypatch) -> list:
     calls = []
     real = bounds.certify
 
@@ -46,8 +46,28 @@ def test_analyze_certifies_once(monkeypatch):
         return real(sp)
 
     monkeypatch.setattr(bounds, "certify", counting)
+    return calls
+
+
+def test_analyze_certifies_once(monkeypatch):
+    calls = _count_certify(monkeypatch)
     analyze("C~", K4, 0.5)
     assert calls == [0.5]
+
+
+def test_sweep_writers_and_summaries_never_certify(monkeypatch):
+    # Only a read of Report.evaluations certifies; the drivers' consumers
+    # read the verdict columns.
+    calls = _count_certify(monkeypatch)
+    reports = run_sweep([("C~", K4), (g6(star(3)), star(3))], list(DEFAULT_ALPHA_GRID))
+    reports_to_csv(reports)
+    reports_to_json(reports)
+    summarize(reports)
+    violations(reports, strict=True)
+    assert calls == []
+    reports[3].evaluations
+    reports[3].evaluations
+    assert calls == [reports[3].alpha]
 
 
 def _count_eigvalsh(monkeypatch) -> list:
@@ -146,7 +166,7 @@ def _atlas_slice(tmp_path):
 
 def _awkward_ids(tmp_path):
     ids = ['odd,"id"', "line\nbreak", "cr\rid", " leading space", "trailing ",
-           "tab\tid", "ünïcödé", "", '"', "C~;x", "plain-ascii:1"]
+           "tab\tid", "ünïcödé", "", '"', "C~;x", "plain-ascii:1", "back\\slash\\"]
     graphs = [K4, cycle(5), star(3)]
     return [rep for i, gid in enumerate(ids)
             for rep in harness.analyze_graph(gid, graphs[i % 3], [0.0, 0.5, 1.0])]
@@ -176,6 +196,22 @@ def _k1(tmp_path):
 def test_csv_writer_matches_reference(build, tmp_path):
     reports = build(tmp_path)
     assert reports_to_csv(reports) == oracles.reports_to_csv_reference(reports)
+
+
+@pytest.mark.parametrize("build", [_atlas_slice, _awkward_ids, _comma_path, _k1],
+                         ids=["atlas-60", "awkward-ids", "comma-path", "k1"])
+def test_json_writer_matches_reference(build, tmp_path):
+    reports = build(tmp_path)
+    assert reports_to_json(reports) == oracles.reports_to_json_reference(reports)
+
+
+def test_json_writer_numbers_match_json_dumps():
+    # Integral, exponent, tiny, huge, negative-zero and non-finite floats.
+    xs = [0.0, -0.0, 1.0, -3.0, 0.1, 1e-5, 1.5e-7, 123456789012.5, 1.25e12, 9.99e15,
+          1e16, -2.5e300, 5e-324, float("inf"), float("-inf"), float("nan")]
+    xs += np.random.default_rng(3).normal(size=200).tolist()
+    xs += (np.random.default_rng(4).normal(size=200) * 10.0 ** np.arange(-100, 100)).tolist()
+    assert [harness._json_number(x) for x in xs] == [json.dumps(round12(x)) for x in xs]
 
 
 def test_csv_awkward_ids_read_back(tmp_path):

@@ -264,3 +264,31 @@ def test_graph_invariants():
     inv = alpha_spectrum(Graph(4, [(0, 1), (2, 3)]), 0.0).graph
     assert inv.is_regular and not inv.connected and not inv.is_star
     assert inv.adjacency_inertia == (2, 0, 2)
+
+
+def test_adjacency_slice_solved_only_when_read(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    g = petersen()
+    # 0 on the grid: the adjacency spectrum is that slice of the one solve.
+    sps = graph_spectra(g, [0.5, 0.0])
+    assert calls == [(2, 10, 10)]
+    assert sps[0].graph.adjacency_eigenvalues.tobytes() == sps[1].rho.tobytes()
+    assert sps[0].graph.adjacency_inertia == (6, 0, 4)
+    # 0 off the grid: nothing more is solved until a field is read, once.
+    calls.clear()
+    inv = graph_spectra(g, [0.5, 0.9])[0].graph
+    assert calls == [(2, 10, 10)]
+    assert inv.adjacency_inertia == (6, 0, 4)
+    assert calls == [(2, 10, 10), (10, 10)]
+    assert inv.adjacency_eigenvalues.tobytes() == sps[1].rho.tobytes()
+    assert len(calls) == 2
+    # No alpha at all: no spectrum, and nothing solved.
+    assert graph_spectra(g, []) == ()
+    assert len(calls) == 2
