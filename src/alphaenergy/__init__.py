@@ -1,6 +1,9 @@
 """Spectra of the convex combination alpha*D + (1-alpha)*A for simple graphs,
 the associated centered-spectrum energy, and mechanical verification of the
-published upper/lower bounds with equality-case certification."""
+published upper/lower bounds with equality-case certification.
+
+A `Graph` caches what depends on it alone. `analyze` checks one graph at one
+alpha; the `run_*` drivers check corpora over whole alpha grids."""
 
 from .densela import (
     NoConvergenceError,
@@ -33,10 +36,7 @@ from .graphcore import (
 from .spectra import (
     AlphaOutOfRangeError,
     AlphaSpectrum,
-    GraphInvariants,
     alpha_matrices,
-    alpha_matrix,
-    alpha_spectrum,
     graph_spectra,
 )
 from .bounds import (
@@ -45,15 +45,12 @@ from .bounds import (
     BoundEvaluation,
     ExtremalCertificate,
     certify,
-    evaluate,
-    evaluate_all,
 )
 from .harness import (
     DEFAULT_ALPHA_GRID,
     EqualityHit,
     Report,
     analyze,
-    analyze_graph,
     run_fuzz,
     run_hunt,
     run_sweep,

@@ -16,7 +16,7 @@ the stated equality classes.
 Guards, value and target are array expressions over `Columns`, one entry per
 (graph, alpha) row. `evaluate_many` runs the table once over every row of a
 call into (15, R) `Verdicts`; `Verdicts.evaluations(r)` certifies row r and
-builds its `BoundEvaluation` objects only when asked. `evaluate` is R = 1.
+builds its `BoundEvaluation` objects only when asked.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import spectra
-from .graphcore import Graph
 from .spectra import AlphaSpectrum
 
 HOLDS_RTOL = 1e-9
@@ -95,14 +93,15 @@ def _matches_values(observed: np.ndarray, stated: list[float], tol: float = DIST
 def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
     """Structural certificate for the equality classes: completeness,
     regularity, star shape, distinct eigenvalue count, adjacency inertia.
-    Reads the graph's invariants from `sp`; solves nothing."""
-    inv = sp.graph
+    Reads the graph's cached invariants from `sp.graph`, which solves the
+    adjacency spectrum once per graph, on its first certificate."""
+    g = sp.graph
     return ExtremalCertificate(
-        is_complete=inv.is_complete,
-        is_regular=inv.is_regular,
-        is_star=inv.is_star,
+        is_complete=g.is_complete,
+        is_regular=g.is_regular,
+        is_star=g.is_star,
         distinct_alpha_eigenvalue_count=len(_merged_eigenvalues(sp.rho)),
-        adjacency_inertia=inv.adjacency_inertia,
+        adjacency_inertia=g.adjacency_inertia,
     )
 
 
@@ -395,18 +394,3 @@ def evaluate_many(sps: Sequence[AlphaSpectrum],
         holds = (gap >= -HOLDS_RTOL * (1.0 + np.abs(value))) & link
         equality = np.abs(gap) <= equality_tol * (1.0 + np.abs(target))
     return Verdicts(tuple(sps), reason, value, target, gap, holds, equality)
-
-
-def evaluate(
-    sp: AlphaSpectrum, equality_tol: float = EQUALITY_RTOL
-) -> tuple[BoundEvaluation, ...]:
-    """Every bound on one graph's spectrum at one alpha, in BOUND_IDS order,
-    certified once: the one-row case of `evaluate_many`."""
-    return evaluate_many([sp], equality_tol).evaluations(0)
-
-
-def evaluate_all(
-    g: Graph, alpha: float, equality_tol: float = EQUALITY_RTOL
-) -> tuple[BoundEvaluation, ...]:
-    """Evaluate every bound on one (graph, alpha) pair, in BOUND_IDS order."""
-    return evaluate(spectra.alpha_spectrum(g, alpha), equality_tol)

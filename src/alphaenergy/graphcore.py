@@ -9,11 +9,13 @@ identical streams for identical seeds on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
+from . import densela
 from .densela import SymmetricMatrix
 
 GRAPH6_MAX_ORDER = 62
@@ -23,6 +25,7 @@ MAX_ORDER = 1000
 # Draw budgets of the randomized generators before GenerationFailureError.
 ER_MAX_DRAWS = 1000
 REGULAR_MAX_PAIRINGS = 20000
+INERTIA_TOL = 1e-9  # adjacency eigenvalues within this of 0 count as zero
 
 
 class InvalidParametersError(ValueError):
@@ -52,7 +55,12 @@ class NoSuchEdgeError(LookupError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with a frozen edge set."""
+    """Simple undirected graph on vertices 0..n-1 with a frozen edge set; the
+    one per-graph record of what the bound verdicts read.
+
+    `degrees()`, `degree_sequence`, `zagreb`, `connected` and
+    `adjacency_inertia` are computed on first read and cached on the
+    instance. Equality and hashing read only `n` and `edges`."""
 
     n: int
     edges: frozenset
@@ -84,8 +92,7 @@ class Graph:
         return flat.reshape(self.m, 2)
 
     def degrees(self) -> np.ndarray:
-        """Per-vertex degrees, indexed by vertex; computed on the first call
-        and returned read-only after that."""
+        """Per-vertex degrees, indexed by vertex, read-only."""
         d = self.__dict__.get("_degrees")
         if d is None:
             d = np.bincount(self._endpoints().ravel(), minlength=self.n)
@@ -93,10 +100,38 @@ class Graph:
             object.__setattr__(self, "_degrees", d)
         return d
 
-    @property
+    @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees sorted in non-increasing order."""
         return tuple(sorted(self.degrees().tolist(), reverse=True))
+
+    @cached_property
+    def zagreb(self) -> int:
+        """First Zagreb index: the sum of squared degrees."""
+        return sum(k * k for k in self.degree_sequence)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self)
+
+    @cached_property
+    def adjacency_inertia(self) -> tuple[int, int, int]:
+        """(+, 0, -) counts of the adjacency eigenvalues, up to INERTIA_TOL."""
+        adj = densela.eigendecompose(adjacency_matrix(self))
+        pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
+        return (pos, self.n - pos - neg, neg)
+
+    @property
+    def is_complete(self) -> bool:
+        return self.m == self.n * (self.n - 1) // 2
+
+    @property
+    def is_regular(self) -> bool:
+        return self.degree_sequence[0] == self.degree_sequence[-1]
+
+    @property
+    def is_star(self) -> bool:
+        return self.m == self.n - 1 and self.degree_sequence[0] == self.n - 1
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges

@@ -88,16 +88,10 @@ def _reports(rows: list[tuple[str, spectra.AlphaSpectrum]],
     ]
 
 
-def analyze_graph(graph_id: str, g: Graph, alphas: list[float],
-                  equality_tol: float = bounds.EQUALITY_RTOL) -> list[Report]:
-    """Spectrum plus every bound verdict for one graph, one report per alpha."""
-    return run_sweep([(graph_id, g)], alphas, equality_tol)
-
-
 def analyze(graph_id: str, g: Graph, alpha: float,
             equality_tol: float = bounds.EQUALITY_RTOL) -> Report:
     """Spectrum plus every bound verdict, built, for one graph at one alpha."""
-    rep = analyze_graph(graph_id, g, [alpha], equality_tol)[0]
+    rep = run_sweep([(graph_id, g)], [alpha], equality_tol)[0]
     rep.evaluations
     return rep
 
@@ -269,15 +263,16 @@ def run_hunt(corpus: list[tuple[str, Graph]], alphas: list[float], bound_id: str
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound_id {bound_id!r}")
     i = BOUND_IDS.index(bound_id)
+    rows = [(graph_id, sp) for graph_id, g in corpus for sp in spectra.graph_spectra(g, alphas)]
+    v = bounds.evaluate_many([sp for _, sp in rows], equality_tol)
     hits = []
-    for rep in _reports([(graph_id, sp) for graph_id, g in corpus
-                         for sp in spectra.graph_spectra(g, alphas)], equality_tol):
-        if rep.verdicts.equality[i, rep.row]:
-            ev = rep.evaluations[i]
-            hits.append(EqualityHit(
-                rep.graph_id, rep.alpha, bound_id, ev.value, ev.energy, ev.gap,
-                bounds.certify(rep.verdicts.spectra[rep.row]), ev.equality_claim_matched,
-            ))
+    for r in np.flatnonzero(v.equality[i]).tolist():
+        graph_id, sp = rows[r]
+        cert = bounds.certify(sp)
+        hits.append(EqualityHit(
+            graph_id, sp.alpha, bound_id, v.value[i, r].item(), v.target[i, r].item(),
+            v.gap[i, r].item(), cert, bounds.BOUNDS[i].claim(sp, cert),
+        ))
     return hits
 
 

@@ -1,0 +1,15 @@
+"""One-alpha shorthands for tests: the package's batch entry points applied
+to a single (graph, alpha) row."""
+
+from alphaenergy.bounds import EQUALITY_RTOL, evaluate_many
+from alphaenergy.spectra import graph_spectra
+
+
+def alpha_spectrum(g, alpha: float):
+    """The AlphaSpectrum of `g` at one alpha."""
+    return graph_spectra(g, [alpha])[0]
+
+
+def evaluate_all(g, alpha: float, equality_tol: float = EQUALITY_RTOL):
+    """Every bound's BoundEvaluation on `g` at one alpha, in BOUND_IDS order."""
+    return evaluate_many([alpha_spectrum(g, alpha)], equality_tol).evaluations(0)

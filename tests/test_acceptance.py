@@ -17,10 +17,10 @@ import pytest
 
 import oracles
 from alphaenergy import densela, graphcore
-from alphaenergy.bounds import BOUND_IDS, evaluate_all
+from alphaenergy.bounds import BOUND_IDS
 from alphaenergy.graphcore import complete, cycle, parse_graph6, petersen, serialize_graph6, star
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, violations
-from alphaenergy.spectra import alpha_spectrum
+from one_alpha import alpha_spectrum, evaluate_all
 
 SQRT3 = math.sqrt(3.0)
 

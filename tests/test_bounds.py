@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from alphaenergy import bounds as B
-from alphaenergy.bounds import BOUND_IDS, certify, evaluate_all
+from alphaenergy.bounds import BOUND_IDS, certify
 from alphaenergy.graphcore import Graph, complete, cycle, erdos_renyi, path, petersen, star
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
-from alphaenergy.spectra import alpha_spectrum
+from one_alpha import alpha_spectrum, evaluate_all
 
 SQRT3 = math.sqrt(3.0)
 
@@ -49,12 +49,15 @@ def test_certify_star():
 
 
 def test_certify_reads_inertia_from_graph_record():
-    sp = alpha_spectrum(petersen(), 0.5)
-    marked = dataclasses.replace(
-        sp, graph=dataclasses.replace(sp.graph, adjacency_inertia=(7, 2, 1))
-    )
+    # certify reads the inertia the Graph cached; it solves nothing itself.
+    g = petersen()
+    sp = alpha_spectrum(g, 0.5)
+    assert sp.graph is g
     assert certify(sp).adjacency_inertia == (6, 0, 4)
-    assert certify(marked).adjacency_inertia == (7, 2, 1)
+    g.__dict__["adjacency_inertia"] = (7, 2, 1)  # mark the cached field
+    assert certify(sp).adjacency_inertia == (7, 2, 1)
+    assert certify(alpha_spectrum(g, 0.9)).adjacency_inertia == (7, 2, 1)
+    assert certify(alpha_spectrum(petersen(), 0.5)).adjacency_inertia == (6, 0, 4)
 
 
 def test_certificate_invariants(er_corpus_small):
@@ -490,7 +493,7 @@ def test_columnar_verdicts_bit_identical_to_one_row(graphs, alphas):
     reports = run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas)
     assert len(reports) == len(graphs) * len(alphas)
     for rep in reports:
-        alone = B.evaluate(rep.verdicts.spectra[rep.row])
+        alone = B.evaluate_many([rep.verdicts.spectra[rep.row]]).evaluations(0)
         assert _bits(rep.evaluations) == _bits(alone)
 
 
@@ -515,6 +518,6 @@ def test_squares_keep_the_bits_of_python_floats():
     assert len(alphas) == 8
     for alpha in alphas:
         sp = alpha_spectrum(g, alpha)
-        dev = alpha * sp.graph.degrees.astype(np.float64) - sp.shift
+        dev = alpha * sp.graph.degrees().astype(np.float64) - sp.shift
         assert sp.two_s.hex() == ((1.0 - alpha) ** 2 * 2.0 * m + float(np.sum(dev ** 2))).hex()
         assert ev("lb_frobenius_asstated", g, alpha).value.hex() == asstated(alpha, pow2).hex()

@@ -95,7 +95,16 @@ def test_degree_matrix():
     for g, d in ((complete(4), [3, 3, 3, 3]), (star(3), [3, 1, 1, 1]),
                  (path(3), [1, 2, 1])):
         assert g.degrees().tolist() == d
-        assert np.allclose(spectra.alpha_matrix(g, 1.0).entries, np.diag(d))
+        assert np.allclose(spectra.alpha_matrices(g, [1.0]).entries[0], np.diag(d))
+
+
+def test_cached_fields_leave_equality_and_hash_alone():
+    a, b = petersen(), petersen()
+    a.degrees(), a.degree_sequence, a.zagreb, a.connected, a.adjacency_inertia
+    assert {"degree_sequence", "zagreb", "connected", "adjacency_inertia"} <= vars(a).keys()
+    assert "adjacency_inertia" not in vars(b)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != delete_edge(a, *min(a.edges))
 
 
 def test_is_connected():

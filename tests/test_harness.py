@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -169,7 +170,7 @@ def _awkward_ids(tmp_path):
            "tab\tid", "ünïcödé", "", '"', "C~;x", "plain-ascii:1", "back\\slash\\"]
     graphs = [K4, cycle(5), star(3)]
     return [rep for i, gid in enumerate(ids)
-            for rep in harness.analyze_graph(gid, graphs[i % 3], [0.0, 0.5, 1.0])]
+            for rep in harness.run_sweep([(gid, graphs[i % 3])], [0.0, 0.5, 1.0])]
 
 
 def _comma_path(tmp_path):
@@ -266,6 +267,23 @@ def test_hunt_stars_always_hit():
     hits = run_hunt(corpus, list(DEFAULT_ALPHA_GRID), "lb_maxdeg")
     assert len(hits) == len(corpus) * len(DEFAULT_ALPHA_GRID)
     assert all(h.claim_matched for h in hits)
+
+
+def test_hunt_certifies_each_hit_once(monkeypatch):
+    calls = []
+    real = bounds.certify
+
+    def counting(sp):
+        calls.append(sp)
+        return real(sp)
+
+    monkeypatch.setattr(bounds, "certify", counting)
+    corpus = [(g6(star(k)), star(k)) for k in range(1, 12)]
+    hits = run_hunt(corpus, list(DEFAULT_ALPHA_GRID), "lb_maxdeg")
+    # K2 (one leaf) has n < 3; the stars with 2..11 leaves hit at every alpha.
+    assert len(hits) == 10 * len(DEFAULT_ALPHA_GRID)
+    assert len(calls) == len(hits)
+    assert all(h.claim_matched and h.certificate.is_star for h in hits)
 
 
 def test_hunt_average_degree_on_cycles():
@@ -495,3 +513,24 @@ def test_module_entrypoint_subprocess():
     assert proc.returncode == 0
     row = json.loads(proc.stdout)
     assert row["energy"] == pytest.approx(2 * 2 ** 0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--input", str(ATLAS), "--format", "csv"],
+    ["spectrum", "@"],
+], ids=["sweep", "spectrum"])
+def test_cli_closed_stdout_is_an_error_not_a_traceback(argv, unbuffered):
+    # The read end is closed before the program starts, so its first write
+    # to stdout (or the final flush) meets a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "alphaenergy", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Broken pipe" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

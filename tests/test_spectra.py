@@ -4,46 +4,48 @@ import numpy as np
 import pytest
 
 import oracles
-from alphaenergy import densela, graphcore
-from alphaenergy.graphcore import Graph, complete, cycle, delete_edge, path, petersen, star
+from alphaenergy import densela, graphcore, harness
+from alphaenergy.graphcore import INERTIA_TOL, Graph, complete, cycle, delete_edge, petersen, star
 from alphaenergy.harness import DEFAULT_ALPHA_GRID
-from alphaenergy.spectra import (
-    AlphaOutOfRangeError,
-    alpha_matrix,
-    alpha_spectrum,
-    graph_spectra,
-)
+from alphaenergy.spectra import AlphaOutOfRangeError, alpha_matrices, graph_spectra
+from one_alpha import alpha_spectrum
 
 SQRT3 = math.sqrt(3.0)
 
 
+def alpha_matrix(g, alpha):
+    """The package's alpha*D + (1-alpha)*A at one alpha."""
+    return alpha_matrices(g, [alpha]).entries[0]
+
+
 def test_alpha_matrix_endpoints():
     k2 = complete(2)
-    assert alpha_matrix(k2, 0.0).entries.tolist() == [[0, 1], [1, 0]]
-    assert np.allclose(alpha_matrix(k2, 1.0).entries, np.eye(2))
+    assert alpha_matrix(k2, 0.0).tolist() == [[0, 1], [1, 0]]
+    assert np.allclose(alpha_matrix(k2, 1.0), np.eye(2))
+    assert alpha_matrices(k2, [0.0, 1.0]).entries.shape == (2, 2, 2)
 
 
 def test_alpha_matrix_k4_half():
-    a = alpha_matrix(complete(4), 0.5).entries
+    a = alpha_matrix(complete(4), 0.5)
     assert np.allclose(np.diag(a), 1.5)
     off = a[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 0.5)
-    eigs = densela.eigendecompose(alpha_matrix(complete(4), 0.5))
+    eigs = densela.eigendecompose(alpha_matrices(complete(4), [0.5]))[0]
     assert np.allclose(eigs, [3.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_alpha_matrix_signless_identity():
     g = petersen()
-    q = 2.0 * alpha_matrix(g, 0.5).entries
+    q = 2.0 * alpha_matrix(g, 0.5)
     d_plus_a = np.diag(g.degrees()) + graphcore.adjacency_matrix(g).entries
     assert np.array_equal(q, d_plus_a)
 
 
 def test_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRangeError):
-        alpha_matrix(complete(3), -0.1)
+        alpha_matrices(complete(3), [-0.1])
     with pytest.raises(AlphaOutOfRangeError):
-        alpha_spectrum(complete(3), 1.5)
+        graph_spectra(complete(3), [0.5, 1.5])
 
 
 def test_k4_half_spectrum_fixture():
@@ -197,7 +199,7 @@ def test_edge_perturbation_spectrum():
         )
         edge = sorted(g.edges)[int(rng.integers(0, g.m))]
         alpha = float(rng.uniform(0, 1))
-        diff = alpha_matrix(g, alpha).entries - alpha_matrix(delete_edge(g, *edge), alpha).entries
+        diff = alpha_matrix(g, alpha) - alpha_matrix(delete_edge(g, *edge), alpha)
         eigs = np.sort(np.linalg.eigvalsh(diff))[::-1]
         expected = np.sort(np.array([1.0, 2 * alpha - 1.0] + [0.0] * (g.n - 2)))[::-1]
         assert np.allclose(eigs, expected, atol=1e-9)
@@ -247,26 +249,33 @@ def test_stacked_spectra_bit_identical(name, alphas):
     sps = graph_spectra(g, alphas)
     assert [sp.alpha for sp in sps] == list(alphas)
     for sp in sps:
-        assert sp.rho.tobytes() == _one_solve(alpha_matrix(g, sp.alpha).entries).tobytes()
-        assert sp.graph is sps[0].graph
-    adjacency = graphcore.adjacency_matrix(g).entries
-    assert sps[0].graph.adjacency_eigenvalues.tobytes() == _one_solve(adjacency).tobytes()
+        assert sp.rho.tobytes() == _one_solve(alpha_matrix(g, sp.alpha)).tobytes()
+        assert sp.graph is g
+    if 0.0 in alphas:
+        # The alpha = 0 slice is the adjacency spectrum: same inertia as the
+        # Graph's own adjacency solve.
+        adj = sps[alphas.index(0.0)].rho
+        pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
+        assert g.adjacency_inertia == (pos, g.n - pos - neg, neg)
 
 
 def test_graph_invariants():
-    inv = alpha_spectrum(star(3), 0.3).graph
-    assert (inv.n, inv.m, inv.zagreb, inv.connected) == (4, 3, 12, True)
-    assert inv.degrees.tolist() == [3, 1, 1, 1]
-    assert inv.degree_sequence == (3, 1, 1, 1)
-    assert inv.is_star and not inv.is_regular and not inv.is_complete
-    assert np.allclose(inv.adjacency_eigenvalues, [SQRT3, 0.0, 0.0, -SQRT3], atol=1e-12)
-    assert inv.adjacency_inertia == (1, 2, 1)
-    inv = alpha_spectrum(Graph(4, [(0, 1), (2, 3)]), 0.0).graph
-    assert inv.is_regular and not inv.connected and not inv.is_star
-    assert inv.adjacency_inertia == (2, 0, 2)
+    g = star(3)
+    assert (g.n, g.m, g.zagreb, g.connected) == (4, 3, 12, True)
+    assert g.degrees().tolist() == [3, 1, 1, 1]
+    assert g.degree_sequence == (3, 1, 1, 1)
+    assert g.is_star and not g.is_regular and not g.is_complete
+    assert g.adjacency_inertia == (1, 2, 1)  # spectrum sqrt(3), 0, 0, -sqrt(3)
+    sp = alpha_spectrum(g, 0.3)
+    assert sp.graph is g and (sp.n, sp.m, sp.zagreb, sp.connected) == (4, 3, 12, True)
+    g = Graph(4, [(0, 1), (2, 3)])
+    assert g.is_regular and not g.connected and not g.is_star
+    assert g.adjacency_inertia == (2, 0, 2)
+    assert complete(4).is_complete and complete(4).is_regular and not complete(4).is_star
+    assert Graph(1).is_complete and Graph(1).adjacency_inertia == (0, 1, 0)
 
 
-def test_adjacency_slice_solved_only_when_read(monkeypatch):
+def test_adjacency_solved_once_per_graph(monkeypatch):
     calls = []
     real = np.linalg.eigvalsh
 
@@ -276,19 +285,16 @@ def test_adjacency_slice_solved_only_when_read(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     g = petersen()
-    # 0 on the grid: the adjacency spectrum is that slice of the one solve.
-    sps = graph_spectra(g, [0.5, 0.0])
-    assert calls == [(2, 10, 10)]
-    assert sps[0].graph.adjacency_eigenvalues.tobytes() == sps[1].rho.tobytes()
-    assert sps[0].graph.adjacency_inertia == (6, 0, 4)
-    # 0 off the grid: nothing more is solved until a field is read, once.
+    # One stack solve per analyze call; the adjacency spectrum, read by the
+    # certificate, is solved once for the Graph object, not once per alpha.
+    for alpha in DEFAULT_ALPHA_GRID:
+        assert harness.analyze("P", g, alpha).evaluations[0].applicable
+    stack = (1, 10, 10)
+    assert calls == [stack, (10, 10)] + [stack] * (len(DEFAULT_ALPHA_GRID) - 1)
+    # Sweeps never certify, so they never solve the adjacency spectrum.
     calls.clear()
-    inv = graph_spectra(g, [0.5, 0.9])[0].graph
+    harness.run_sweep([("P", petersen())], [0.5, 0.9])
     assert calls == [(2, 10, 10)]
-    assert inv.adjacency_inertia == (6, 0, 4)
-    assert calls == [(2, 10, 10), (10, 10)]
-    assert inv.adjacency_eigenvalues.tobytes() == sps[1].rho.tobytes()
-    assert len(calls) == 2
     # No alpha at all: no spectrum, and nothing solved.
     assert graph_spectra(g, []) == ()
-    assert len(calls) == 2
+    assert calls == [(2, 10, 10)]
