@@ -4,6 +4,12 @@ Subcommands: spectrum (eigenvalues + scalars), bounds (all verdicts for one
 graph), sweep (corpus x alpha grid to CSV/JSON), fuzz (randomized soundness
 sweep plus edge-deletion monotonicity), hunt-equality (equality-case search).
 
+Every subcommand's options are declared once, in `_COMMANDS`. A well-formed
+call is read straight from that table by `_read_argv`; argparse, built from
+the same table, runs only when the reader declines (help, abbreviations,
+`--opt=value`, a bad or missing value), so help text and argument errors
+come from argparse alone.
+
 Exit status: 0 = clean, 1 = usage or parse error, 2 = violations found.
 """
 
@@ -225,16 +231,51 @@ def _tolerance(text: str) -> float:
     return val
 
 
-def _add_alpha(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", help="comma-separated alpha values in [0, 1]")
+# Each subcommand's handler, help and options as (flag, add_argument kwargs).
+_GRAPH = ("graph", dict(nargs="?", help="one graph6 record"))
+_GRAPH_INPUT = ("--input", dict(help="file of graph6 lines or one edge list"))
+_FORMAT = ("--format", dict(choices=("csv", "json"), default="json"))
+_STRICT = ("--strict", dict(action="store_true",
+                            help="count the documented always-violated bound too"))
+_ALPHA = ("--alpha", dict(help="comma-separated alpha values in [0, 1]"))
+_ALPHA_AND_TOLERANCE = (_ALPHA, ("--tolerance", dict(
+    type=_tolerance, default=bounds_mod.EQUALITY_RTOL,
+    help="relative equality tolerance, finite and >= 0 (default 1e-7)",
+)))
 
-
-def _add_alpha_and_tolerance(p: argparse.ArgumentParser) -> None:
-    _add_alpha(p)
-    p.add_argument(
-        "--tolerance", type=_tolerance, default=bounds_mod.EQUALITY_RTOL,
-        help="relative equality tolerance, finite and >= 0 (default 1e-7)",
-    )
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "eigenvalues and derived scalars",
+                 (_GRAPH, _GRAPH_INPUT, _ALPHA)),
+    "bounds": (_cmd_bounds, "every bound verdict for one graph",
+               (_GRAPH, _GRAPH_INPUT, *_ALPHA_AND_TOLERANCE)),
+    "sweep": (_cmd_sweep, "corpus x alpha grid, CSV/JSON report", (
+        ("--input", dict(required=True, help="corpus file")),
+        _FORMAT,
+        ("--out", dict(help="report path (default stdout)")),
+        _STRICT,
+        *_ALPHA_AND_TOLERANCE,
+    )),
+    "fuzz": (_cmd_fuzz, "randomized soundness sweep", (
+        ("--n-min", dict(type=int, default=4)),
+        ("--n-max", dict(type=int, default=10)),
+        ("--trials", dict(type=int, default=200)),
+        ("--seed", dict(type=int, default=42)),
+        _FORMAT,
+        ("--out", dict(help="optionally dump all reports here")),
+        _STRICT,
+        *_ALPHA_AND_TOLERANCE,
+    )),
+    "hunt-equality": (_cmd_hunt, "find equality cases of one bound", (
+        ("--bound", dict(required=True, choices=bounds_mod.BOUND_IDS)),
+        ("--input", dict(help="corpus file")),
+        ("--family", dict(choices=_HUNT_FAMILIES,
+                          help="generate a named family instead of reading a corpus")),
+        ("--n-min", dict(type=int, default=3, help="smallest graph order")),
+        ("--n-max", dict(type=int, default=10, help="largest graph order")),
+        ("--out", dict(help="hits path (default stdout)")),
+        *_ALPHA_AND_TOLERANCE,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,66 +285,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "published energy bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalues and derived scalars")
-    p.add_argument("graph", nargs="?", help="one graph6 record")
-    p.add_argument("--input", help="file of graph6 lines or one edge list")
-    _add_alpha(p)
-
-    p = sub.add_parser("bounds", help="every bound verdict for one graph")
-    p.add_argument("graph", nargs="?", help="one graph6 record")
-    p.add_argument("--input", help="file of graph6 lines or one edge list")
-    _add_alpha_and_tolerance(p)
-
-    p = sub.add_parser("sweep", help="corpus x alpha grid, CSV/JSON report")
-    p.add_argument("--input", required=True, help="corpus file")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", help="report path (default stdout)")
-    p.add_argument("--strict", action="store_true",
-                   help="count the documented always-violated bound too")
-    _add_alpha_and_tolerance(p)
-
-    p = sub.add_parser("fuzz", help="randomized soundness sweep")
-    p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", help="optionally dump all reports here")
-    p.add_argument("--strict", action="store_true",
-                   help="count the documented always-violated bound too")
-    _add_alpha_and_tolerance(p)
-
-    p = sub.add_parser("hunt-equality", help="find equality cases of one bound")
-    p.add_argument("--bound", required=True, choices=bounds_mod.BOUND_IDS)
-    p.add_argument("--input", help="corpus file")
-    p.add_argument("--family", choices=_HUNT_FAMILIES,
-                   help="generate a named family instead of reading a corpus")
-    p.add_argument("--n-min", type=int, default=3, help="smallest graph order")
-    p.add_argument("--n-max", type=int, default=10, help="largest graph order")
-    p.add_argument("--out", help="hits path (default stdout)")
-    _add_alpha_and_tolerance(p)
-
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-    "fuzz": _cmd_fuzz,
-    "hunt-equality": _cmd_hunt,
-}
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would build from `argv`, or None to let argparse
+    decide: accepts only exact declared options, each with a separate value
+    not starting with '-' that passes its type and choices, store_true flags,
+    at most one declared positional, and every required option."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = dict(command[2])
+    positional = next((f for f in options if not f.startswith("-")), None)
+    seen = {}
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        flag = tok if tok.startswith("-") else positional
+        kwargs = options.get(flag)
+        if kwargs is None or (flag == positional and flag in seen):
+            return None
+        if kwargs.get("action") == "store_true":
+            seen[flag] = True
+            continue
+        value = tok if flag == positional else next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        seen[flag] = value
+    if any(kw.get("required") and f not in seen for f, kw in options.items()):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, kwargs in options.items():
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, flag.lstrip("-").replace("-", "_"), seen.get(flag, default))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
-        code = _HANDLERS[args.command](args)
+        code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:

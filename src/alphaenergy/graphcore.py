@@ -223,7 +223,7 @@ def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
     for _ in range(ER_MAX_DRAWS):
         mask = rng.random(len(pairs)) < p
         g = Graph(n, [e for e, keep in zip(pairs, mask) if keep])
-        if not connected or is_connected(g):
+        if not connected or g.connected:
             return g
     raise GenerationFailureError(
         f"no connected G({n}, {p}) sample in {ER_MAX_DRAWS} draws"

@@ -212,7 +212,7 @@ def _random_connected_graph(rng: np.random.Generator, n_min: int, n_max: int,
             if not 2 <= k < n:
                 continue
             g = graphcore.random_regular(n, k, int(rng.integers(0, 2**63)))
-            if graphcore.is_connected(g):
+            if g.connected:
                 return g
     p = float(rng.uniform(0.25, 0.75))
     return graphcore.erdos_renyi(
@@ -229,6 +229,8 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         raise ValueError(f"n range must satisfy 3 <= n_min <= n_max <= 62, got [{n_min}, {n_max}]")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     rows: list[tuple[str, spectra.AlphaSpectrum]] = []
     mono: list[tuple[str, float, str]] = []

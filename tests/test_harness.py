@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from alphaenergy import bounds, cli, graphcore, harness
@@ -96,6 +97,17 @@ def test_fuzz_solves_each_graph_at_most_three_times(monkeypatch):
     result = run_fuzz(4, 6, 4, 1, list(DEFAULT_ALPHA_GRID))
     assert result.generated == 4
     assert 0 < len(calls) <= 3 * result.generated
+
+
+def test_fuzz_checks_each_graph_connectivity_once(monkeypatch):
+    calls = []
+    real = graphcore.is_connected
+    monkeypatch.setattr(graphcore, "is_connected", lambda g: calls.append(g) or real(g))
+    run_fuzz(4, 10, 20, 42, [0.5])
+    assert len(calls) == 58  # accepted draws, rejected draws and edge-deleted graphs
+    calls.clear()
+    assert graphcore.erdos_renyi(10, 0.3, 5, connected=True).connected
+    assert len(calls) == 1
 
 
 def test_analyze_is_the_one_alpha_case_of_the_sweep():
@@ -391,6 +403,8 @@ def test_cli_fuzz_usage_errors(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert cli.main(["fuzz", "--n-min", "2", "--n-max", "5", "--trials", "1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert cli.main(["fuzz", "--seed", "-1", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 def test_cli_fuzz_small_clean(capsys):
@@ -503,6 +517,99 @@ def test_cli_usage_error_returns_one():
     assert cli.main([]) == 1
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["--help"]) == 0
+
+
+_CLI_OPTIONS = [option for _, _, options in cli._COMMANDS.values() for option in options]
+_CLI_FLAGS = sorted({flag for flag, _ in _CLI_OPTIONS if flag.startswith("--")})
+_CLI_VALUES = st.sampled_from([
+    "0", "62", "-3", "-0.5", "nan", "1e-7", "csv", "xml", "lb_maxdeg", "star", "C~",
+    "@", "", "-x", "--out", "-h",
+])
+_CLI_NOISE = st.one_of(
+    _CLI_VALUES,
+    st.sampled_from(["-h", "--help", "--", "bogus"]),
+    st.sampled_from(_CLI_FLAGS).map(lambda f: f[:4]),  # abbreviations
+    st.tuples(st.sampled_from(_CLI_FLAGS), _CLI_VALUES).map("=".join),
+)
+
+
+def _cli_chunk(option):
+    """A declared option (or positional) with a value its type and choices accept."""
+    flag, kwargs = option
+    if kwargs.get("action") == "store_true":
+        return st.just([flag])
+    if "choices" in kwargs:
+        value = st.sampled_from(kwargs["choices"])
+    elif kwargs.get("type") is int:
+        value = st.integers(0, 70).map(str)
+    else:
+        value = st.sampled_from(["0", "1e-7", "0,0.5", "C~", "x.g6"])
+    return value.map(lambda v: [flag, v] if flag.startswith("-") else [v])
+
+
+@st.composite
+def _cli_argv(draw):
+    """A well-formed call (required options included) with up to two defects:
+    a value swapped for any value, a noise token, a dropped chunk, or an
+    option of any subcommand."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "bogus", "--input"]))
+    own = cli._COMMANDS[name][2] if name in cli._COMMANDS else ()
+    chunks = [draw(_cli_chunk(o)) for o in own if o[1].get("required")]
+    for option in draw(st.lists(st.sampled_from(own or _CLI_OPTIONS), max_size=5)):
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(_cli_chunk(option)))
+    for defect in draw(st.lists(st.sampled_from(["value", "noise", "drop", "foreign"]),
+                                max_size=2)):
+        at = draw(st.integers(0, len(chunks)))
+        if defect == "noise":
+            chunks.insert(at, [draw(_CLI_NOISE)])
+        elif defect == "foreign":
+            chunks.insert(at, draw(st.sampled_from(_CLI_OPTIONS).flatmap(_cli_chunk)))
+        elif at < len(chunks) and defect == "drop":
+            del chunks[at]
+        elif at < len(chunks):
+            chunks[at] = chunks[at][:-1] + [draw(_CLI_VALUES)]
+    return [name, *(tok for c in chunks for tok in c)]
+
+
+_PARSER = cli.build_parser()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cli_argv())
+def test_read_argv_agrees_with_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is None:
+        return  # argparse decides
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
+            parsed = _PARSER.parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"reader accepted {argv!r}, argparse refused: {err.getvalue()}")
+    assert vars(args) == vars(parsed)
+
+
+def test_cli_benchmark_and_ci_argv_shapes_skip_argparse(tmp_path, monkeypatch, capsys):
+    def no_parser():
+        pytest.fail("built the argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("C~\nBg\n")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["sweep", "--input", str(corpus), "--format", "csv", "--out", out],
+        ["sweep", "--input", str(corpus), "--format", "json", "--out", out, "--alpha", "0.5"],
+        ["sweep", "--input", str(corpus), "--out", out],
+        ["fuzz", "--n-min", "4", "--n-max", "4", "--trials", "2", "--seed", "7", "--out", out],
+        ["hunt-equality", "--input", str(corpus), "--bound", "lb_average_degree", "--out", out],
+        ["hunt-equality", "--family", "star", "--n-min", "2", "--n-max", "5",
+         "--bound", "lb_maxdeg"],
+        ["bounds", "C~"],
+        ["spectrum", "C~"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_module_entrypoint_subprocess():
