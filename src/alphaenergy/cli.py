@@ -349,17 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        spectra.AlphaOutOfRangeError,
-        graphcore.InvalidParametersError,
-        graphcore.MalformedGraph6Error,
-        graphcore.MalformedEdgeListError,
-        graphcore.GraphTooLargeError,
-        ValueError,
-    ) as exc:
+    except (_CliError, ValueError) as exc:
+        # ValueError covers every typed input error: malformed graph6 or edge
+        # list, order caps, generator parameters, alpha out of range.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,6 +2,9 @@
 connectivity, and graph6 / edge-list codecs.
 
 Vertices are dense 0-based integers so graphs index directly into matrices.
+A graph's one array form is its cached, read-only `Graph.adjacency`
+matrix: degrees, connectivity, the graph6 encoder and the regular-graph
+complement all read it.
 Random generators draw from numpy's seeded PCG64 generator, which produces
 identical streams for identical seeds on every platform.
 """
@@ -10,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -58,7 +60,7 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 with a frozen edge set; the
     one per-graph record of what the bound verdicts read.
 
-    `degrees()`, `degree_sequence`, `zagreb`, `connected` and
+    `adjacency`, `degrees()`, `degree_sequence`, `zagreb`, `connected` and
     `adjacency_inertia` are computed on first read and cached on the
     instance. Equality and hashing read only `n` and `edges`."""
 
@@ -85,17 +87,20 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def _endpoints(self) -> np.ndarray:
-        """(m, 2) array of the edges' endpoints, in no particular order."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
-                           count=2 * self.m)
-        return flat.reshape(self.m, 2)
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only float64 (n, n) 0/1 adjacency matrix, zero diagonal."""
+        a = np.zeros((self.n, self.n))
+        u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
+        a[u, v] = a[v, u] = 1.0
+        a.setflags(write=False)
+        return a
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees, indexed by vertex, read-only."""
         d = self.__dict__.get("_degrees")
         if d is None:
-            d = np.bincount(self._endpoints().ravel(), minlength=self.n)
+            d = self.adjacency.sum(axis=1).astype(np.int64)
             d.setflags(write=False)
             object.__setattr__(self, "_degrees", d)
         return d
@@ -133,38 +138,24 @@ class Graph:
     def is_star(self) -> bool:
         return self.m == self.n - 1 and self.degree_sequence[0] == self.n - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
 
 def adjacency_matrix(g: Graph) -> SymmetricMatrix:
     """0/1 adjacency matrix with zero diagonal."""
-    u, v = g._endpoints().T
-    a = np.zeros((g.n, g.n))
-    a[np.concatenate((u, v)), np.concatenate((v, u))] = 1.0
-    return SymmetricMatrix(a)
+    return SymmetricMatrix(g.adjacency)
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff breadth-first traversal from vertex 0 reaches all n vertices."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(g.n)
-    seen[0] = 1
-    frontier = [0]
+    """True iff breadth-first expansion from vertex 0 reaches all n vertices:
+    each step adds every vertex with an adjacency row hitting the reached set."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
     count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    nxt.append(w)
-        frontier = nxt
-    return count == g.n
+    while True:
+        seen |= g.adjacency @ seen > 0
+        grown = int(np.count_nonzero(seen))
+        if grown == count:
+            return count == g.n
+        count = grown
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
@@ -219,10 +210,10 @@ def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParametersError(f"erdos_renyi needs n >= 1 and p in [0,1], got ({n}, {p})")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, cols = np.triu_indices(n, 1)
     for _ in range(ER_MAX_DRAWS):
-        mask = rng.random(len(pairs)) < p
-        g = Graph(n, [e for e, keep in zip(pairs, mask) if keep])
+        mask = rng.random(len(rows)) < p
+        g = Graph(n, zip(rows[mask].tolist(), cols[mask].tolist()))
         if not connected or g.connected:
             return g
     raise GenerationFailureError(
@@ -244,10 +235,7 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
     if k > (n - 1) // 2:
         # n(n-1-k) inherits evenness from nk, so the recursion is valid.
         inner = random_regular(n, n - 1 - k, seed)
-        return Graph(n, [
-            (i, j) for i in range(n) for j in range(i + 1, n)
-            if not inner.has_edge(i, j)
-        ])
+        return Graph(n, np.argwhere(np.triu(inner.adjacency == 0, 1)).tolist())
     if k == 0:
         return Graph(n)
     rng = np.random.default_rng(seed)
@@ -271,12 +259,8 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
 # One record: byte (n + 63), then ceil(n(n-1)/2 / 6) bytes each carrying six
 # bits (value = byte - 63, most significant bit first) of the upper adjacency
 # triangle in column order x(0,1), x(0,2), x(1,2), x(0,3), ...; pad bits zero.
-
-
-def _triangle_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cols = np.repeat(np.arange(1, n), np.arange(1, n))
-    rows = np.concatenate([np.arange(j) for j in range(1, n)]) if n > 1 else np.array([], dtype=int)
-    return rows, cols
+# That is the row-major order of the lower triangle with the indices swapped:
+# `cols, rows = np.tril_indices(n, -1)`.
 
 
 def parse_graph6(data: bytes | str) -> Graph:
@@ -316,7 +300,7 @@ def parse_graph6(data: bytes | str) -> Graph:
     bits = ((vals[:, None] >> shifts[None, :]) & 1).reshape(-1)
     if np.any(bits[nbits:]):
         raise MalformedGraph6Error("nonzero padding bits")
-    rows, cols = _triangle_pairs(n)
+    cols, rows = np.tril_indices(n, -1)
     mask = bits[:nbits].astype(bool)
     return Graph(n, list(zip(rows[mask].tolist(), cols[mask].tolist())))
 
@@ -325,14 +309,10 @@ def serialize_graph6(g: Graph) -> bytes:
     """Encode a graph as one graph6 record; inverse of parse_graph6."""
     if g.n > GRAPH6_MAX_ORDER:
         raise GraphTooLargeError(f"graph6 single-byte header caps n at 62, got {g.n}")
-    rows, cols = _triangle_pairs(g.n)
-    bits = np.zeros(len(rows), dtype=np.int64)
-    for i, (u, v) in enumerate(zip(rows.tolist(), cols.tolist())):
-        if g.has_edge(u, v):
-            bits[i] = 1
-    nbytes = (len(bits) + 5) // 6
+    cols, rows = np.tril_indices(g.n, -1)
+    nbytes = (len(rows) + 5) // 6
     padded = np.zeros(nbytes * 6, dtype=np.int64)
-    padded[: len(bits)] = bits
+    padded[: len(rows)] = g.adjacency[rows, cols]
     weights = np.array([32, 16, 8, 4, 2, 1])
     vals = padded.reshape(nbytes, 6) @ weights
     return bytes([g.n + 63]) + bytes((vals + 63).astype(np.uint8).tolist())

@@ -6,15 +6,16 @@ alpha*D + (1-alpha)*A. Its eigenvalues rho_i (descending), centered copies
 s_i = rho_i - 2*alpha*m/n, and the derived scalars (energy, eta, 2S, the
 shifted determinant Gamma, theta) are packed into one AlphaSpectrum record.
 
-What depends on the graph alone (degrees, Zagreb index, connectivity,
-adjacency inertia, complete/regular/star flags) is cached on the `Graph`
-itself, which every AlphaSpectrum of that graph holds. `graph_spectra`
-builds a graph's whole alpha list with `alpha_matrices`, solves it in one
-stacked LAPACK call (`densela.eigendecompose`) for eigenvalues only, and
-derives each scalar with one reduction along the rows of that solve. A
-stacked solve gives the same bits as one solve per alpha, and repeated runs
-with the same numpy/LAPACK build give bit-identical spectra; another build
-may differ in the last few digits.
+What depends on the graph alone (adjacency matrix, degrees, Zagreb index,
+connectivity, adjacency inertia, complete/regular/star flags) is cached on
+the `Graph` itself, which every AlphaSpectrum of that graph holds.
+`graph_spectra` builds a graph's whole alpha list from the cached adjacency
+with `alpha_matrices`, solves it in one stacked LAPACK call
+(`densela.eigendecompose`) for eigenvalues only, and derives each scalar
+with one reduction along the rows of that solve. A stacked solve gives the
+same bits as one solve per alpha, and repeated runs with the same
+numpy/LAPACK build give bit-identical spectra; another build may differ in
+the last few digits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densela, graphcore
+from . import densela
 from .densela import SymmetricMatrix
 from .graphcore import Graph
 
@@ -78,8 +79,8 @@ class AlphaSpectrum:
 def alpha_matrices(g: Graph, alphas) -> SymmetricMatrix:
     """alpha*D + (1-alpha)*A for each alpha, as one (k, n, n) stack."""
     al = np.array([_check_alpha(x) for x in alphas], dtype=np.float64)[:, None, None]
-    a = graphcore.adjacency_matrix(g).entries
-    return SymmetricMatrix(al * np.diag(g.degrees().astype(np.float64)) + (1.0 - al) * a)
+    d = np.diag(g.degrees().astype(np.float64))
+    return SymmetricMatrix(al * d + (1.0 - al) * g.adjacency)
 
 
 def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own code: matrices are
 built from edge lists, spectra come from LAPACK (numpy.linalg.eigvalsh) or,
 independently of LAPACK, from a cyclic Jacobi sweep; eigenvalue residuals
 from a singular value decomposition; characteristic polynomials from the
-Faddeev-LeVerrier recursion, determinants from cofactor expansion; CSV
-reports from `csv.writer` and JSON reports from `json.dumps`.
+Faddeev-LeVerrier recursion, determinants from cofactor expansion;
+connectivity from a union-find over the edge set; CSV reports from
+`csv.writer` and JSON reports from `json.dumps`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,25 @@ def adjacency(g) -> np.ndarray:
         a[u, v] = 1.0
         a[v, u] = 1.0
     return a
+
+
+def connected_by_union_find(g) -> bool:
+    """True iff merging the endpoints of every edge leaves one component."""
+    parent = list(range(g.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = g.n
+    for u, v in g.edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return components == 1
 
 
 def alpha_matrix(g, alpha: float) -> np.ndarray:

@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import oracles
 import pytest
 
 from alphaenergy import graphcore, spectra
@@ -88,6 +91,13 @@ def test_degrees_computed_once_and_read_only():
     assert a.sum(axis=1).tolist() == d.tolist()
     assert all(a[u, v] == a[v, u] == 1.0 for u, v in g.edges)
     assert Graph(3).degrees().tolist() == [0, 0, 0]
+    adj = g.adjacency
+    assert g.adjacency is adj and adj.dtype == np.float64 and adj.shape == (12, 12)
+    with pytest.raises(ValueError):
+        adj[0, 1] = 1.0
+    assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+    assert set(np.unique(adj).tolist()) <= {0.0, 1.0}
+    assert adj.sum(axis=1).tolist() == d.tolist()
 
 
 def test_degree_matrix():
@@ -101,7 +111,8 @@ def test_degree_matrix():
 def test_cached_fields_leave_equality_and_hash_alone():
     a, b = petersen(), petersen()
     a.degrees(), a.degree_sequence, a.zagreb, a.connected, a.adjacency_inertia
-    assert {"degree_sequence", "zagreb", "connected", "adjacency_inertia"} <= vars(a).keys()
+    assert {"adjacency", "degree_sequence", "zagreb", "connected",
+            "adjacency_inertia"} <= vars(a).keys()
     assert "adjacency_inertia" not in vars(b)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != delete_edge(a, *min(a.edges))
@@ -113,6 +124,23 @@ def test_is_connected():
     two_k2 = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(two_k2)
     assert is_connected(Graph(1))
+    # Against a union-find over the edge set, on every order up to 62.
+    rng = np.random.default_rng(11)
+    graphs = [path(62), Graph(62), Graph(62, [(0, 61)])]
+    for n in range(1, 63):
+        for p in (0.5 / n, 1.0 / n, 2.0 / n, 0.3):
+            graphs.append(erdos_renyi(n, min(p, 1.0), int(rng.integers(0, 2**63))))
+        # Disjoint union of two connected graphs: one edge short of connected.
+        if n >= 2:
+            k = int(rng.integers(1, n))
+            left = erdos_renyi(k, 0.5, int(rng.integers(0, 2**63)), connected=True)
+            right = erdos_renyi(n - k, 0.5, int(rng.integers(0, 2**63)), connected=True)
+            union = Graph(n, set(left.edges) | {(u + k, v + k) for u, v in right.edges})
+            bridged = Graph(n, set(union.edges) | {(0, n - 1)})
+            graphs += [union, bridged]
+    verdicts = [is_connected(g) for g in graphs]
+    assert verdicts == [oracles.connected_by_union_find(g) for g in graphs]
+    assert 0.2 < np.mean(verdicts) < 0.8
 
 
 def test_delete_edge():
@@ -149,6 +177,13 @@ def test_graph6_fixed_vectors():
     assert serialize_graph6(Graph(2)) == b"A?"
     single = parse_graph6(b"@")
     assert single.n == 1 and single.m == 0
+    assert serialize_graph6(Graph(1)) == b"@"
+    for g in (complete(62), Graph(62)):
+        record = serialize_graph6(g)
+        assert len(record) == 317 and parse_graph6(record) == g
+    # 1,891 bits: the last byte holds one edge bit and five zero pad bits.
+    assert serialize_graph6(complete(62)) == b"}" + b"~" * 315 + b"_"
+    assert serialize_graph6(Graph(62)) == b"}" + b"?" * 316
 
 
 def test_graph6_malformed():
@@ -218,6 +253,12 @@ def test_erdos_renyi_determinism_and_connectivity():
     a = erdos_renyi(12, 0.4, 99)
     b = erdos_renyi(12, 0.4, 99)
     assert a.edges == b.edges
+    # Frozen outputs: a seed keeps its graph across rewrites of the generator.
+    assert serialize_graph6(a) == b"KITQcxWCQDiD"
+    big = erdos_renyi(62, 0.1, 0, connected=True)
+    assert big.m == 201 and is_connected(big)
+    assert hashlib.sha256(serialize_graph6(big)).hexdigest() == (
+        "8b113b98bfde4fee2053a5306466a6fdd6e7abc186a4aff57dd36b3c387ccd63")
     for seed in range(5):
         g = erdos_renyi(8, 0.3, seed, connected=True)
         assert is_connected(g)
@@ -233,6 +274,9 @@ def test_random_regular():
         assert g.degree_sequence == (3,) * 10
     a = random_regular(8, 4, 7)
     assert a.edges == random_regular(8, 4, 7).edges
+    # Frozen outputs of the complement branch (k > (n-1)/2) and the pairing.
+    assert a.degree_sequence == (4,) * 8 and serialize_graph6(a) == b"GrUdYw"
+    assert serialize_graph6(random_regular(10, 3, 1)) == b"ISPK@dIL?"
     assert random_regular(5, 0, 0).m == 0
     with pytest.raises(InvalidParametersError):
         random_regular(5, 3, 0)  # n*k odd

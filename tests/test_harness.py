@@ -502,6 +502,7 @@ def test_cli_oversized_edge_list_is_a_usage_error(tmp_path, capsys, monkeypatch)
         pytest.fail(f"built an adjacency matrix of order {g.n}")
 
     monkeypatch.setattr(graphcore, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(graphcore.Graph, "adjacency", property(no_matrix))
     big = tmp_path / "big.txt"
     big.write_text("20000 1\n0 1\n")
     for argv in (["spectrum", "--input", str(big)],
