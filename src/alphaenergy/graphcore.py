@@ -5,8 +5,9 @@ Vertices are dense 0-based integers so graphs index directly into matrices.
 A graph's one array form is its cached, read-only `Graph.adjacency`
 matrix: degrees, connectivity, the graph6 encoder and the regular-graph
 complement all read it.
-Random generators draw from numpy's seeded PCG64 generator, which produces
-identical streams for identical seeds on every platform.
+Random generators draw from `pcg64.default_rng(seed)`, the stream of
+numpy's seeded PCG64 generator, identical for identical seeds on every
+platform; a small call draws it without importing `numpy.random`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import densela
+from . import densela, pcg64
 from .densela import SymmetricMatrix
 
 GRAPH6_MAX_ORDER = 62
@@ -209,7 +210,7 @@ def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
     """G(n, p) sample; with `connected=True`, redraws until connected."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParametersError(f"erdos_renyi needs n >= 1 and p in [0,1], got ({n}, {p})")
-    rng = np.random.default_rng(seed)
+    rng = pcg64.default_rng(seed)
     rows, cols = np.triu_indices(n, 1)
     for _ in range(ER_MAX_DRAWS):
         mask = rng.random(len(rows)) < p
@@ -225,8 +226,10 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
     """k-regular graph by the pairing model, rejecting non-simple matchings.
 
     For k above (n-1)/2 the (n-1-k)-regular complement is paired instead and
-    the result complemented; the conditioned distribution is the same and the
-    rejection rate stays manageable.
+    the result complemented; the conditioned distribution is the same. A
+    pairing is simple with probability about exp(-(k*k - 1)/4), so the
+    REGULAR_MAX_PAIRINGS budget holds for k <= 5 but runs out from about
+    k = 6 or 7 (as a GenerationFailureError).
     """
     if not 0 <= k < n:
         raise InvalidParametersError(f"random_regular needs 0 <= k < n, got ({n}, {k})")
@@ -238,7 +241,7 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
         return Graph(n, np.argwhere(np.triu(inner.adjacency == 0, 1)).tolist())
     if k == 0:
         return Graph(n)
-    rng = np.random.default_rng(seed)
+    rng = pcg64.default_rng(seed)
     stubs = np.repeat(np.arange(n), k)
     for _ in range(REGULAR_MAX_PAIRINGS):
         perm = rng.permutation(stubs)

@@ -1,0 +1,168 @@
+"""Seeded random draws without importing `numpy.random`.
+
+`default_rng(seed)` returns a generator whose every draw equals the draw of
+`numpy.random.default_rng(seed)`: numpy's SeedSequence hashing of the integer
+seed, its PCG64 bit generator (a 128-bit LCG with XSL-RR output; M. E.
+O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", HMC-CS-2014-0905), and its
+`random`, `integers` and `permutation` algorithms on top.
+
+A draw here costs about 1 us against about 0.01 us in numpy, and importing
+`numpy.random` costs about as much as 4,000 draws here; a small fuzz call
+makes a few hundred. So a process draws its first BUDGET values in Python.
+The request that would pass BUDGET and every later one go to numpy: a live
+generator hands over its exact PCG64 state, and `default_rng` returns
+numpy's generator. The stream is the same either way.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+BUDGET = 4096  # values a process draws here before it imports numpy.random
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG's 128-bit LCG
+_TO_DOUBLE = 1.0 / (1 << 53)
+
+_requested = 0  # values requested from this module's generators in this process
+
+
+def default_rng(seed):
+    """A generator of `numpy.random.default_rng(seed)`'s stream: this module's
+    for a non-negative integer seed while the process is within BUDGET,
+    numpy's otherwise (numpy takes or rejects any other seed)."""
+    if _requested >= BUDGET or not isinstance(seed, (int, np.integer)) or seed < 0:
+        return np.random.default_rng(seed)
+    return Generator(int(seed))
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """(state, inc) of `PCG64(SeedSequence(seed))`: the seed's uint32 words,
+    low word first, hashed into a pool of four, expanded to four uint64 words
+    (initstate high and low, initseq high and low), then PCG's srandom."""
+    words = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        words.append(seed & _M32)
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    s = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = (s[2] << 64 | s[3]) << 1 & _M128 | 1
+    return ((inc + (s[0] << 64 | s[1])) * _MULT + inc) & _M128, inc
+
+
+class Generator:
+    """numpy's `Generator(PCG64(seed))` for the draws the package makes.
+
+    `_half` is the upper half of a 64-bit output kept for the next 32-bit
+    draw (numpy's `has_uint32`/`uinteger`); `_numpy` is the twin that takes
+    the stream over once the process is past BUDGET."""
+
+    def __init__(self, seed: int):
+        self._state, self._inc = _seed_state(seed)
+        self._half = None
+        self._numpy = None
+
+    def _over(self, k: int) -> bool:
+        """Count k requested values; True, with the stream handed to numpy,
+        once the process is past BUDGET."""
+        global _requested
+        if self._numpy is None:
+            _requested += k
+            if _requested <= BUDGET:
+                return False
+            self._numpy = np.random.Generator(np.random.PCG64(0))
+            self._numpy.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": int(self._half is not None),
+                "uinteger": self._half or 0,
+            }
+        return True
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _MULT + self._inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _M32
+
+    def random(self, size: int | None = None):
+        """A float in [0, 1) from the top 53 bits of one 64-bit output, or a
+        float64 array of `size` of them."""
+        if self._over(1 if size is None else size):
+            return self._numpy.random(size)
+        if size is None:
+            return (self._next64() >> 11) * _TO_DOUBLE
+        return np.array([(self._next64() >> 11) * _TO_DOUBLE for _ in range(size)])
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high) by Lemire's multiply-and-reject: from 32-bit
+        draws when the span fits in 32 bits, else from 64-bit draws."""
+        low, high = int(low), int(high)
+        if not -(1 << 63) <= low < high <= 1 << 63:
+            raise ValueError(f"integers needs -2**63 <= low < high <= 2**63, got [{low}, {high})")
+        if self._over(1):
+            return int(self._numpy.integers(low, high))
+        span = high - low
+        if span == 1:  # numpy draws nothing for a one-value span
+            return low
+        bits, draw = (32, self._next32) if span <= 1 << 32 else (64, self._next64)
+        mask, threshold = (1 << bits) - 1, (1 << bits) % span
+        m = draw() * span
+        while m & mask < threshold:
+            m = draw() * span
+        return low + (m >> bits)
+
+    def permutation(self, x: np.ndarray) -> np.ndarray:
+        """A shuffled copy of the 1-d array x: Fisher-Yates from the top, each
+        index j in [0, i] a 32-bit draw masked to i's bit length, redrawn
+        while above i."""
+        if self._over(len(x)):
+            return self._numpy.permutation(x)
+        arr = x.tolist()
+        for i in range(len(arr) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            arr[i], arr[j] = arr[j], arr[i]
+        return np.array(arr, dtype=x.dtype)
