@@ -5,12 +5,7 @@ published upper/lower bounds with equality-case certification.
 A `Graph` caches what depends on it alone. `analyze` checks one graph at one
 alpha; the `run_*` drivers check corpora over whole alpha grids."""
 
-from .densela import (
-    NoConvergenceError,
-    NonSymmetricError,
-    SymmetricMatrix,
-    eigendecompose,
-)
+from .densela import NoConvergenceError, eigendecompose
 from .graphcore import (
     GenerationFailureError,
     Graph,
@@ -19,7 +14,6 @@ from .graphcore import (
     MalformedEdgeListError,
     MalformedGraph6Error,
     NoSuchEdgeError,
-    adjacency_matrix,
     complete,
     cycle,
     delete_edge,

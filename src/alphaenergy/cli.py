@@ -10,7 +10,8 @@ the same table, runs only when the reader declines (help, abbreviations,
 `--opt=value`, a bad or missing value), so help text and argument errors
 come from argparse alone.
 
-Exit status: 0 = clean, 1 = usage or parse error, 2 = violations found.
+Exit status: 0 = clean, 1 = usage or parse error or a failed eigensolve,
+2 = violations found.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import sys
 
 from . import bounds as bounds_mod
-from . import graphcore, harness, spectra
+from . import densela, graphcore, harness, spectra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -349,9 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_CliError, ValueError) as exc:
+    except (_CliError, ValueError, densela.NoConvergenceError) as exc:
         # ValueError covers every typed input error: malformed graph6 or edge
         # list, order caps, generator parameters, alpha out of range.
+        # NoConvergenceError carries LAPACK's own failure message.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,7 +4,8 @@ connectivity, and graph6 / edge-list codecs.
 Vertices are dense 0-based integers so graphs index directly into matrices.
 A graph's one array form is its cached, read-only `Graph.adjacency`
 matrix: degrees, connectivity, the graph6 encoder and the regular-graph
-complement all read it.
+complement all read it, the adjacency inertia solves it as it stands, and
+`spectra.alpha_matrices` builds every alpha*D + (1-alpha)*A from it.
 Random generators draw from `pcg64.default_rng(seed)`, the stream of
 numpy's seeded PCG64 generator, identical for identical seeds on every
 platform; a small call draws it without importing `numpy.random`.
@@ -19,7 +20,6 @@ from typing import Iterable
 import numpy as np
 
 from . import densela, pcg64
-from .densela import SymmetricMatrix
 
 GRAPH6_MAX_ORDER = 62
 # Largest order an edge list may declare. The solvers hold dense (k, n, n)
@@ -122,8 +122,9 @@ class Graph:
 
     @cached_property
     def adjacency_inertia(self) -> tuple[int, int, int]:
-        """(+, 0, -) counts of the adjacency eigenvalues, up to INERTIA_TOL."""
-        adj = densela.eigendecompose(adjacency_matrix(self))
+        """(+, 0, -) counts of the adjacency eigenvalues, up to INERTIA_TOL,
+        from one solve of `adjacency` itself."""
+        adj = densela.eigendecompose(self.adjacency)
         pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
         return (pos, self.n - pos - neg, neg)
 
@@ -138,11 +139,6 @@ class Graph:
     @property
     def is_star(self) -> bool:
         return self.m == self.n - 1 and self.degree_sequence[0] == self.n - 1
-
-
-def adjacency_matrix(g: Graph) -> SymmetricMatrix:
-    """0/1 adjacency matrix with zero diagonal."""
-    return SymmetricMatrix(g.adjacency)
 
 
 def is_connected(g: Graph) -> bool:

@@ -10,12 +10,12 @@ What depends on the graph alone (adjacency matrix, degrees, Zagreb index,
 connectivity, adjacency inertia, complete/regular/star flags) is cached on
 the `Graph` itself, which every AlphaSpectrum of that graph holds.
 `graph_spectra` builds a graph's whole alpha list from the cached adjacency
-with `alpha_matrices`, solves it in one stacked LAPACK call
-(`densela.eigendecompose`) for eigenvalues only, and derives each scalar
-with one reduction along the rows of that solve. A stacked solve gives the
-same bits as one solve per alpha, and repeated runs with the same
-numpy/LAPACK build give bit-identical spectra; another build may differ in
-the last few digits.
+with `alpha_matrices` as one plain (k, n, n) array, solves that array as it
+stands in one stacked LAPACK call (`densela.eigendecompose`) for eigenvalues
+only, and derives each scalar with one reduction along the rows of that
+solve. A stacked solve gives the same bits as one solve per alpha, and
+repeated runs with the same numpy/LAPACK build give bit-identical spectra;
+another build may differ in the last few digits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densela
-from .densela import SymmetricMatrix
 from .graphcore import Graph
 
 SHIFT_TIE_TOL = 1e-9     # eigenvalues within this of the shift count as >=
@@ -76,11 +75,12 @@ class AlphaSpectrum:
         return self.graph.connected
 
 
-def alpha_matrices(g: Graph, alphas) -> SymmetricMatrix:
-    """alpha*D + (1-alpha)*A for each alpha, as one (k, n, n) stack."""
+def alpha_matrices(g: Graph, alphas) -> np.ndarray:
+    """alpha*D + (1-alpha)*A for each alpha, as one fresh float64 (k, n, n)
+    stack: finite and exactly symmetric, since both terms are."""
     al = np.array([_check_alpha(x) for x in alphas], dtype=np.float64)[:, None, None]
     d = np.diag(g.degrees().astype(np.float64))
-    return SymmetricMatrix(al * d + (1.0 - al) * g.adjacency)
+    return al * d + (1.0 - al) * g.adjacency
 
 
 def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:

@@ -501,7 +501,6 @@ def test_cli_oversized_edge_list_is_a_usage_error(tmp_path, capsys, monkeypatch)
     def no_matrix(g):
         pytest.fail(f"built an adjacency matrix of order {g.n}")
 
-    monkeypatch.setattr(graphcore, "adjacency_matrix", no_matrix)
     monkeypatch.setattr(graphcore.Graph, "adjacency", property(no_matrix))
     big = tmp_path / "big.txt"
     big.write_text("20000 1\n0 1\n")
@@ -512,6 +511,19 @@ def test_cli_oversized_edge_list_is_a_usage_error(tmp_path, capsys, monkeypatch)
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "20000" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "C~"], ["bounds", "C~", "--alpha", "0,1"],
+                                  ["fuzz", "--n-min", "4", "--n-max", "4", "--trials", "1"]])
+def test_cli_eigensolver_failure_is_an_error_not_a_traceback(argv, capsys, monkeypatch):
+    def failing_eigvalsh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symmetric eigensolver failed: Eigenvalues did not converge\n"
 
 
 def test_cli_usage_error_returns_one():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from alphaenergy import densela, graphcore, harness
-from alphaenergy.graphcore import INERTIA_TOL, Graph, complete, cycle, delete_edge, petersen, star
+from alphaenergy.graphcore import (
+    INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, star,
+)
 from alphaenergy.harness import DEFAULT_ALPHA_GRID
 from alphaenergy.spectra import AlphaOutOfRangeError, alpha_matrices, graph_spectra
 from one_alpha import alpha_spectrum
@@ -15,14 +18,14 @@ SQRT3 = math.sqrt(3.0)
 
 def alpha_matrix(g, alpha):
     """The package's alpha*D + (1-alpha)*A at one alpha."""
-    return alpha_matrices(g, [alpha]).entries[0]
+    return alpha_matrices(g, [alpha])[0]
 
 
 def test_alpha_matrix_endpoints():
     k2 = complete(2)
     assert alpha_matrix(k2, 0.0).tolist() == [[0, 1], [1, 0]]
     assert np.allclose(alpha_matrix(k2, 1.0), np.eye(2))
-    assert alpha_matrices(k2, [0.0, 1.0]).entries.shape == (2, 2, 2)
+    assert alpha_matrices(k2, [0.0, 1.0]).shape == (2, 2, 2)
 
 
 def test_alpha_matrix_k4_half():
@@ -37,8 +40,41 @@ def test_alpha_matrix_k4_half():
 def test_alpha_matrix_signless_identity():
     g = petersen()
     q = 2.0 * alpha_matrix(g, 0.5)
-    d_plus_a = np.diag(g.degrees()) + graphcore.adjacency_matrix(g).entries
+    d_plus_a = np.diag(g.degrees()) + g.adjacency
     assert np.array_equal(q, d_plus_a)
+
+
+@st.composite
+def _parsed_graphs(draw):
+    """Any edge set on 1..62 vertices, read through the graph6 parser."""
+    n = draw(st.integers(1, 62))
+    nbits = n * (n - 1) // 2
+    bits = draw(st.integers(0, 2**nbits - 1))
+    if draw(st.booleans()):
+        bits ^= 2**nbits - 1  # the complement: dense graphs as often as sparse
+    nbytes = (nbits + 5) // 6
+    padded = bits << (6 * nbytes - nbits)
+    body = bytes(63 + (padded >> 6 * (nbytes - 1 - i) & 63) for i in range(nbytes))
+    return parse_graph6(bytes([63 + n]) + body)
+
+
+@given(_parsed_graphs(), st.lists(st.floats(0.0, 1.0), max_size=4))
+@example(Graph(1), [])
+@example(Graph(5), [])
+@example(Graph(4, [(0, 1), (2, 3)]), [0.25])
+@example(complete(62), [0.999])
+@settings(max_examples=60, deadline=None)
+def test_alpha_matrices_finite_and_exactly_symmetric(g, extra):
+    # What the solver takes on trust: every stack is finite and exactly
+    # symmetric, so solving it raw gives the bits of symmetrising it first.
+    alphas = [0.0, 0.5, 1.0, *extra]
+    m = alpha_matrices(g, alphas)
+    assert m.shape == (len(alphas), g.n, g.n) and m.dtype == np.float64
+    assert m.flags.writeable and not np.may_share_memory(m, g.adjacency)
+    assert np.all(np.isfinite(m))
+    assert np.array_equal(m, m.swapaxes(-2, -1))
+    symmetrised = np.linalg.eigvalsh((m + m.swapaxes(-2, -1)) / 2)[..., ::-1]
+    assert densela.eigendecompose(m).tobytes() == symmetrised.tobytes()
 
 
 def test_alpha_out_of_range():
