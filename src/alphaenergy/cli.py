@@ -59,7 +59,8 @@ def _input_graphs(args) -> list[tuple[str, graphcore.Graph]]:
         raise _CliError("give either a graph6 record or --input, not both")
     if getattr(args, "graph", None) is not None:
         try:
-            return [(args.graph, graphcore.parse_graph6(args.graph))]
+            gid = args.graph.removeprefix(graphcore.GRAPH6_HEADER)
+            return [(gid, graphcore.parse_graph6(gid))]
         except graphcore.MalformedGraph6Error as exc:
             raise _CliError(f"bad graph6 record: {exc}") from None
     if not args.input:

@@ -2,18 +2,19 @@
 connectivity, and graph6 / edge-list codecs.
 
 Vertices are dense 0-based integers so graphs index directly into matrices.
-A graph's one array form is its cached, read-only `Graph.adjacency`
-matrix: degrees, connectivity, the graph6 encoder and the regular-graph
-complement all read it, the adjacency inertia solves it as it stands, and
-`spectra.alpha_matrices` builds every alpha*D + (1-alpha)*A from it.
-Random generators draw from `pcg64.default_rng(seed)`, the stream of
-numpy's seeded PCG64 generator, identical for identical seeds on every
-platform; a small call draws it without importing `numpy.random`.
+A `Graph` is its one read-only 0/1 adjacency matrix: the graph6 decoder and
+the G(n, p), regular and edge-deletion generators write that matrix
+directly, with no per-edge Python pass, and the edge set, edge count,
+degrees and connectivity are derived from it. The adjacency inertia solves
+it as it stands, and `spectra.alpha_matrices` builds every
+alpha*D + (1-alpha)*A from it. Random generators draw from
+`pcg64.default_rng(seed)`, the stream of numpy's seeded PCG64 generator,
+identical for identical seeds on every platform; a small call draws it
+without importing `numpy.random`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import densela, pcg64
 
 GRAPH6_MAX_ORDER = 62
+GRAPH6_HEADER = ">>graph6<<"  # optional record prefix of the graph6 format
 # Largest order an edge list may declare. The solvers hold dense (k, n, n)
 # stacks: at n = 1000 an 11-alpha sweep stack is 96 MB.
 MAX_ORDER = 1000
@@ -56,22 +58,21 @@ class NoSuchEdgeError(LookupError):
     """Requested edge is not present in the graph."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with a frozen edge set; the
-    one per-graph record of what the bound verdicts read.
+    """Simple undirected graph on vertices 0..n-1, stored as one read-only
+    float64 (n, n) 0/1 adjacency matrix with a zero diagonal; the one
+    per-graph record of what the bound verdicts read.
 
-    `adjacency`, `degrees()`, `degree_sequence`, `zagreb`, `connected` and
-    `adjacency_inertia` are computed on first read and cached on the
-    instance. Equality and hashing read only `n` and `edges`."""
-
-    n: int
-    edges: frozenset
+    `n` is the matrix's order. `edges` (the frozenset of (u, v) with u < v),
+    `m`, `degrees()`, `degree_sequence`, `zagreb`, `connected` and
+    `adjacency_inertia` are derived from the matrix on first read and cached
+    on the instance. Two graphs are equal, and hash alike, when they have the
+    same order and the same edge set, that is the same matrix."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise InvalidParametersError(f"graph order must be >= 1, got {n}")
-        norm = set()
+        us, vs = [], []
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
@@ -80,22 +81,53 @@ class Graph:
                 raise InvalidParametersError(
                     f"edge ({u}, {v}) outside vertex range 0..{n - 1}"
                 )
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", frozenset(norm))
+            us.append(u)
+            vs.append(v)
+        a = np.zeros((int(n), int(n)))
+        a[us, vs] = a[vs, us] = 1.0
+        a.setflags(write=False)
+        self.__dict__["_adjacency"] = a
+
+    @classmethod
+    def _from_adjacency(cls, a: np.ndarray) -> Graph:
+        """Graph owning `a`, a fresh symmetric float64 0/1 matrix with a zero
+        diagonal that no one else writes; it is made read-only here."""
+        g = cls.__new__(cls)
+        a.setflags(write=False)
+        g.__dict__["_adjacency"] = a
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return np.array_equal(self.adjacency, other.adjacency)
+
+    def __hash__(self):
+        return hash(self.adjacency.tobytes())  # 8 n^2 bytes, so n is in it
+
+    def __repr__(self):
+        return f"Graph({self.n}, {sorted(self.edges)})"
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    @cached_property
     def adjacency(self) -> np.ndarray:
         """Read-only float64 (n, n) 0/1 adjacency matrix, zero diagonal."""
-        a = np.zeros((self.n, self.n))
-        u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
-        a[u, v] = a[v, u] = 1.0
-        a.setflags(write=False)
-        return a
+        return self._adjacency
+
+    @cached_property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @cached_property
+    def edges(self) -> frozenset:
+        u, v = np.nonzero(np.triu(self.adjacency, 1))
+        return frozenset(zip(u.tolist(), v.tolist()))
+
+    @cached_property
+    def m(self) -> int:
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees, indexed by vertex, read-only."""
@@ -103,7 +135,7 @@ class Graph:
         if d is None:
             d = self.adjacency.sum(axis=1).astype(np.int64)
             d.setflags(write=False)
-            object.__setattr__(self, "_degrees", d)
+            self.__dict__["_degrees"] = d
         return d
 
     @cached_property
@@ -157,10 +189,11 @@ def is_connected(g: Graph) -> bool:
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """New graph with the edge {u, v} removed; the input is unchanged."""
-    key = (u, v) if u < v else (v, u)
-    if key not in g.edges:
+    if not (0 <= u < g.n and 0 <= v < g.n and g.adjacency[u, v]):
         raise NoSuchEdgeError(f"edge ({u}, {v}) not in graph")
-    return Graph(g.n, g.edges - {key})
+    a = g.adjacency.copy()
+    a[u, v] = a[v, u] = 0.0
+    return Graph._from_adjacency(a)
 
 
 # -- named generators ---------------------------------------------------
@@ -207,10 +240,12 @@ def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParametersError(f"erdos_renyi needs n >= 1 and p in [0,1], got ({n}, {p})")
     rng = pcg64.default_rng(seed)
-    rows, cols = np.triu_indices(n, 1)
+    upper = np.triu_indices(n, 1)
     for _ in range(ER_MAX_DRAWS):
-        mask = rng.random(len(rows)) < p
-        g = Graph(n, zip(rows[mask].tolist(), cols[mask].tolist()))
+        a = np.zeros((n, n))
+        a[upper] = rng.random(len(upper[0])) < p
+        a += a.T
+        g = Graph._from_adjacency(a)
         if not connected or g.connected:
             return g
     raise GenerationFailureError(
@@ -234,7 +269,7 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
     if k > (n - 1) // 2:
         # n(n-1-k) inherits evenness from nk, so the recursion is valid.
         inner = random_regular(n, n - 1 - k, seed)
-        return Graph(n, np.argwhere(np.triu(inner.adjacency == 0, 1)).tolist())
+        return Graph._from_adjacency(1.0 - inner.adjacency - np.eye(n))
     if k == 0:
         return Graph(n)
     rng = pcg64.default_rng(seed)
@@ -244,10 +279,11 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
         us, vs = perm[0::2], perm[1::2]
         if np.any(us == vs):
             continue
-        edges = {(int(u), int(v)) if u < v else (int(v), int(u)) for u, v in zip(us, vs)}
-        if len(edges) != len(us):
+        a = np.zeros((n, n))
+        a[us, vs] = a[vs, us] = 1.0
+        if np.count_nonzero(a) != 2 * len(us):  # a repeated pair
             continue
-        return Graph(n, edges)
+        return Graph._from_adjacency(a)
     raise GenerationFailureError(
         f"no simple {k}-regular pairing on {n} vertices in {REGULAR_MAX_PAIRINGS} attempts"
     )
@@ -258,12 +294,14 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
 # One record: byte (n + 63), then ceil(n(n-1)/2 / 6) bytes each carrying six
 # bits (value = byte - 63, most significant bit first) of the upper adjacency
 # triangle in column order x(0,1), x(0,2), x(1,2), x(0,3), ...; pad bits zero.
-# That is the row-major order of the lower triangle with the indices swapped:
-# `cols, rows = np.tril_indices(n, -1)`.
+# That is the row-major order of the lower triangle of the transpose, so the
+# bits fill `a.T[np.tri(n, k=-1, dtype=bool)]`. A file may start each record
+# with GRAPH6_HEADER, as networkx's writers do.
 
 
 def parse_graph6(data: bytes | str) -> Graph:
-    """Decode one graph6 record (order at most 62)."""
+    """Decode one graph6 record (order at most 62), after one optional
+    leading GRAPH6_HEADER."""
     if isinstance(data, str):
         try:
             record = data.encode("ascii")
@@ -271,7 +309,7 @@ def parse_graph6(data: bytes | str) -> Graph:
             raise MalformedGraph6Error(f"non-ascii input: {exc}") from None
     else:
         record = bytes(data)
-    record = record.strip()
+    record = record.strip().removeprefix(GRAPH6_HEADER.encode("ascii"))
     if not record:
         raise MalformedGraph6Error("empty record")
     head = record[0]
@@ -289,32 +327,32 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise MalformedGraph6Error(
             f"expected {nbytes} payload bytes for n={n}, got {len(body)}"
         )
-    vals = np.frombuffer(body, dtype=np.uint8).astype(np.int64) - 63
-    if np.any(vals < 0) or np.any(vals > 63):
-        bad = int(np.argmax((vals < 0) | (vals > 63)))
+    vals = np.frombuffer(body, dtype=np.uint8)
+    out = (vals < 63) | (vals > 126)
+    if out.any():
+        bad = int(np.argmax(out))
         raise MalformedGraph6Error(
             f"payload byte {body[bad]} at offset {bad + 1} outside 63..126"
         )
-    shifts = np.array([5, 4, 3, 2, 1, 0])
-    bits = ((vals[:, None] >> shifts[None, :]) & 1).reshape(-1)
-    if np.any(bits[nbits:]):
+    bits = np.unpackbits(vals - np.uint8(63)).reshape(-1, 8)[:, 2:].reshape(-1)
+    if bits[nbits:].any():
         raise MalformedGraph6Error("nonzero padding bits")
-    cols, rows = np.tril_indices(n, -1)
-    mask = bits[:nbits].astype(bool)
-    return Graph(n, list(zip(rows[mask].tolist(), cols[mask].tolist())))
+    a = np.zeros((n, n))
+    a.T[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    a += a.T
+    return Graph._from_adjacency(a)
 
 
 def serialize_graph6(g: Graph) -> bytes:
     """Encode a graph as one graph6 record; inverse of parse_graph6."""
     if g.n > GRAPH6_MAX_ORDER:
         raise GraphTooLargeError(f"graph6 single-byte header caps n at 62, got {g.n}")
-    cols, rows = np.tril_indices(g.n, -1)
-    nbytes = (len(rows) + 5) // 6
-    padded = np.zeros(nbytes * 6, dtype=np.int64)
-    padded[: len(rows)] = g.adjacency[rows, cols]
-    weights = np.array([32, 16, 8, 4, 2, 1])
-    vals = padded.reshape(nbytes, 6) @ weights
-    return bytes([g.n + 63]) + bytes((vals + 63).astype(np.uint8).tolist())
+    bits = g.adjacency.T[np.tri(g.n, k=-1, dtype=bool)]
+    nbytes = (len(bits) + 5) // 6
+    padded = np.zeros(nbytes * 6)
+    padded[: len(bits)] = bits
+    vals = padded.reshape(nbytes, 6) @ np.array([32.0, 16.0, 8.0, 4.0, 2.0, 1.0])
+    return bytes([g.n + 63]) + (vals + 63).astype(np.uint8).tobytes()
 
 
 # -- edge-list codec ------------------------------------------------------

@@ -103,8 +103,9 @@ def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
     """Read graphs from a file, auto-detected by its first payload line.
 
     A leading 'n m' integer pair means one edge-list graph; anything else is
-    treated as graph6, one record per line. Returns (graphs, skipped) where
-    skipped holds human-readable parse-failure notes.
+    treated as graph6, one record per line; a record's optional leading
+    `graphcore.GRAPH6_HEADER` is not part of its graph id. Returns (graphs,
+    skipped) where skipped holds human-readable parse-failure notes.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -128,6 +129,7 @@ def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
         record = line.strip()
         if not record or record.startswith("#"):
             continue
+        record = record.removeprefix(graphcore.GRAPH6_HEADER)
         try:
             graphs.append((record, graphcore.parse_graph6(record)))
         except graphcore.MalformedGraph6Error as exc:

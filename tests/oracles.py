@@ -5,7 +5,8 @@ built from edge lists, spectra come from LAPACK (numpy.linalg.eigvalsh) or,
 independently of LAPACK, from a cyclic Jacobi sweep; eigenvalue residuals
 from a singular value decomposition; characteristic polynomials from the
 Faddeev-LeVerrier recursion, determinants from cofactor expansion;
-connectivity from a union-find over the edge set; CSV reports from
+connectivity from a union-find over the edge set; graph6 records decoded
+bit by bit as the format's description reads; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`.
 """
 
@@ -25,6 +26,26 @@ def adjacency(g) -> np.ndarray:
         a[u, v] = 1.0
         a[v, u] = 1.0
     return a
+
+
+def graph6_decode(record: bytes) -> tuple[int, set[tuple[int, int]]]:
+    """(n, edges) of a graph6 record with a one-byte size header, read bit by
+    bit from McKay's description of the format: the first byte is n + 63;
+    each later byte, less 63, holds six bits, most significant first; the
+    bits are x(i, j) for i < j in the order (0,1), (0,2), (1,2), (0,3),
+    (1,3), (2,3), ..., that is column j = 1, 2, ... and within it row
+    i = 0..j-1; bits past the last pair are zero padding."""
+    n = record[0] - 63
+    bits = [(byte - 63) >> shift & 1 for byte in record[1:] for shift in range(5, -1, -1)]
+    edges = set()
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.add((i, j))
+            k += 1
+    assert len(bits) == (k + 5) // 6 * 6 and not any(bits[k:]), "bad length or padding"
+    return n, edges
 
 
 def connected_by_union_find(g) -> bool:

@@ -3,9 +3,11 @@ import hashlib
 import numpy as np
 import oracles
 import pytest
+from hypothesis import example, given, strategies as st
 
 from alphaenergy import graphcore, spectra
 from alphaenergy.graphcore import (
+    GRAPH6_HEADER,
     GenerationFailureError,
     Graph,
     GraphTooLargeError,
@@ -107,10 +109,10 @@ def test_degree_matrix():
 
 def test_cached_fields_leave_equality_and_hash_alone():
     a, b = petersen(), petersen()
-    a.degrees(), a.degree_sequence, a.zagreb, a.connected, a.adjacency_inertia
-    assert {"adjacency", "degree_sequence", "zagreb", "connected",
+    a.edges, a.m, a.degrees(), a.degree_sequence, a.zagreb, a.connected, a.adjacency_inertia
+    assert {"edges", "m", "degree_sequence", "zagreb", "connected",
             "adjacency_inertia"} <= vars(a).keys()
-    assert "adjacency_inertia" not in vars(b)
+    assert not {"edges", "m", "adjacency_inertia"} & vars(b).keys()
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != delete_edge(a, *min(a.edges))
 
@@ -149,6 +151,14 @@ def test_delete_edge():
     assert p3_minus.m == 1 and not is_connected(p3_minus)
     with pytest.raises(NoSuchEdgeError):
         delete_edge(path(3), 0, 2)
+    # Negative or out-of-range endpoints name no edge, even where a negative
+    # index would wrap onto one of the matrix.
+    for u, v in ((-1, 1), (1, -1), (1, 1), (0, 3), (3, 0)):
+        with pytest.raises(NoSuchEdgeError):
+            delete_edge(path(3), u, v)
+    g = complete(4)
+    delete_edge(g, 0, 1)
+    assert g.m == 6 and g.adjacency[0, 1] == 1.0
 
 
 def test_delete_then_readd_roundtrip():
@@ -156,6 +166,56 @@ def test_delete_then_readd_roundtrip():
     edge = sorted(g.edges)[7]
     restored = Graph(g.n, set(delete_edge(g, *edge).edges) | {edge})
     assert restored.edges == g.edges
+
+
+def _check_matrix(g):
+    a = g.adjacency
+    assert a.dtype == np.float64 and a.shape == (g.n, g.n) and not a.flags.writeable
+    assert np.array_equal(a, a.T) and not a.diagonal().any()
+    assert set(np.unique(a).tolist()) <= {0.0, 1.0}
+    assert sorted(g.edges) == [tuple(e) for e in np.argwhere(np.triu(a, 1)).tolist()]
+    assert g.m == len(g.edges) and all(type(x) is int for e in g.edges for x in e)
+
+
+@pytest.mark.parametrize("g", [
+    random_regular(10, 6, 3),  # the complement branch: k > (n - 1) / 2
+    random_regular(12, 3, 5),
+    erdos_renyi(9, 0.5, 4),
+    petersen(),
+    Graph(5),
+    complete(62),
+], ids=["regular-complement", "regular-pairing", "gnp", "petersen", "edgeless", "k62"])
+def test_construction_paths_agree(g):
+    edges = sorted(g.edges)
+    record = serialize_graph6(g)
+    text = f"{g.n} {g.m}\n" + "".join(f"{v} {u}\n" for u, v in reversed(edges))
+    built = [
+        Graph(g.n, edges),
+        Graph(g.n, [(v, u) for u, v in edges] + edges),
+        parse_graph6(record),
+        parse_graph6(record.decode("ascii")),
+        parse_graph6(GRAPH6_HEADER.encode("ascii") + record + b"\n"),
+        parse_edge_list(text),
+    ]
+    if edges:
+        e = edges[len(edges) // 2]
+        smaller = delete_edge(g, *e)
+        _check_matrix(smaller)
+        assert smaller != g and smaller.m == g.m - 1
+        built.append(Graph(g.n, set(smaller.edges) | {e}))
+    for h in built:
+        _check_matrix(h)
+        assert h == g and hash(h) == hash(g) and h.edges == g.edges
+    _check_matrix(g)
+
+
+def test_regular_complement_branch_is_the_edge_complement():
+    for n, k, seed in ((10, 6, 3), (8, 4, 7), (9, 8, 0), (12, 9, 2)):
+        inner = random_regular(n, n - 1 - k, seed)
+        outer = random_regular(n, k, seed)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert outer == Graph(n, [e for e in pairs if e not in inner.edges])
+        assert outer.degree_sequence == (k,) * n
 
 
 def test_handshake_on_random_graphs():
@@ -199,6 +259,48 @@ def test_graph6_malformed():
         parse_graph6(b"BC")
     # 'w' = 119 carries bits 111000: all three pad bits zero, so this is K_3.
     assert parse_graph6(b"Bw").edges == complete(3).edges
+
+
+def test_graph6_header():
+    # Records as networkx's to_graph6_bytes writes them: header, record, newline.
+    assert parse_graph6(b">>graph6<<Bg\n") == path(3)
+    assert parse_graph6(">>graph6<<C~") == complete(4)
+    assert parse_graph6(b">>graph6<<I?LRCecq?\n") == petersen()
+    with pytest.raises(MalformedGraph6Error, match="^empty record$"):
+        parse_graph6(b">>graph6<<")
+    # One header only, and only at the start of the record.
+    with pytest.raises(MalformedGraph6Error, match="size byte 62 at offset 0 outside 63..126"):
+        parse_graph6(b">>graph6<<>>graph6<<Bg")
+    with pytest.raises(MalformedGraph6Error, match="expected 1 payload bytes"):
+        parse_graph6(b"Bg>>graph6<<")
+
+
+@st.composite
+def _graph6_records(draw):
+    """Valid one-byte-header graph6 records, n = 1..62, zero padding."""
+    n = draw(st.integers(1, 62))
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    six = st.one_of(st.integers(0, 63), st.sampled_from([0, 63]))
+    vals = draw(st.lists(six, min_size=nbytes, max_size=nbytes))
+    if vals:
+        vals[-1] &= ~((1 << (6 * nbytes - nbits)) - 1) & 63
+    return bytes([n + 63] + [v + 63 for v in vals])
+
+
+@given(_graph6_records())
+@example(b"@")
+@example(b"}" + b"~" * 315 + b"_")
+@example(b"A_")
+def test_parse_graph6_matches_bitwise_oracle(record):
+    n, edges = oracles.graph6_decode(record)
+    g = parse_graph6(record)
+    expected = np.zeros((n, n))
+    for i, j in edges:
+        expected[i, j] = expected[j, i] = 1.0
+    assert g.n == n and g.edges == edges and g.m == len(edges)
+    assert np.array_equal(g.adjacency, expected)
+    assert serialize_graph6(g) == record
 
 
 def test_graph6_roundtrip_random():

@@ -252,6 +252,23 @@ def test_load_corpus_graph6_lines(tmp_path):
     assert len(skipped) == 1 and ":3:" in skipped[0]
 
 
+def test_load_corpus_graph6_header(tmp_path, capsys):
+    # Lines as networkx's to_graph6_bytes writes them: each record carries the
+    # optional ">>graph6<<" header, which is not part of its graph id.
+    p = tmp_path / "networkx.g6"
+    p.write_bytes(b">>graph6<<Bg\n>>graph6<<C~\n>>graph6<<\nC~\n")
+    corpus, skipped = load_corpus(str(p))
+    assert corpus == [("Bg", graphcore.path(3)), ("C~", K4), ("C~", K4)]
+    assert skipped == [f"{p}:3: empty record"]
+    out = tmp_path / "rows.json"
+    assert cli.main(["sweep", "--input", str(p), "--alpha", "0.5", "--out", str(out)]) == 0
+    assert [json.loads(line)["graph_id"] for line in out.read_text().splitlines()] == [
+        "Bg", "C~", "C~"]
+    capsys.readouterr()
+    assert cli.main(["spectrum", ">>graph6<<C~", "--alpha", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["graph_id"] == "C~"
+
+
 def test_load_corpus_edge_list(tmp_path):
     p = tmp_path / "triangle.txt"
     p.write_text("# triangle\n3 3\n0 1\n1 2\n0 2\n")
@@ -501,7 +518,11 @@ def test_cli_oversized_edge_list_is_a_usage_error(tmp_path, capsys, monkeypatch)
     def no_matrix(g):
         pytest.fail(f"built an adjacency matrix of order {g.n}")
 
+    def no_graph(g, n, edges=()):
+        pytest.fail(f"built a graph, and so its adjacency matrix, of order {n}")
+
     monkeypatch.setattr(graphcore.Graph, "adjacency", property(no_matrix))
+    monkeypatch.setattr(graphcore.Graph, "__init__", no_graph)
     big = tmp_path / "big.txt"
     big.write_text("20000 1\n0 1\n")
     for argv in (["spectrum", "--input", str(big)],
