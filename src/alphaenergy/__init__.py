@@ -2,8 +2,10 @@
 the associated centered-spectrum energy, and mechanical verification of the
 published upper/lower bounds with equality-case certification.
 
-A `Graph` caches what depends on it alone. `analyze` checks one graph at one
-alpha; the `run_*` drivers check corpora over whole alpha grids."""
+A `Graph` caches what depends on it alone. `run_sweep` and `run_fuzz` check
+corpora over whole alpha grids and return one `bounds.Verdicts` table per
+call, a row per (graph, alpha); `analyze` returns the certified verdicts of
+one graph at one alpha, and `run_hunt` the equality cases of one bound."""
 
 from .densela import NoConvergenceError, eigendecompose
 from .graphcore import (
@@ -43,7 +45,6 @@ from .bounds import (
 from .harness import (
     DEFAULT_ALPHA_GRID,
     EqualityHit,
-    Report,
     analyze,
     run_fuzz,
     run_hunt,

@@ -14,9 +14,10 @@ the stated equality classes.
   names, or None when the paper names none.
 
 Guards, value and target are array expressions over `Columns`, one entry per
-(graph, alpha) row. `evaluate_many` runs the table once over every row of a
-call into (15, R) `Verdicts`; `Verdicts.evaluations(r)` certifies row r and
-builds its `BoundEvaluation` objects only when asked.
+(graph, alpha) row. `evaluate_many` runs the table once over every
+(graph id, spectrum) row of a call into (15, R) `Verdicts`, the call's
+result; `Verdicts.evaluations(r)` certifies row r and builds its
+`BoundEvaluation` objects only when asked.
 """
 
 from __future__ import annotations
@@ -330,10 +331,13 @@ _UPPER = np.array([[b.kind == "upper"] for b in BOUNDS])
 
 @dataclass(frozen=True, eq=False)
 class Verdicts:
-    """Every bound on R (graph, alpha) rows: (15, R) arrays, rows of BOUNDS
-    in BOUND_IDS order. Where a bound is not applicable its value, target
-    and gap are NaN and holds and equality are False."""
+    """Every bound on R (graph, alpha) rows. Row r is the graph
+    `graph_ids[r]` at the spectrum `spectra[r]`; the verdicts are (15, R)
+    arrays, rows of BOUNDS in BOUND_IDS order. Where a bound is not
+    applicable its value, target and gap are NaN and holds and equality are
+    False."""
 
+    graph_ids: tuple[str, ...]
     spectra: tuple[AlphaSpectrum, ...]
     reason: np.ndarray    # 0 if applicable, else 1 + index of the first false guard
     value: np.ndarray
@@ -356,10 +360,13 @@ class Verdicts:
         return tuple(out)
 
 
-def evaluate_many(sps: Sequence[AlphaSpectrum],
+def evaluate_many(rows: Sequence[tuple[str, AlphaSpectrum]],
                   equality_tol: float = EQUALITY_RTOL) -> Verdicts:
-    """Every bound on every spectrum in one pass. Values and targets are
-    computed on applicable rows only; guards run on all, under errstate."""
+    """Every bound on every (graph id, spectrum) row in one pass. Values and
+    targets are computed on applicable rows only; guards run on all, under
+    errstate."""
+    graph_ids = tuple(gid for gid, _ in rows)
+    sps = tuple(sp for _, sp in rows)
     c = np.array([
         (sp.n, sp.m, sp.zagreb, sp.graph.degree_sequence[0], sp.alpha, sp.shift, sp.energy,
          sp.eta, sp.two_s, sp.gamma_det, sp.theta, sp.rho[0], sp.connected) for sp in sps
@@ -393,4 +400,4 @@ def evaluate_many(sps: Sequence[AlphaSpectrum],
         gap = np.where(_UPPER, value - target, target - value)
         holds = (gap >= -HOLDS_RTOL * (1.0 + np.abs(value))) & link
         equality = np.abs(gap) <= equality_tol * (1.0 + np.abs(target))
-    return Verdicts(tuple(sps), reason, value, target, gap, holds, equality)
+    return Verdicts(graph_ids, sps, reason, value, target, gap, holds, equality)

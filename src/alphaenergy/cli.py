@@ -87,6 +87,10 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _report_text(v, fmt: str) -> str:
+    return (harness.reports_to_csv if fmt == "csv" else harness.reports_to_json)(v)
+
+
 def _spectrum_row(graph_id: str, sp: spectra.AlphaSpectrum) -> dict:
     r12 = harness.round12
     return {
@@ -117,24 +121,19 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_bounds(args) -> int:
     alphas = _parse_alphas(args.alpha, (0.0,))
-    reports = harness.run_sweep(_input_graphs(args), alphas, args.tolerance)
-    sys.stdout.write(harness.reports_to_json(reports))
+    v = harness.run_sweep(_input_graphs(args), alphas, args.tolerance)
+    sys.stdout.write(harness.reports_to_json(v))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     alphas = _parse_alphas(args.alpha, harness.DEFAULT_ALPHA_GRID)
     corpus = _input_graphs(args)
-    reports = harness.run_sweep(corpus, alphas, args.tolerance)
-    text = (
-        harness.reports_to_csv(reports)
-        if args.format == "csv"
-        else harness.reports_to_json(reports)
-    )
-    _write_output(text, args.out)
-    for line in harness.summary_lines(harness.summarize(reports)):
+    v = harness.run_sweep(corpus, alphas, args.tolerance)
+    _write_output(_report_text(v, args.format), args.out)
+    for line in harness.summary_lines(harness.summarize(v)):
         print(line, file=sys.stderr)
-    bad = harness.violations(reports, strict=args.strict)
+    bad = harness.violations(v, strict=args.strict)
     for graph_id, alpha, bid in bad:
         print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}", file=sys.stderr)
     return EXIT_VIOLATIONS if bad else EXIT_OK
@@ -145,23 +144,18 @@ def _cmd_fuzz(args) -> int:
     result = harness.run_fuzz(
         args.n_min, args.n_max, args.trials, args.seed, alphas, args.tolerance
     )
-    reports = list(result.reports)
+    v = result.verdicts
     if args.out:
-        text = (
-            harness.reports_to_csv(reports)
-            if args.format == "csv"
-            else harness.reports_to_json(reports)
-        )
-        _write_output(text, args.out)
-    bad = harness.violations(reports, strict=args.strict)
+        _write_output(_report_text(v, args.format), args.out)
+    bad = harness.violations(v, strict=args.strict)
     for graph_id, alpha, bid in bad:
         print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}")
     for graph_id, alpha, bid in result.monotonicity_violations:
         print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}")
-    for line in harness.summary_lines(harness.summarize(reports)):
+    for line in harness.summary_lines(harness.summarize(v)):
         print(line, file=sys.stderr)
     print(
-        f"{result.generated} graphs, {len(reports)} reports, "
+        f"{args.trials} graphs, {len(v.spectra)} reports, "
         f"{len(bad)} unexpected bound violations, "
         f"{len(result.monotonicity_violations)} monotonicity violations",
         file=sys.stderr,

@@ -1,14 +1,16 @@
-"""Corpus drivers: single-graph reports, sweeps over alpha grids, randomized
+"""Corpus drivers: single-graph verdicts, sweeps over alpha grids, randomized
 fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 
 Every driver solves each graph's alpha list in one stacked eigensolve, then
-runs the bound table once over all (graph, alpha) rows of the call. A
-`Report` is one row of that pass; its `evaluations` are built, and
-certified, on first read. `summarize`, `violations` and both writers read
-the pass's columns instead. The CSV writer formats each float once to 12
-significant digits with `fmt12`; the JSON writer writes the `round12` value,
-the float that string parses to, as `json.dumps` would. So the two formats
-carry identical numeric values, and reruns produce byte-identical files.
+runs the bound table once over all (graph, alpha) rows of the call. The
+sweep and fuzz drivers return that one `bounds.Verdicts` table: row r is the
+report on graph `graph_ids[r]` at `spectra[r].alpha`, and
+`Verdicts.evaluations(r)` builds, and certifies, that row's verdict objects
+only when asked. `summarize`, `violations` and both writers read the table's
+columns. The CSV writer formats each float once to 12 significant digits
+with `fmt12`; the JSON writer writes the `round12` value, the float that
+string parses to, as `json.dumps` would. So the two formats carry identical
+numeric values, and reruns produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +40,6 @@ CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class Report:
-    """All bound verdicts for one (graph, alpha) pair: row `row` of `verdicts`."""
-
-    graph_id: str
-    n: int
-    m: int
-    zagreb: int
-    alpha: float
-    spectrum: tuple[float, ...]
-    energy: float
-    eta: int
-    verdicts: bounds.Verdicts = field(repr=False, compare=False)
-    row: int = field(repr=False, compare=False)
-
-    @cached_property
-    def evaluations(self) -> tuple[BoundEvaluation, ...]:
-        """The row's BoundEvaluation objects, certified on first read."""
-        return self.verdicts.evaluations(self.row)
-
-
-@dataclass(frozen=True)
 class EqualityHit:
     """One equality-case occurrence found by the hunt driver."""
 
@@ -77,23 +57,10 @@ class EqualityHit:
         return self.claim_matched is False
 
 
-def _reports(rows: list[tuple[str, spectra.AlphaSpectrum]],
-             equality_tol: float) -> list[Report]:
-    """One report per (graph id, spectrum) row, all from one bound pass."""
-    verdicts = bounds.evaluate_many([sp for _, sp in rows], equality_tol)
-    return [
-        Report(graph_id, sp.n, sp.m, sp.zagreb, sp.alpha, tuple(sp.rho.tolist()),
-               sp.energy, sp.eta, verdicts, r)
-        for r, (graph_id, sp) in enumerate(rows)
-    ]
-
-
 def analyze(graph_id: str, g: Graph, alpha: float,
-            equality_tol: float = bounds.EQUALITY_RTOL) -> Report:
-    """Spectrum plus every bound verdict, built, for one graph at one alpha."""
-    rep = run_sweep([(graph_id, g)], [alpha], equality_tol)[0]
-    rep.evaluations
-    return rep
+            equality_tol: float = bounds.EQUALITY_RTOL) -> tuple[BoundEvaluation, ...]:
+    """Every bound verdict, certified, for one graph at one alpha."""
+    return run_sweep([(graph_id, g)], [alpha], equality_tol).evaluations(0)
 
 
 # -- corpus ingestion ------------------------------------------------------
@@ -141,54 +108,35 @@ def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
 
 
 def run_sweep(corpus: list[tuple[str, Graph]], alphas: list[float],
-              equality_tol: float = bounds.EQUALITY_RTOL) -> list[Report]:
-    """One report per (graph, alpha), in corpus order then alpha order."""
+              equality_tol: float = bounds.EQUALITY_RTOL) -> bounds.Verdicts:
+    """Every bound on each (graph, alpha) row, in corpus order then alpha
+    order."""
     if not corpus:
         raise ValueError("empty corpus")
-    return _reports(
+    return bounds.evaluate_many(
         [(graph_id, sp) for graph_id, g in corpus for sp in spectra.graph_spectra(g, alphas)],
         equality_tol)
 
 
-def _table_rows(reports: list[Report], per_table):
-    """Each report with its row of `per_table(verdicts)`, which runs once per
-    table."""
-    done = {}
-    for rep in reports:
-        rows = done.get(id(rep.verdicts))
-        if rows is None:
-            rows = done[id(rep.verdicts)] = per_table(rep.verdicts)
-        yield rep, rows[rep.row]
-
-
-def summarize(reports: list[Report]) -> dict[str, dict[str, int]]:
+def summarize(v: bounds.Verdicts) -> dict[str, dict[str, int]]:
     """Per-bound counts of applicable / holds / violations / equalities."""
-    tables: dict[int, tuple[bounds.Verdicts, list[int]]] = {}
-    for rep in reports:
-        tables.setdefault(id(rep.verdicts), (rep.verdicts, []))[1].append(rep.row)
-    counts = np.zeros((4, len(BOUND_IDS)), dtype=np.int64)
-    for v, rows in tables.values():
-        applicable = v.reason == 0
-        flags = np.array([applicable, v.holds, applicable & ~v.holds, v.equality])
-        counts += flags @ np.bincount(rows, minlength=len(v.spectra))  # reports per row
+    applicable = v.reason == 0
+    counts = np.array([applicable, v.holds, applicable & ~v.holds, v.equality]).sum(axis=2)
     keys = ("applicable", "holds", "violations", "equalities")
     return {bid: dict(zip(keys, col)) for bid, col in zip(BOUND_IDS, counts.T.tolist())}
 
 
-def violations(reports: list[Report], strict: bool = False) -> list[tuple[str, float, str]]:
-    """(graph_id, alpha, bound_id) triples where an applicable bound failed.
+def violations(v: bounds.Verdicts, strict: bool = False) -> list[tuple[str, float, str]]:
+    """(graph_id, alpha, bound_id) triples where an applicable bound failed,
+    row by row, each row's in BOUND_IDS order.
 
     Violations of the documented always-violated lower bound are excluded
     unless `strict` is set.
     """
     counted = np.array([[strict or bid not in EXPECTED_VIOLATION_IDS] for bid in BOUND_IDS])
-
-    def failed(v: bounds.Verdicts) -> list[list[str]]:
-        bad = ((v.reason == 0) & ~v.holds & counted).T.tolist()
-        return [[bid for bid, b in zip(BOUND_IDS, row) if b] for row in bad]
-
-    return [(rep.graph_id, rep.alpha, bid)
-            for rep, bids in _table_rows(reports, failed) for bid in bids]
+    rows, ids = ((v.reason == 0) & ~v.holds & counted).T.nonzero()
+    return [(v.graph_ids[r], v.spectra[r].alpha, BOUND_IDS[i])
+            for r, i in zip(rows.tolist(), ids.tolist())]
 
 
 # -- fuzz --------------------------------------------------------------------
@@ -196,9 +144,8 @@ def violations(reports: list[Report], strict: bool = False) -> list[tuple[str, f
 
 @dataclass(frozen=True)
 class FuzzResult:
-    reports: tuple[Report, ...]
+    verdicts: bounds.Verdicts
     monotonicity_violations: tuple[tuple[str, float, str], ...]
-    generated: int
 
 
 def _random_connected_graph(rng, n_min: int, n_max: int, trial: int) -> Graph:
@@ -253,7 +200,7 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         for sp, rho in zip(checked, after):
             if np.any(rho > sp.rho + 1e-9):
                 mono.append((gid, sp.alpha, "edge_deletion_monotonicity"))
-    return FuzzResult(tuple(_reports(rows, equality_tol)), tuple(mono), trials)
+    return FuzzResult(bounds.evaluate_many(rows, equality_tol), tuple(mono))
 
 
 # -- equality hunting ---------------------------------------------------------
@@ -267,7 +214,7 @@ def run_hunt(corpus: list[tuple[str, Graph]], alphas: list[float], bound_id: str
         raise ValueError(f"unknown bound_id {bound_id!r}")
     i = BOUND_IDS.index(bound_id)
     rows = [(graph_id, sp) for graph_id, g in corpus for sp in spectra.graph_spectra(g, alphas)]
-    v = bounds.evaluate_many([sp for _, sp in rows], equality_tol)
+    v = bounds.evaluate_many(rows, equality_tol)
     hits = []
     for r in np.flatnonzero(v.equality[i]).tolist():
         graph_id, sp = rows[r]
@@ -356,36 +303,35 @@ def _bound_cells(v: bounds.Verdicts, cell_format) -> list[tuple[str, ...]]:
     return list(zip(*columns))
 
 
-def reports_to_json(reports: list[Report]) -> str:
-    """One JSON object per report, one report per line, built directly with
+def reports_to_json(v: bounds.Verdicts) -> str:
+    """One JSON object per row of `v`, one row per line, built directly with
     the bytes `json.dumps` writes for the same dict with compact separators:
     numbers are `round12` values and the graph id is `json.dumps`-escaped."""
     num = _json_number
     lines = [
-        f'{{"graph_id":{json.dumps(rep.graph_id)},"n":{rep.n},"m":{rep.m},'
-        f'"zagreb":{rep.zagreb},"alpha":{num(rep.alpha)},'
-        f'"spectrum":[{",".join(map(num, rep.spectrum))}],"energy":{num(rep.energy)},'
-        f'"eta":{rep.eta},"bounds":[{",".join(row)}]}}'
-        for rep, row in _table_rows(reports, lambda v: _bound_cells(v, _JSON_CELLS))
+        f'{{"graph_id":{json.dumps(gid)},"n":{sp.n},"m":{sp.m},'
+        f'"zagreb":{sp.zagreb},"alpha":{num(sp.alpha)},'
+        f'"spectrum":[{",".join(map(num, sp.rho.tolist()))}],"energy":{num(sp.energy)},'
+        f'"eta":{sp.eta},"bounds":[{",".join(row)}]}}'
+        for gid, sp, row in zip(v.graph_ids, v.spectra, _bound_cells(v, _JSON_CELLS))
     ]
     return "\n".join(lines) + "\n"
 
 
-def reports_to_csv(reports: list[Report]) -> str:
-    """One CSV row per (report, bound) under the `CSV_COLUMNS` header.
+def reports_to_csv(v: bounds.Verdicts) -> str:
+    """One CSV row per (row of `v`, bound) under the `CSV_COLUMNS` header.
 
     Each float is formatted once with `fmt12`, which gives the same string
     as the JSON writer's `round12` value, so both formats carry the same
-    numbers. A report's eight leading fields are built once and shared by
-    its bound rows.
+    numbers. A row's eight leading fields are built once and shared by its
+    bound rows.
     """
     lines = [",".join(CSV_COLUMNS)]
-    for rep, row in _table_rows(reports, lambda v: _bound_cells(v, _CSV_CELLS)):
-        gid = rep.graph_id
+    for gid, sp, row in zip(v.graph_ids, v.spectra, _bound_cells(v, _CSV_CELLS)):
         prefix = ",".join((
             gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid),
-            str(rep.n), str(rep.m), str(rep.zagreb), fmt12(rep.alpha),
-            ";".join(map(fmt12, rep.spectrum)), fmt12(rep.energy), str(rep.eta), "",
+            str(sp.n), str(sp.m), str(sp.zagreb), fmt12(sp.alpha),
+            ";".join(map(fmt12, sp.rho.tolist())), fmt12(sp.energy), str(sp.eta), "",
         ))
         lines.extend(map(prefix.__add__, row))
     return "\n".join(lines) + "\n"

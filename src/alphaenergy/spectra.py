@@ -89,12 +89,12 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
     The alpha matrices are solved in one stacked LAPACK call, and each
     derived scalar is one reduction along the rows of that solve.
     """
-    alphas = [_check_alpha(x) for x in alphas]
+    alphas = list(alphas)
     if not alphas:
         return ()
-    rho = densela.eigendecompose(alpha_matrices(g, alphas))
+    rho = densela.eigendecompose(alpha_matrices(g, alphas))  # checks each alpha
     d = g.degrees()
-    al = np.array(alphas)
+    al = np.array(alphas, dtype=np.float64)
     shift = 2.0 * al * g.m / g.n
     s = rho - shift[:, None]
     s.setflags(write=False)
@@ -106,7 +106,7 @@ def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
     two_s = (np.float_power(1.0 - al, 2) * 2.0 * g.m
              + np.sum((al[:, None] * d - shift[:, None]) ** 2, axis=1))
     return tuple(AlphaSpectrum(alpha, g, *row) for alpha, *row in zip(
-        alphas, rho, shift.tolist(), s, np.sum(abs_s, axis=1).tolist(),
+        al.tolist(), rho, shift.tolist(), s, np.sum(abs_s, axis=1).tolist(),
         np.sum(rho >= (shift - SHIFT_TIE_TOL)[:, None], axis=1).tolist(),
         two_s.tolist(), gamma.tolist(), (math.sqrt(g.zagreb / g.n) - shift).tolist(),
     ))

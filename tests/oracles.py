@@ -181,8 +181,8 @@ def energy_via_partial_sums(rho: np.ndarray, shift: float) -> float:
     return 2.0 * float(np.max(partial))
 
 
-def reports_to_csv_reference(reports) -> str:
-    """CSV report written row by row with `csv.writer`.
+def reports_to_csv_reference(v) -> str:
+    """CSV report of the verdict table `v` written row by row with `csv.writer`.
 
     Each float is rounded to 12 significant digits, parsed back and formatted
     again, as the JSON writer's values are; booleans are true/false and None
@@ -208,12 +208,12 @@ def reports_to_csv_reference(reports) -> str:
         "graph_id", "n", "m", "zagreb", "alpha", "spectrum", "energy", "eta",
         "id", "kind", "applicable", "reason", "value", "holds", "gap", "equality",
     ))]
-    for rep in reports:
+    for r, (graph_id, sp) in enumerate(zip(v.graph_ids, v.spectra)):
         prefix = [
-            rep.graph_id, rep.n, rep.m, rep.zagreb, cell(rep.alpha),
-            ";".join(cell(x) for x in rep.spectrum), cell(rep.energy), rep.eta,
+            graph_id, sp.n, sp.m, sp.zagreb, cell(sp.alpha),
+            ";".join(cell(x) for x in sp.rho.tolist()), cell(sp.energy), sp.eta,
         ]
-        for ev in rep.evaluations:
+        for ev in v.evaluations(r):
             lines.append(row(prefix + [
                 ev.bound_id, ev.kind, cell(ev.applicable), cell(ev.reason),
                 cell(ev.value), cell(ev.holds), cell(ev.gap), cell(ev.equality),
@@ -221,26 +221,28 @@ def reports_to_csv_reference(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reports_to_json_reference(reports) -> str:
-    """JSON report written with `json.dumps`, one compact object per report.
+def reports_to_json_reference(v) -> str:
+    """JSON report of the verdict table `v` written with `json.dumps`, one
+    compact object per row.
 
     Each float is rounded to 12 significant digits and parsed back; None is
-    null. Keys follow the report's fields, then each bound's verdict.
+    null. Keys follow the row's graph id and spectrum fields, then each
+    bound's verdict.
     """
     def r12(x):
         return None if x is None else float(f"{x:.12g}")
 
     lines = []
-    for rep in reports:
+    for r, (graph_id, sp) in enumerate(zip(v.graph_ids, v.spectra)):
         lines.append(json.dumps({
-            "graph_id": rep.graph_id,
-            "n": rep.n,
-            "m": rep.m,
-            "zagreb": rep.zagreb,
-            "alpha": r12(rep.alpha),
-            "spectrum": [r12(x) for x in rep.spectrum],
-            "energy": r12(rep.energy),
-            "eta": rep.eta,
+            "graph_id": graph_id,
+            "n": sp.n,
+            "m": sp.m,
+            "zagreb": sp.zagreb,
+            "alpha": r12(sp.alpha),
+            "spectrum": [r12(x) for x in sp.rho.tolist()],
+            "energy": r12(sp.energy),
+            "eta": sp.eta,
             "bounds": [
                 {
                     "id": ev.bound_id,
@@ -252,7 +254,7 @@ def reports_to_json_reference(reports) -> str:
                     "gap": r12(ev.gap),
                     "equality": ev.equality,
                 }
-                for ev in rep.evaluations
+                for ev in v.evaluations(r)
             ],
         }, separators=(",", ":")))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 from pathlib import Path
@@ -12,7 +11,7 @@ from alphaenergy import bounds as B
 from alphaenergy.bounds import BOUND_IDS, certify
 from alphaenergy.graphcore import Graph, complete, cycle, erdos_renyi, path, petersen, star
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
-from one_alpha import alpha_spectrum, evaluate_all
+from one_alpha import alpha_spectrum, evaluate_all, evaluation_bits
 
 SQRT3 = math.sqrt(3.0)
 
@@ -433,21 +432,23 @@ ATLAS_NOT_APPLICABLE = {
 
 
 @pytest.fixture(scope="module")
-def atlas_reports():
+def atlas_rows():
     corpus, skipped = load_corpus(str(ATLAS))
     assert len(corpus) == 996 and not skipped
-    return run_sweep(corpus, list(ATLAS_ALPHAS))
+    v = run_sweep(corpus, list(ATLAS_ALPHAS))
+    return [(gid, sp.alpha, v.evaluations(r))
+            for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra))]
 
 
-def test_atlas7_equality_hits_frozen(atlas_reports):
+def test_atlas7_equality_hits_frozen(atlas_rows):
     # On this corpus equality gaps are at most 1.3e-14 relative and every
     # other gap is at least 3.8e-5, so the table does not depend on the
     # LAPACK build.
     claim_text = {None: "null", True: "true", False: "false"}
     got = [
-        f"{rep.graph_id} {fmt12(rep.alpha)} {e.bound_id} {claim_text[e.equality_claim_matched]}"
-        for rep in atlas_reports
-        for e in rep.evaluations
+        f"{gid} {fmt12(alpha)} {e.bound_id} {claim_text[e.equality_claim_matched]}"
+        for gid, alpha, evaluations in atlas_rows
+        for e in evaluations
         if e.applicable and e.equality
     ]
     frozen = [
@@ -458,25 +459,17 @@ def test_atlas7_equality_hits_frozen(atlas_reports):
     assert "Cl 0 lb_average_degree false" in frozen  # C4, outside the stated class
 
 
-def test_atlas7_not_applicable_counts_frozen(atlas_reports):
+def test_atlas7_not_applicable_counts_frozen(atlas_rows):
     got = Counter(
         (e.bound_id, e.reason)
-        for rep in atlas_reports
-        for e in rep.evaluations
+        for _, _, evaluations in atlas_rows
+        for e in evaluations
         if not e.applicable
     )
     assert got == ATLAS_NOT_APPLICABLE
 
 
 # -- the columnar pass ------------------------------------------------------
-
-
-def _bits(evaluations):
-    """Every field of every verdict, floats as hex so equality is bitwise."""
-    return [
-        tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(e))
-        for e in evaluations
-    ]
 
 
 _GRAPHS = st.builds(erdos_renyi, st.integers(1, 62), st.floats(0.0, 1.0), st.integers(0, 2**32))
@@ -490,11 +483,11 @@ _ALPHAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 def test_columnar_verdicts_bit_identical_to_one_row(graphs, alphas):
     # One pass over every (graph, alpha) row of a sweep gives each row the
     # verdicts, claims included, of evaluating that row alone.
-    reports = run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas)
-    assert len(reports) == len(graphs) * len(alphas)
-    for rep in reports:
-        alone = B.evaluate_many([rep.verdicts.spectra[rep.row]]).evaluations(0)
-        assert _bits(rep.evaluations) == _bits(alone)
+    v = run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas)
+    assert len(v.spectra) == len(graphs) * len(alphas)
+    for r, row in enumerate(zip(v.graph_ids, v.spectra)):
+        alone = B.evaluate_many([row]).evaluations(0)
+        assert evaluation_bits(v.evaluations(r)) == evaluation_bits(alone)
 
 
 def test_squares_keep_the_bits_of_python_floats():

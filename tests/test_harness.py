@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -29,6 +30,7 @@ from alphaenergy.harness import (
     summarize,
     violations,
 )
+from one_alpha import evaluation_bits
 
 
 def g6(g) -> str:
@@ -58,18 +60,15 @@ def test_analyze_certifies_once(monkeypatch):
 
 
 def test_sweep_writers_and_summaries_never_certify(monkeypatch):
-    # Only a read of Report.evaluations certifies; the drivers' consumers
-    # read the verdict columns.
+    # Only Verdicts.evaluations certifies; the drivers' consumers read the
+    # verdict columns.
     calls = _count_certify(monkeypatch)
-    reports = run_sweep([("C~", K4), (g6(star(3)), star(3))], list(DEFAULT_ALPHA_GRID))
-    reports_to_csv(reports)
-    reports_to_json(reports)
-    summarize(reports)
-    violations(reports, strict=True)
+    v = run_sweep([("C~", K4), (g6(star(3)), star(3))], list(DEFAULT_ALPHA_GRID))
+    reports_to_csv(v)
+    reports_to_json(v)
+    summarize(v)
+    violations(v, strict=True)
     assert calls == []
-    reports[3].evaluations
-    reports[3].evaluations
-    assert calls == [reports[3].alpha]
 
 
 def _count_eigvalsh(monkeypatch) -> list:
@@ -87,16 +86,16 @@ def _count_eigvalsh(monkeypatch) -> list:
 def test_sweep_solves_each_graph_at_most_twice(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     corpus = [("C~", K4), (g6(star(3)), star(3)), (g6(cycle(5)), cycle(5))]
-    reports = run_sweep(corpus, list(DEFAULT_ALPHA_GRID))
-    assert len(reports) == 3 * len(DEFAULT_ALPHA_GRID)
+    v = run_sweep(corpus, list(DEFAULT_ALPHA_GRID))
+    assert len(v.spectra) == 3 * len(DEFAULT_ALPHA_GRID)
     assert 0 < len(calls) <= 2 * len(corpus)
 
 
 def test_fuzz_solves_each_graph_at_most_three_times(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     result = run_fuzz(4, 6, 4, 1, list(DEFAULT_ALPHA_GRID))
-    assert result.generated == 4
-    assert 0 < len(calls) <= 3 * result.generated
+    assert len(result.verdicts.spectra) == 4 * len(DEFAULT_ALPHA_GRID)
+    assert 0 < len(calls) <= 3 * 4
 
 
 def test_fuzz_checks_each_graph_connectivity_once(monkeypatch):
@@ -111,25 +110,35 @@ def test_fuzz_checks_each_graph_connectivity_once(monkeypatch):
 
 
 def test_analyze_is_the_one_alpha_case_of_the_sweep():
+    # Row r of a sweep is the one-alpha call at alpha r, bit for bit: the
+    # verdicts, and the spectrum fields as written.
     for g in (K4, star(3), cycle(5)):
         swept = run_sweep([(g6(g), g)], list(DEFAULT_ALPHA_GRID))
-        single = [analyze(g6(g), g, alpha) for alpha in DEFAULT_ALPHA_GRID]
-        assert reports_to_json(swept) == reports_to_json(single)
+        lines = reports_to_json(swept).splitlines()
+        for r, alpha in enumerate(DEFAULT_ALPHA_GRID):
+            assert evaluation_bits(analyze(g6(g), g, alpha)) == evaluation_bits(swept.evaluations(r))
+            single = run_sweep([(g6(g), g)], [alpha])
+            assert single.spectra[0].rho.tobytes() == swept.spectra[r].rho.tobytes()
+            assert reports_to_json(single) == lines[r] + "\n"
 
 
 def test_analyze_report_invariants():
-    rep = analyze("C~", K4, 0.5)
-    assert [e.bound_id for e in rep.evaluations] == list(BOUND_IDS)
-    assert len(rep.spectrum) == rep.n == 4
-    assert rep.m == 6 and rep.zagreb == 36
-    assert rep.energy == pytest.approx(3.0, abs=1e-10)
-    assert rep.eta == 1
+    evaluations = analyze("C~", K4, 0.5)
+    assert [e.bound_id for e in evaluations] == list(BOUND_IDS)
+    v = run_sweep([("C~", K4)], [0.5])
+    assert v.evaluations(0) == evaluations
+    sp = v.spectra[0]
+    assert v.graph_ids == ("C~",) and sp.alpha == 0.5
+    assert len(sp.rho) == sp.n == 4
+    assert sp.m == 6 and sp.zagreb == 36
+    assert sp.energy == pytest.approx(3.0, abs=1e-10)
+    assert sp.eta == 1
 
 
 def test_sweep_row_order_and_empty_corpus():
     corpus = [("C~", K4), ("Cs", star(3))]
-    reports = run_sweep(corpus, [0.0, 0.5])
-    assert [(r.graph_id, r.alpha) for r in reports] == [
+    v = run_sweep(corpus, [0.0, 0.5])
+    assert [(gid, sp.alpha) for gid, sp in zip(v.graph_ids, v.spectra)] == [
         ("C~", 0.0), ("C~", 0.5), ("Cs", 0.0), ("Cs", 0.5),
     ]
     with pytest.raises(ValueError):
@@ -137,19 +146,19 @@ def test_sweep_row_order_and_empty_corpus():
 
 
 def test_summary_and_violations_k4():
-    reports = run_sweep([("C~", K4)], [0.0, 0.5])
-    summary = summarize(reports)
+    v = run_sweep([("C~", K4)], [0.0, 0.5])
+    summary = summarize(v)
     for bid in BOUND_IDS:
         expected = 1 if bid == "lb_frobenius_asstated" else 0
         assert summary[bid]["violations"] == expected, bid
-    assert violations(reports) == []
-    assert violations(reports, strict=True) == [("C~", 0.5, "lb_frobenius_asstated")]
+    assert violations(v) == []
+    assert violations(v, strict=True) == [("C~", 0.5, "lb_frobenius_asstated")]
 
 
 def test_csv_and_json_carry_identical_values():
-    reports = run_sweep([("C~", K4), (g6(cycle(5)), cycle(5))], [0.0, 0.5])
-    json_rows = [json.loads(line) for line in reports_to_json(reports).splitlines()]
-    csv_rows = list(csv.DictReader(io.StringIO(reports_to_csv(reports))))
+    v = run_sweep([("C~", K4), (g6(cycle(5)), cycle(5))], [0.0, 0.5])
+    json_rows = [json.loads(line) for line in reports_to_json(v).splitlines()]
+    csv_rows = list(csv.DictReader(io.StringIO(reports_to_csv(v))))
     flat = [
         (row, bound) for row in json_rows for bound in row["bounds"]
     ]
@@ -181,8 +190,7 @@ def _awkward_ids(tmp_path):
     ids = ['odd,"id"', "line\nbreak", "cr\rid", " leading space", "trailing ",
            "tab\tid", "ünïcödé", "", '"', "C~;x", "plain-ascii:1", "back\\slash\\"]
     graphs = [K4, cycle(5), star(3)]
-    return [rep for i, gid in enumerate(ids)
-            for rep in harness.run_sweep([(gid, graphs[i % 3])], [0.0, 0.5, 1.0])]
+    return run_sweep([(gid, graphs[i % 3]) for i, gid in enumerate(ids)], [0.0, 0.5, 1.0])
 
 
 def _comma_path(tmp_path):
@@ -197,25 +205,70 @@ def _comma_path(tmp_path):
 
 
 def _k1(tmp_path):
-    reports = run_sweep([("@", Graph(1))], list(DEFAULT_ALPHA_GRID) + [1.0])
-    reasons = {ev.reason for rep in reports for ev in rep.evaluations
+    v = run_sweep([("@", Graph(1))], list(DEFAULT_ALPHA_GRID) + [1.0])
+    reasons = {ev.reason for r in range(len(v.spectra)) for ev in v.evaluations(r)
                if ev.bound_id == "rho_lb_star"}
     assert None not in reasons
-    return reports
+    return v
 
 
 @pytest.mark.parametrize("build", [_atlas_slice, _awkward_ids, _comma_path, _k1],
                          ids=["atlas-60", "awkward-ids", "comma-path", "k1"])
 def test_csv_writer_matches_reference(build, tmp_path):
-    reports = build(tmp_path)
-    assert reports_to_csv(reports) == oracles.reports_to_csv_reference(reports)
+    v = build(tmp_path)
+    assert reports_to_csv(v) == oracles.reports_to_csv_reference(v)
 
 
 @pytest.mark.parametrize("build", [_atlas_slice, _awkward_ids, _comma_path, _k1],
                          ids=["atlas-60", "awkward-ids", "comma-path", "k1"])
 def test_json_writer_matches_reference(build, tmp_path):
-    reports = build(tmp_path)
-    assert reports_to_json(reports) == oracles.reports_to_json_reference(reports)
+    v = build(tmp_path)
+    assert reports_to_json(v) == oracles.reports_to_json_reference(v)
+
+
+def _summary_and_violations_by_row(v, strict):
+    """`summarize` and `violations` rebuilt from each row's verdict objects."""
+    keys = ("applicable", "holds", "violations", "equalities")
+    summary = {bid: dict.fromkeys(keys, 0) for bid in BOUND_IDS}
+    bad = []
+    for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra)):
+        for e in v.evaluations(r):
+            counts = summary[e.bound_id]
+            counts["applicable"] += e.applicable
+            counts["holds"] += e.holds is True
+            counts["equalities"] += e.equality is True
+            if e.applicable and not e.holds:
+                counts["violations"] += 1
+                if strict or e.bound_id not in harness.EXPECTED_VIOLATION_IDS:
+                    bad.append((gid, sp.alpha, e.bound_id))
+    return summary, bad
+
+
+def _two_k2(tmp_path):
+    return run_sweep([("2K2", Graph(4, [(0, 1), (2, 3)]))], list(DEFAULT_ALPHA_GRID) + [1.0])
+
+
+def _repeated_id(tmp_path):
+    # One id on three graphs: rows are told apart by position, not by id.
+    return run_sweep([("dup", K4), ("dup", cycle(5)), ("dup", K4), ("other", star(3))],
+                     list(DEFAULT_ALPHA_GRID) + [1.0])
+
+
+def _flipped_holds(tmp_path):
+    # Every applicable verdict flipped, so most rows fail several bounds and
+    # the order of violations within and across rows shows.
+    v = _atlas_slice(tmp_path)
+    return dataclasses.replace(v, holds=(v.reason == 0) & ~v.holds)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+@pytest.mark.parametrize("build", [_atlas_slice, _k1, _two_k2, _repeated_id, _flipped_holds],
+                         ids=["atlas-60", "k1", "2k2", "repeated-id", "flipped-holds"])
+def test_summary_and_violations_match_per_row_reference(build, strict, tmp_path):
+    v = build(tmp_path)
+    summary, bad = _summary_and_violations_by_row(v, strict)
+    assert summarize(v) == summary
+    assert violations(v, strict=strict) == bad
 
 
 def test_json_writer_numbers_match_json_dumps():
@@ -229,13 +282,11 @@ def test_json_writer_numbers_match_json_dumps():
 
 def test_csv_awkward_ids_read_back(tmp_path):
     # A lone carriage return, a newline, quotes and commas all survive csv.reader.
-    reports = _awkward_ids(tmp_path)
-    rows = list(csv.reader(io.StringIO(reports_to_csv(reports), newline="")))
+    v = _awkward_ids(tmp_path)
+    rows = list(csv.reader(io.StringIO(reports_to_csv(v), newline="")))
     assert rows[0] == list(harness.CSV_COLUMNS)
     assert all(len(row) == len(harness.CSV_COLUMNS) for row in rows)
-    assert [row[0] for row in rows[1:]] == [
-        rep.graph_id for rep in reports for _ in rep.evaluations
-    ]
+    assert [row[0] for row in rows[1:]] == [gid for gid in v.graph_ids for _ in BOUND_IDS]
 
 
 def test_reports_byte_identical_across_runs():
@@ -282,8 +333,8 @@ def test_load_corpus_edge_list(tmp_path):
 def test_fuzz_reproducible_and_sound():
     a = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
     b = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
-    assert [r.graph_id for r in a.reports] == [r.graph_id for r in b.reports]
-    assert violations(list(a.reports)) == []
+    assert a.verdicts.graph_ids == b.verdicts.graph_ids
+    assert violations(a.verdicts) == []
     assert a.monotonicity_violations == ()
     with pytest.raises(ValueError):
         run_fuzz(4, 8, 0, seed=1, alphas=[0.0])

@@ -80,8 +80,12 @@ def test_alpha_matrices_finite_and_exactly_symmetric(g, extra):
 def test_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRangeError):
         alpha_matrices(complete(3), [-0.1])
-    with pytest.raises(AlphaOutOfRangeError):
+    with pytest.raises(AlphaOutOfRangeError, match=r"alpha must lie in \[0, 1\], got 1.5"):
         graph_spectra(complete(3), [0.5, 1.5])
+    with pytest.raises(AlphaOutOfRangeError):
+        graph_spectra(complete(3), [float("nan")])
+    # An int alpha is stored as a Python float.
+    assert [type(sp.alpha) for sp in graph_spectra(complete(3), [0, 1])] == [float, float]
 
 
 def test_k4_half_spectrum_fixture():
@@ -324,7 +328,7 @@ def test_adjacency_solved_once_per_graph(monkeypatch):
     # One stack solve per analyze call; the adjacency spectrum, read by the
     # certificate, is solved once for the Graph object, not once per alpha.
     for alpha in DEFAULT_ALPHA_GRID:
-        assert harness.analyze("P", g, alpha).evaluations[0].applicable
+        assert harness.analyze("P", g, alpha)[0].applicable
     stack = (1, 10, 10)
     assert calls == [stack, (10, 10)] + [stack] * (len(DEFAULT_ALPHA_GRID) - 1)
     # Sweeps never certify, so they never solve the adjacency spectrum.
