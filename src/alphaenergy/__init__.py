@@ -5,7 +5,8 @@ published upper/lower bounds with equality-case certification.
 A `Graph` caches what depends on it alone. `run_sweep` and `run_fuzz` check
 corpora over whole alpha grids and return one `bounds.Verdicts` table per
 call, a row per (graph, alpha); `analyze` returns the certified verdicts of
-one graph at one alpha, and `run_hunt` the equality cases of one bound."""
+one graph at one alpha, and `equality_hits` reads one bound's equality cases
+from a table, each with its certificate."""
 
 from .densela import NoConvergenceError, eigendecompose
 from .graphcore import (
@@ -44,10 +45,9 @@ from .bounds import (
 )
 from .harness import (
     DEFAULT_ALPHA_GRID,
-    EqualityHit,
     analyze,
+    equality_hits,
     run_fuzz,
-    run_hunt,
     run_sweep,
     summarize,
 )

@@ -71,23 +71,23 @@ class ExtremalCertificate:
     adjacency_inertia: tuple[int, int, int]
 
 
-def _merged_eigenvalues(values: np.ndarray, tol: float = DISTINCT_EIG_TOL) -> list[float]:
+def _merged_eigenvalues(values: np.ndarray) -> list[float]:
     """Collapse a descending eigenvalue sequence into per-cluster means."""
     groups: list[list[float]] = []
     for x in values.tolist():
-        if groups and groups[-1][-1] - x <= tol:
+        if groups and groups[-1][-1] - x <= DISTINCT_EIG_TOL:
             groups[-1].append(x)
         else:
             groups.append([x])
     return [sum(grp) / len(grp) for grp in groups]
 
 
-def _matches_values(observed: np.ndarray, stated: list[float], tol: float = DISTINCT_EIG_TOL) -> bool:
-    """Do the merged distinct eigenvalues equal the stated ones within tol?"""
-    merged = _merged_eigenvalues(observed, tol)
+def _matches_values(observed: np.ndarray, stated: list[float]) -> bool:
+    """Do the merged distinct eigenvalues equal the stated ones?"""
+    merged = _merged_eigenvalues(observed)
     expect = sorted(stated, reverse=True)
     return len(merged) == len(expect) and all(
-        abs(a - b) <= tol for a, b in zip(merged, expect)
+        abs(a - b) <= DISTINCT_EIG_TOL for a, b in zip(merged, expect)
     )
 
 
@@ -220,6 +220,12 @@ def _star_radius_bound(c: Columns) -> np.ndarray:
 # -- equality classes -----------------------------------------------------------
 
 
+def _average_and_radius(sp: AlphaSpectrum) -> tuple[float, float]:
+    """2m/n and the Cauchy-Schwarz radius sqrt((2m - (2m/n)^2) / (n - 1))."""
+    avg = 2.0 * sp.m / sp.n
+    return avg, math.sqrt(max(2.0 * sp.m - avg * avg, 0.0) / (sp.n - 1))
+
+
 def _koolen_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
     # Complete graphs, or regular graphs whose three distinct eigenvalues are
     # the average degree and the two symmetric Cauchy-Schwarz saturation values.
@@ -227,8 +233,7 @@ def _koolen_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
         return True
     if not cert.is_regular:
         return False
-    avg = 2.0 * sp.m / sp.n
-    r = math.sqrt(max(2.0 * sp.m - avg * avg, 0.0) / (sp.n - 1))
+    avg, r = _average_and_radius(sp)
     sat = (1.0 - sp.alpha) * r
     return _matches_values(sp.rho, [avg, sp.alpha * avg + sat, sp.alpha * avg - sat])
 
@@ -238,8 +243,7 @@ def _signless_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
         return True
     if not cert.is_regular:
         return False
-    avg = 2.0 * sp.m / sp.n
-    r = math.sqrt(max(2.0 * sp.m - avg * avg, 0.0) / (sp.n - 1))
+    avg, r = _average_and_radius(sp)
     return _matches_values(2.0 * sp.rho, [2.0 * avg, avg + r, avg - r])
 
 

@@ -2,7 +2,9 @@
 
 Subcommands: spectrum (eigenvalues + scalars), bounds (all verdicts for one
 graph), sweep (corpus x alpha grid to CSV/JSON), fuzz (randomized soundness
-sweep plus edge-deletion monotonicity), hunt-equality (equality-case search).
+sweep plus edge-deletion monotonicity), hunt-equality (one bound's equality
+cases, read from the sweep's verdict table). `sweep` and `fuzz` write the
+summary table, then one `violation` line per counted violation, to stderr.
 
 Every subcommand's options are declared once, in `_COMMANDS`. A well-formed
 call is read straight from that table by `_read_argv`; argparse, built from
@@ -91,6 +93,16 @@ def _report_text(v, fmt: str) -> str:
     return (harness.reports_to_csv if fmt == "csv" else harness.reports_to_json)(v)
 
 
+def _verdict_tail(v, bad: list[tuple[str, float, str]]) -> int:
+    """Write the summary table of `v`, then one line per counted violation in
+    `bad`, to stderr; EXIT_VIOLATIONS if any violation line was written."""
+    for line in harness.summary_lines(harness.summarize(v)):
+        print(line, file=sys.stderr)
+    for graph_id, alpha, bid in bad:
+        print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}", file=sys.stderr)
+    return EXIT_VIOLATIONS if bad else EXIT_OK
+
+
 def _spectrum_row(graph_id: str, sp: spectra.AlphaSpectrum) -> dict:
     r12 = harness.round12
     return {
@@ -131,12 +143,7 @@ def _cmd_sweep(args) -> int:
     corpus = _input_graphs(args)
     v = harness.run_sweep(corpus, alphas, args.tolerance)
     _write_output(_report_text(v, args.format), args.out)
-    for line in harness.summary_lines(harness.summarize(v)):
-        print(line, file=sys.stderr)
-    bad = harness.violations(v, strict=args.strict)
-    for graph_id, alpha, bid in bad:
-        print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}", file=sys.stderr)
-    return EXIT_VIOLATIONS if bad else EXIT_OK
+    return _verdict_tail(v, harness.violations(v, strict=args.strict))
 
 
 def _cmd_fuzz(args) -> int:
@@ -148,21 +155,14 @@ def _cmd_fuzz(args) -> int:
     if args.out:
         _write_output(_report_text(v, args.format), args.out)
     bad = harness.violations(v, strict=args.strict)
-    for graph_id, alpha, bid in bad:
-        print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}")
-    for graph_id, alpha, bid in result.monotonicity_violations:
-        print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}")
-    for line in harness.summary_lines(harness.summarize(v)):
-        print(line, file=sys.stderr)
+    code = _verdict_tail(v, bad + list(result.monotonicity_violations))
     print(
         f"{args.trials} graphs, {len(v.spectra)} reports, "
         f"{len(bad)} unexpected bound violations, "
         f"{len(result.monotonicity_violations)} monotonicity violations",
         file=sys.stderr,
     )
-    if bad or result.monotonicity_violations:
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+    return code
 
 
 _HUNT_FAMILIES = ("complete", "star", "cycle", "path", "petersen")
@@ -205,10 +205,10 @@ def _cmd_hunt(args) -> int:
         corpus = _input_graphs(args)
     else:
         corpus = _family_corpus(args.family, args.n_min, args.n_max)
-    hits = harness.run_hunt(corpus, alphas, args.bound, args.tolerance)
-    lines = [json.dumps(harness.hit_to_dict(h), separators=(",", ":")) for h in hits]
+    hits = harness.equality_hits(harness.run_sweep(corpus, alphas, args.tolerance), args.bound)
+    lines = [json.dumps(h, separators=(",", ":")) for h in hits]
     _write_output("\n".join(lines) + ("\n" if lines else ""), args.out)
-    contradicted = sum(1 for h in hits if h.contradicts_claim)
+    contradicted = sum(h["contradicts_claim"] for h in hits)
     print(
         f"{len(hits)} equality hits for {args.bound}, "
         f"{contradicted} contradicting the stated class",

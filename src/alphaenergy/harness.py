@@ -6,11 +6,12 @@ runs the bound table once over all (graph, alpha) rows of the call. The
 sweep and fuzz drivers return that one `bounds.Verdicts` table: row r is the
 report on graph `graph_ids[r]` at `spectra[r].alpha`, and
 `Verdicts.evaluations(r)` builds, and certifies, that row's verdict objects
-only when asked. `summarize`, `violations` and both writers read the table's
-columns. The CSV writer formats each float once to 12 significant digits
-with `fmt12`; the JSON writer writes the `round12` value, the float that
-string parses to, as `json.dumps` would. So the two formats carry identical
-numeric values, and reruns produce byte-identical files.
+only when asked. `summarize`, `violations`, hunt-equality's `equality_hits`
+and both writers read the table's columns. The CSV writer formats each float
+once to 12 significant digits with `fmt12`; the JSON writer writes the
+`round12` value, the float that string parses to, as `json.dumps` would. So
+the two formats carry identical numeric values, and reruns produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bounds, densela, graphcore, pcg64, spectra
-from .bounds import BOUND_IDS, BoundEvaluation, ExtremalCertificate
+from .bounds import BOUND_IDS, BoundEvaluation
 from .graphcore import Graph
 
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
@@ -37,24 +38,6 @@ CSV_COLUMNS = (
     "graph_id", "n", "m", "zagreb", "alpha", "spectrum", "energy", "eta",
     "id", "kind", "applicable", "reason", "value", "holds", "gap", "equality",
 )
-
-
-@dataclass(frozen=True)
-class EqualityHit:
-    """One equality-case occurrence found by the hunt driver."""
-
-    graph_id: str
-    alpha: float
-    bound_id: str
-    value: float
-    energy: float
-    gap: float
-    certificate: ExtremalCertificate
-    claim_matched: bool | None
-
-    @property
-    def contradicts_claim(self) -> bool:
-        return self.claim_matched is False
 
 
 def analyze(graph_id: str, g: Graph, alpha: float,
@@ -206,23 +189,29 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
 # -- equality hunting ---------------------------------------------------------
 
 
-def run_hunt(corpus: list[tuple[str, Graph]], alphas: list[float], bound_id: str,
-             equality_tol: float = bounds.EQUALITY_RTOL) -> list[EqualityHit]:
-    """Every (graph, alpha) where the bound is met with equality, paired with
-    the structural certificate so claim contradictions stand out."""
+def equality_hits(v: bounds.Verdicts, bound_id: str) -> list[dict]:
+    """The rows of `v` where the bound is met with equality, in row order, as
+    the records hunt-equality writes: the row's numbers through `round12`,
+    and its certificate once per hit, so claim contradictions stand out."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound_id {bound_id!r}")
     i = BOUND_IDS.index(bound_id)
-    rows = [(graph_id, sp) for graph_id, g in corpus for sp in spectra.graph_spectra(g, alphas)]
-    v = bounds.evaluate_many(rows, equality_tol)
     hits = []
     for r in np.flatnonzero(v.equality[i]).tolist():
-        graph_id, sp = rows[r]
+        sp = v.spectra[r]
         cert = bounds.certify(sp)
-        hits.append(EqualityHit(
-            graph_id, sp.alpha, bound_id, v.value[i, r].item(), v.target[i, r].item(),
-            v.gap[i, r].item(), cert, bounds.BOUNDS[i].claim(sp, cert),
-        ))
+        matched = bounds.BOUNDS[i].claim(sp, cert)
+        hits.append({
+            "graph_id": v.graph_ids[r],
+            "alpha": round12(sp.alpha),
+            "bound_id": bound_id,
+            "value": round12(v.value[i, r]),
+            "energy": round12(v.target[i, r]),
+            "gap": round12(v.gap[i, r]),
+            "claim_matched": matched,
+            "contradicts_claim": matched is False,
+            "certificate": asdict(cert),
+        })
     return hits
 
 
@@ -335,27 +324,6 @@ def reports_to_csv(v: bounds.Verdicts) -> str:
         ))
         lines.extend(map(prefix.__add__, row))
     return "\n".join(lines) + "\n"
-
-
-def hit_to_dict(hit: EqualityHit) -> dict:
-    cert = hit.certificate
-    return {
-        "graph_id": hit.graph_id,
-        "alpha": round12(hit.alpha),
-        "bound_id": hit.bound_id,
-        "value": round12(hit.value),
-        "energy": round12(hit.energy),
-        "gap": round12(hit.gap),
-        "claim_matched": hit.claim_matched,
-        "contradicts_claim": hit.contradicts_claim,
-        "certificate": {
-            "is_complete": cert.is_complete,
-            "is_regular": cert.is_regular,
-            "is_star": cert.is_star,
-            "distinct_alpha_eigenvalue_count": cert.distinct_alpha_eigenvalue_count,
-            "adjacency_inertia": list(cert.adjacency_inertia),
-        },
-    }
 
 
 def summary_lines(summary: dict[str, dict[str, int]]) -> list[str]:

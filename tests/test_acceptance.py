@@ -117,7 +117,8 @@ def test_criterion_5_fuzz_soundness(tmp_path):
         capture_output=True, text=True, timeout=580,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ""  # no violation triples
+    assert proc.stdout == ""
+    assert "violation\t" not in proc.stderr  # no counted violation
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == 200 * len(DEFAULT_ALPHA_GRID)
     asstated_violations = 0

@@ -19,13 +19,13 @@ from alphaenergy.graphcore import Graph, complete, cycle, petersen, serialize_gr
 from alphaenergy.harness import (
     DEFAULT_ALPHA_GRID,
     analyze,
+    equality_hits,
     fmt12,
     load_corpus,
     reports_to_csv,
     reports_to_json,
     round12,
     run_fuzz,
-    run_hunt,
     run_sweep,
     summarize,
     violations,
@@ -344,48 +344,88 @@ def test_fuzz_reproducible_and_sound():
 
 def test_hunt_stars_always_hit():
     corpus = [(g6(star(k)), star(k)) for k in range(2, 11)]
-    hits = run_hunt(corpus, list(DEFAULT_ALPHA_GRID), "lb_maxdeg")
+    hits = equality_hits(run_sweep(corpus, list(DEFAULT_ALPHA_GRID)), "lb_maxdeg")
     assert len(hits) == len(corpus) * len(DEFAULT_ALPHA_GRID)
-    assert all(h.claim_matched for h in hits)
+    assert all(h["claim_matched"] for h in hits)
 
 
 def test_hunt_certifies_each_hit_once(monkeypatch):
-    calls = []
-    real = bounds.certify
-
-    def counting(sp):
-        calls.append(sp)
-        return real(sp)
-
-    monkeypatch.setattr(bounds, "certify", counting)
+    calls = _count_certify(monkeypatch)
     corpus = [(g6(star(k)), star(k)) for k in range(1, 12)]
-    hits = run_hunt(corpus, list(DEFAULT_ALPHA_GRID), "lb_maxdeg")
+    hits = equality_hits(run_sweep(corpus, list(DEFAULT_ALPHA_GRID)), "lb_maxdeg")
     # K2 (one leaf) has n < 3; the stars with 2..11 leaves hit at every alpha.
     assert len(hits) == 10 * len(DEFAULT_ALPHA_GRID)
     assert len(calls) == len(hits)
-    assert all(h.claim_matched and h.certificate.is_star for h in hits)
+    assert all(h["claim_matched"] and h["certificate"]["is_star"] for h in hits)
 
 
 def test_hunt_average_degree_on_cycles():
     corpus = [(g6(cycle(n)), cycle(n)) for n in range(3, 11)]
-    hits = run_hunt(corpus, [0.0], "lb_average_degree")
+    hits = equality_hits(run_sweep(corpus, [0.0]), "lb_average_degree")
     # The triangle is complete (inertia (1, 0, 2)) and matches the stated
     # class; C_4 is tight too but its zero eigenvalues contradict it.
-    by_graph = {h.graph_id: h for h in hits}
+    by_graph = {h["graph_id"]: h for h in hits}
     assert set(by_graph) == {g6(cycle(3)), g6(cycle(4))}
-    assert by_graph[g6(cycle(3))].claim_matched
-    assert by_graph[g6(cycle(4))].contradicts_claim
+    assert by_graph[g6(cycle(3))]["claim_matched"]
+    assert by_graph[g6(cycle(4))]["contradicts_claim"]
     longer = [(gid, g) for gid, g in corpus if g.n >= 5]
-    assert run_hunt(longer, [0.0], "lb_average_degree") == []
+    assert equality_hits(run_sweep(longer, [0.0]), "lb_average_degree") == []
 
 
 def test_hunt_koolen_on_complete_family():
     corpus = [(g6(complete(n)), complete(n)) for n in range(3, 7)]
-    hits = run_hunt(corpus, [0.0], "ub_koolen_energy")
+    v = run_sweep(corpus, [0.0])
+    hits = equality_hits(v, "ub_koolen_energy")
     assert len(hits) == len(corpus)
-    assert all(h.claim_matched for h in hits)
+    assert all(h["claim_matched"] for h in hits)
     with pytest.raises(ValueError):
-        run_hunt(corpus, [0.0], "no_such_bound")
+        equality_hits(v, "no_such_bound")
+
+
+def _hits_by_row(v):
+    """Per bound id, `equality_hits` rebuilt from each row's verdict objects
+    and certificate."""
+    hits = {bid: [] for bid in BOUND_IDS}
+    for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra)):
+        for e in v.evaluations(r):
+            if not e.equality:
+                continue
+            cert = bounds.certify(sp)
+            hits[e.bound_id].append({
+                "graph_id": gid,
+                "alpha": round12(sp.alpha),
+                "bound_id": e.bound_id,
+                "value": round12(e.value),
+                "energy": round12(e.energy),
+                "gap": round12(e.gap),
+                "claim_matched": e.equality_claim_matched,
+                "contradicts_claim": e.equality_claim_matched is False,
+                "certificate": {
+                    "is_complete": cert.is_complete,
+                    "is_regular": cert.is_regular,
+                    "is_star": cert.is_star,
+                    "distinct_alpha_eigenvalue_count": cert.distinct_alpha_eigenvalue_count,
+                    "adjacency_inertia": list(cert.adjacency_inertia),
+                },
+            })
+    return hits
+
+
+def _families(tmp_path):
+    graphs = [b(n) for n in range(3, 11) for b in (lambda n: star(n - 1), cycle, complete)]
+    return run_sweep([(g6(g), g) for g in graphs], list(DEFAULT_ALPHA_GRID))
+
+
+@pytest.mark.parametrize("build", [_atlas_slice, _families], ids=["atlas-60", "families"])
+def test_hunt_matches_per_row_reference(build, tmp_path):
+    # Compared as the JSON lines hunt-equality writes: values, types, key
+    # order and hit order all show.
+    v = build(tmp_path)
+    reference = _hits_by_row(v)
+    assert sum(map(len, reference.values())) > 0
+    for bid in BOUND_IDS:
+        got = [json.dumps(h) for h in equality_hits(v, bid)]
+        assert got == [json.dumps(h) for h in reference[bid]], bid
 
 
 def test_float_formatting():
@@ -482,8 +522,27 @@ def test_cli_fuzz_small_clean(capsys):
     ])
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.out == ""  # no violation lines
+    assert captured.out == ""
+    assert "violation\t" not in captured.err
     assert "unexpected bound violations" in captured.err
+
+
+def test_cli_fuzz_violations_follow_the_summary_on_stderr(capsys):
+    # As in sweep: the summary table, then one line per counted violation,
+    # all on stderr, then fuzz's closing line; stdout stays empty.
+    code = cli.main(["fuzz", "--n-min", "4", "--n-max", "10", "--trials", "50",
+                     "--seed", "3", "--strict"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    table = harness.summary_lines(summarize(run_fuzz(4, 10, 50, 3, list(DEFAULT_ALPHA_GRID)).verdicts))
+    assert lines[:len(table)] == table
+    bad = lines[len(table):-1]
+    assert len(bad) == 285
+    assert all(line.startswith("violation\t") for line in bad)
+    assert lines[-1] == ("50 graphs, 550 reports, 285 unexpected bound violations, "
+                         "0 monotonicity violations")
 
 
 def test_cli_hunt_family(capsys):
