@@ -3,10 +3,13 @@ the associated centered-spectrum energy, and mechanical verification of the
 published upper/lower bounds with equality-case certification.
 
 A `Graph` caches what depends on it alone. `run_sweep` and `run_fuzz` check
-corpora over whole alpha grids and return one `bounds.Verdicts` table per
-call, a row per (graph, alpha); `analyze` returns the certified verdicts of
-one graph at one alpha, and `equality_hits` reads one bound's equality cases
-from a table, each with its certificate."""
+corpora over whole alpha grids: each solves its call's (graph, alpha) rows
+as one `SpectrumTable` of columns, one stacked eigensolve per graph order,
+and returns one `bounds.Verdicts` table per call, a row per (graph, alpha).
+An `AlphaSpectrum` record is built only for a row asked for by index.
+`analyze` returns the certified verdicts of one graph at one alpha, and
+`equality_hits` reads one bound's equality cases from a table, each with its
+certificate."""
 
 from .densela import NoConvergenceError, eigendecompose
 from .graphcore import (
@@ -33,8 +36,10 @@ from .graphcore import (
 from .spectra import (
     AlphaOutOfRangeError,
     AlphaSpectrum,
+    SpectrumTable,
     alpha_matrices,
     graph_spectra,
+    spectrum_tables,
 )
 from .bounds import (
     BOUND_IDS,

@@ -13,23 +13,22 @@ the stated equality classes.
 - `claim(sp, cert)`: whether the graph lies in the equality class the paper
   names, or None when the paper names none.
 
-Guards, value and target are array expressions over `Columns`, one entry per
-(graph, alpha) row. `evaluate_many` runs the table once over every
-(graph id, spectrum) row of a call into (15, R) `Verdicts`, the call's
-result; `Verdicts.evaluations(r)` certifies row r and builds its
-`BoundEvaluation` objects only when asked.
+Guards, value and target are array expressions over `spectra.Columns`, one
+entry per (graph, alpha) row. `evaluate_many` runs the table once over the
+columns of a call's `spectra.SpectrumTable` into (15, R) `Verdicts`, the
+call's result; `Verdicts.evaluations(r)` builds row r's AlphaSpectrum,
+certifies it and builds its `BoundEvaluation` objects only when asked.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectra import AlphaSpectrum
+from .spectra import AlphaSpectrum, Columns, SpectrumTable
 
 HOLDS_RTOL = 1e-9
 EQUALITY_RTOL = 1e-7
@@ -104,12 +103,6 @@ def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
         distinct_alpha_eigenvalue_count=len(_merged_eigenvalues(sp.rho)),
         adjacency_inertia=g.adjacency_inertia,
     )
-
-
-# The scalars the bound table reads, one float64 entry per (graph, alpha) row
-# (exact for the integers); `connected` is boolean.
-Columns = namedtuple("Columns", "n m zagreb max_degree alpha shift energy eta two_s "
-                                "gamma_det theta rho_1 connected")
 
 
 Guard = tuple[str, Callable[[Columns], np.ndarray]]
@@ -336,13 +329,13 @@ _UPPER = np.array([[b.kind == "upper"] for b in BOUNDS])
 @dataclass(frozen=True, eq=False)
 class Verdicts:
     """Every bound on R (graph, alpha) rows. Row r is the graph
-    `graph_ids[r]` at the spectrum `spectra[r]`; the verdicts are (15, R)
-    arrays, rows of BOUNDS in BOUND_IDS order. Where a bound is not
-    applicable its value, target and gap are NaN and holds and equality are
-    False."""
+    `graph_ids[r]` at row r of `spectra`, whose `spectra[r]` builds that
+    row's AlphaSpectrum; the verdicts are (15, R) arrays, rows of BOUNDS in
+    BOUND_IDS order. Where a bound is not applicable its value, target and
+    gap are NaN and holds and equality are False."""
 
     graph_ids: tuple[str, ...]
-    spectra: tuple[AlphaSpectrum, ...]
+    spectra: SpectrumTable
     reason: np.ndarray    # 0 if applicable, else 1 + index of the first false guard
     value: np.ndarray
     target: np.ndarray    # the constrained quantity, BoundEvaluation.energy
@@ -364,19 +357,13 @@ class Verdicts:
         return tuple(out)
 
 
-def evaluate_many(rows: Sequence[tuple[str, AlphaSpectrum]],
+def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,
                   equality_tol: float = EQUALITY_RTOL) -> Verdicts:
-    """Every bound on every (graph id, spectrum) row in one pass. Values and
-    targets are computed on applicable rows only; guards run on all, under
-    errstate."""
-    graph_ids = tuple(gid for gid, _ in rows)
-    sps = tuple(sp for _, sp in rows)
-    c = np.array([
-        (sp.n, sp.m, sp.zagreb, sp.graph.degree_sequence[0], sp.alpha, sp.shift, sp.energy,
-         sp.eta, sp.two_s, sp.gamma_det, sp.theta, sp.rho[0], sp.connected) for sp in sps
-    ], dtype=np.float64).reshape(len(sps), len(Columns._fields)).T
-    c = Columns(*c[:-1], c[-1] != 0.0)
-    reason = np.zeros((len(BOUNDS), len(sps)), dtype=np.int8)
+    """Every bound on every row of `spectra`, row r named `graph_ids[r]`,
+    in one pass over its columns. Values and targets are computed on
+    applicable rows only; guards run on all, under errstate."""
+    c = spectra.columns
+    reason = np.zeros((len(BOUNDS), len(spectra)), dtype=np.int8)
     value = np.full(reason.shape, np.nan)
     target = value.copy()
     link = np.ones(reason.shape, dtype=bool)
@@ -388,7 +375,7 @@ def evaluate_many(rows: Sequence[tuple[str, AlphaSpectrum]],
                 for j in range(len(b.guards), 0, -1):
                     code[~b.guards[j - 1][1](c)] = j
                 rows = (code == 0).nonzero()[0]
-                if len(rows) == len(sps):  # writing through a slice is cheaper
+                if len(rows) == len(spectra):  # writing through a slice is cheaper
                     rows, sub = slice(None), c
                 else:
                     sub = Columns(*(col[rows] for col in c)) if len(rows) else None
@@ -404,4 +391,4 @@ def evaluate_many(rows: Sequence[tuple[str, AlphaSpectrum]],
         gap = np.where(_UPPER, value - target, target - value)
         holds = (gap >= -HOLDS_RTOL * (1.0 + np.abs(value))) & link
         equality = np.abs(gap) <= equality_tol * (1.0 + np.abs(target))
-    return Verdicts(graph_ids, sps, reason, value, target, gap, holds, equality)
+    return Verdicts(tuple(graph_ids), spectra, reason, value, target, gap, holds, equality)

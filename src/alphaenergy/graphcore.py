@@ -15,6 +15,7 @@ without importing `numpy.random`.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Iterable
 
@@ -70,6 +71,10 @@ class Graph:
     same order and the same edge set, that is the same matrix."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InvalidParametersError(f"graph order must be an integer, got {n!r}") from None
         if n < 1:
             raise InvalidParametersError(f"graph order must be >= 1, got {n}")
         us, vs = [], []
@@ -83,7 +88,7 @@ class Graph:
                 )
             us.append(u)
             vs.append(v)
-        a = np.zeros((int(n), int(n)))
+        a = np.zeros((n, n))
         a[us, vs] = a[vs, us] = 1.0
         a.setflags(write=False)
         self.__dict__["_adjacency"] = a

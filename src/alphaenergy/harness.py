@@ -1,16 +1,18 @@
 """Corpus drivers: single-graph verdicts, sweeps over alpha grids, randomized
 fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 
-Every driver solves each graph's alpha list in one stacked eigensolve, then
-runs the bound table once over all (graph, alpha) rows of the call. The
-sweep and fuzz drivers return that one `bounds.Verdicts` table: row r is the
-report on graph `graph_ids[r]` at `spectra[r].alpha`, and
-`Verdicts.evaluations(r)` builds, and certifies, that row's verdict objects
-only when asked. `summarize`, `violations`, hunt-equality's `equality_hits`
-and both writers read the table's columns. The CSV writer formats each float
-once to 12 significant digits with `fmt12`; the JSON writer writes the
-`round12` value, the float that string parses to, as `json.dumps` would. So
-the two formats carry identical numeric values, and reruns produce
+`run_sweep` and `run_fuzz` solve a call's (graph, alpha) rows as one
+`spectra.SpectrumTable`, one stacked eigensolve per order (the fuzz call's
+edge-deleted graphs join the same stacks), then run the bound table once
+over the table's columns, and return that one `bounds.Verdicts` table: row r
+is the report on graph `graph_ids[r]` at row r of `spectra`, and
+`Verdicts.evaluations(r)` builds, and certifies, that row's spectrum record
+and verdict objects only when asked. `summarize`, `violations`,
+hunt-equality's `equality_hits` and both writers read columns.
+The CSV writer formats each float once to 12 significant digits with
+`fmt12`; the JSON writer writes the `round12` value, the float that string
+parses to, as `json.dumps` would, formatting each list of numbers in one `%`
+call. So the two formats carry identical numeric values, and reruns produce
 byte-identical files.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import bounds, densela, graphcore, pcg64, spectra
+from . import bounds, graphcore, pcg64, spectra
 from .bounds import BOUND_IDS, BoundEvaluation
 from .graphcore import Graph
 
@@ -96,9 +98,9 @@ def run_sweep(corpus: list[tuple[str, Graph]], alphas: list[float],
     order."""
     if not corpus:
         raise ValueError("empty corpus")
-    return bounds.evaluate_many(
-        [(graph_id, sp) for graph_id, g in corpus for sp in spectra.graph_spectra(g, alphas)],
-        equality_tol)
+    table, = spectra.spectrum_tables(([g for _, g in corpus], alphas))
+    return bounds.evaluate_many([gid for gid, _ in corpus for _ in table.alphas], table,
+                                equality_tol)
 
 
 def summarize(v: bounds.Verdicts) -> dict[str, dict[str, int]]:
@@ -118,7 +120,8 @@ def violations(v: bounds.Verdicts, strict: bool = False) -> list[tuple[str, floa
     """
     counted = np.array([[strict or bid not in EXPECTED_VIOLATION_IDS] for bid in BOUND_IDS])
     rows, ids = ((v.reason == 0) & ~v.holds & counted).T.nonzero()
-    return [(v.graph_ids[r], v.spectra[r].alpha, BOUND_IDS[i])
+    alphas = v.spectra.alphas
+    return [(v.graph_ids[r], alphas[r % len(alphas)], BOUND_IDS[i])
             for r, i in zip(rows.tolist(), ids.tolist())]
 
 
@@ -155,7 +158,10 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
              alphas: list[float],
              equality_tol: float = bounds.EQUALITY_RTOL) -> FuzzResult:
     """Evaluate every bound on random connected graphs, plus the
-    edge-deletion monotonicity property for alpha >= 1/2."""
+    edge-deletion monotonicity property for alpha in [1/2, 1).
+
+    Each graph is drawn, then the edge it loses; the graphs and the
+    edge-deleted graphs are solved together once all are drawn."""
     if not 3 <= n_min <= n_max <= 62:
         raise ValueError(f"n range must satisfy 3 <= n_min <= n_max <= 62, got [{n_min}, {n_max}]")
     if trials < 1:
@@ -163,27 +169,27 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = pcg64.default_rng(seed)
-    rows: list[tuple[str, spectra.AlphaSpectrum]] = []
-    mono: list[tuple[str, float, str]] = []
+    checked = [i for i, a in enumerate(alphas) if 0.5 <= float(a) < 1.0]
+    graphs: list[Graph] = []
+    smaller: list[tuple[int, Graph]] = []  # (trial, its edge-deleted graph)
     for trial in range(trials):
         g = _random_connected_graph(rng, n_min, n_max, trial)
-        gid = graphcore.serialize_graph6(g).decode("ascii")
-        sps = spectra.graph_spectra(g, alphas)
-        rows.extend((gid, sp) for sp in sps)
+        graphs.append(g)
         if g.m == 0:
             continue
         edge = sorted(g.edges)[int(rng.integers(0, g.m))]
-        checked = [sp for sp in sps if 0.5 <= sp.alpha < 1.0]
-        if not checked:
-            continue
-        smaller = graphcore.delete_edge(g, *edge)
-        after = densela.eigendecompose(
-            spectra.alpha_matrices(smaller, [sp.alpha for sp in checked])
-        )
-        for sp, rho in zip(checked, after):
-            if np.any(rho > sp.rho + 1e-9):
-                mono.append((gid, sp.alpha, "edge_deletion_monotonicity"))
-    return FuzzResult(bounds.evaluate_many(rows, equality_tol), tuple(mono))
+        if checked:
+            smaller.append((trial, graphcore.delete_edge(g, *edge)))
+    table, after = spectra.spectrum_tables(
+        (graphs, alphas), ([h for _, h in smaller], [alphas[i] for i in checked]))
+    gids = [graphcore.serialize_graph6(g).decode("ascii") for g in graphs]
+    k, mono = len(table.alphas), []
+    for j, (trial, _) in enumerate(smaller):
+        for a, i in enumerate(checked):
+            if np.any(after.rho[j * len(checked) + a] > table.rho[trial * k + i] + 1e-9):
+                mono.append((gids[trial], table.alphas[i], "edge_deletion_monotonicity"))
+    return FuzzResult(bounds.evaluate_many([gid for gid in gids for _ in range(k)], table,
+                                           equality_tol), tuple(mono))
 
 
 # -- equality hunting ---------------------------------------------------------
@@ -230,14 +236,28 @@ def round12(x: float) -> float:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_number(x: float) -> str:
-    """round12(x) as json.dumps writes it. A 12-digit string with a point and
-    no exponent is already that float's repr: no shorter decimal string
-    parses to the same float."""
-    text = f"{x:.12g}"  # fmt12
-    if "." in text and "e" not in text:
-        return text
-    return _JSON_NONFINITE.get(text) or repr(float(text))
+def _json_join(values: list[float]) -> str:
+    """The round12 values of `values` as json.dumps writes them, joined by
+    commas, formatted in one `%` call. A 12-digit string with a point and no
+    exponent is already that float's repr: no shorter decimal string parses
+    to the same float. Only when some string breaks that rule are the
+    strings checked one by one."""
+    text = ("%.12g," * len(values))[:-1] % tuple(values)  # fmt12 each
+    if "e" in text or text.count(".") != len(values):
+        return ",".join([p if "." in p and "e" not in p
+                         else (_JSON_NONFINITE.get(p) or repr(float(p)))
+                         for p in text.split(",")])
+    return text
+
+
+def _json_numbers(values: list[float]) -> list[str]:
+    """`_json_join(values)` as a list of strings."""
+    return _json_join(values).split(",") if values else []
+
+
+def _csv_join(values: list[float]) -> str:
+    """`fmt12` of each of `values`, joined by semicolons, in one `%` call."""
+    return ("%.12g;" * len(values))[:-1] % tuple(values)
 
 
 # CSV quoting is csv.writer's, applied only where it can change a field: a
@@ -259,7 +279,8 @@ def _cell_format(templates: list[str], null: str, quote, spec: str, number):
     """A format's bound cells from one template per bound over (applicable,
     reason, value, holds, gap, equality): per bound, its not-applicable cell
     for each reason code and its applicable template, in which the numbers
-    take `spec`, after `number` when that is given."""
+    take `spec`, after `number` maps a list of them to strings when that is
+    given."""
     cells = [
         ([""] + [tpl % ("false", quote(reason), null, null, null, null) for reason, _ in b.guards],
          tpl % ("true", null, spec, "%s", spec, "%s"))
@@ -271,7 +292,7 @@ def _cell_format(templates: list[str], null: str, quote, spec: str, number):
 _JSON_CELLS = _cell_format(
     [f'{{"id":{json.dumps(b.id)},"kind":{json.dumps(b.kind)},"applicable":%s,"reason":%s,'
      '"value":%s,"holds":%s,"gap":%s,"equality":%s}' for b in bounds.BOUNDS],
-    "null", json.dumps, "%s", _json_number)
+    "null", json.dumps, "%s", _json_numbers)
 _CSV_CELLS = _cell_format([f"{b.id},{b.kind},%s,%s,%s,%s,%s,%s" for b in bounds.BOUNDS],
                           "", _csv_field, "%.12g", None)
 _BOOL = ("false", "true")
@@ -279,30 +300,38 @@ _BOOL = ("false", "true")
 
 def _bound_cells(v: bounds.Verdicts, cell_format) -> list[tuple[str, ...]]:
     """Per row of `v`, its 15 bound cells in BOUND_IDS order, built bound by
-    bound; an applicable cell formats only its own value and gap."""
+    bound. Only the applicable cells' values and gaps are formatted, each
+    list in one call, in the order the cells take them."""
     cells, number = cell_format
+    applicable = v.reason == 0
+    values, gaps = v.value[applicable].tolist(), v.gap[applicable].tolist()
+    if number is not None:
+        values, gaps = number(values), number(gaps)
+    values, gaps = iter(values), iter(gaps)
     columns = []
-    for (na, app), codes, values, holds, gaps, equal in zip(
-            cells, v.reason.tolist(), v.value.tolist(), v.holds.tolist(),
-            v.gap.tolist(), v.equality.tolist()):
-        if number is not None:
-            values, gaps = map(number, values), map(number, gaps)
-        columns.append([na[code] if code else app % (x, _BOOL[h], gap, _BOOL[eq])
-                        for code, x, h, gap, eq in zip(codes, values, holds, gaps, equal)])
+    for (na, app), codes, holds, equal in zip(
+            cells, v.reason.tolist(), v.holds.tolist(), v.equality.tolist()):
+        columns.append([na[code] if code else app % (next(values), _BOOL[h], next(gaps), _BOOL[eq])
+                        for code, h, eq in zip(codes, holds, equal)])
     return list(zip(*columns))
 
 
 def reports_to_json(v: bounds.Verdicts) -> str:
     """One JSON object per row of `v`, one row per line, built directly with
     the bytes `json.dumps` writes for the same dict with compact separators:
-    numbers are `round12` values and the graph id is `json.dumps`-escaped."""
-    num = _json_number
+    numbers are `round12` values and the graph id is `json.dumps`-escaped.
+    A graph's integers and each alpha are formatted once per call."""
+    t = v.spectra
+    k = len(t.alphas)
+    graphs = [f'"n":{g.n},"m":{g.m},"zagreb":{g.zagreb},"alpha":' for g in t.graphs]
+    alphas = _json_numbers(list(t.alphas))
     lines = [
-        f'{{"graph_id":{json.dumps(gid)},"n":{sp.n},"m":{sp.m},'
-        f'"zagreb":{sp.zagreb},"alpha":{num(sp.alpha)},'
-        f'"spectrum":[{",".join(map(num, sp.rho.tolist()))}],"energy":{num(sp.energy)},'
-        f'"eta":{sp.eta},"bounds":[{",".join(row)}]}}'
-        for gid, sp, row in zip(v.graph_ids, v.spectra, _bound_cells(v, _JSON_CELLS))
+        f'{{"graph_id":{json.dumps(gid)},{graphs[r // k]}{alphas[r % k]},'
+        f'"spectrum":[{_json_join(rho.tolist())}],"energy":{energy},'
+        f'"eta":{eta},"bounds":[{",".join(row)}]}}'
+        for r, (gid, rho, energy, eta, row) in enumerate(zip(
+            v.graph_ids, t.rho, _json_numbers(t.energy.tolist()), t.eta.tolist(),
+            _bound_cells(v, _JSON_CELLS)))
     ]
     return "\n".join(lines) + "\n"
 
@@ -313,15 +342,18 @@ def reports_to_csv(v: bounds.Verdicts) -> str:
     Each float is formatted once with `fmt12`, which gives the same string
     as the JSON writer's `round12` value, so both formats carry the same
     numbers. A row's eight leading fields are built once and shared by its
-    bound rows.
+    bound rows; a graph's integers and each alpha once per call.
     """
+    t = v.spectra
+    k = len(t.alphas)
+    graphs = [f"{g.n},{g.m},{g.zagreb}," for g in t.graphs]
+    alphas = list(map(fmt12, t.alphas))
     lines = [",".join(CSV_COLUMNS)]
-    for gid, sp, row in zip(v.graph_ids, v.spectra, _bound_cells(v, _CSV_CELLS)):
-        prefix = ",".join((
-            gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid),
-            str(sp.n), str(sp.m), str(sp.zagreb), fmt12(sp.alpha),
-            ";".join(map(fmt12, sp.rho.tolist())), fmt12(sp.energy), str(sp.eta), "",
-        ))
+    for r, (gid, rho, energy, eta, row) in enumerate(zip(
+            v.graph_ids, t.rho, t.energy.tolist(), t.eta.tolist(), _bound_cells(v, _CSV_CELLS))):
+        prefix = (f"{gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid)},"
+                  f"{graphs[r // k]}{alphas[r % k]},{_csv_join(rho.tolist())},"
+                  f"{energy:.12g},{eta},")
         lines.extend(map(prefix.__add__, row))
     return "\n".join(lines) + "\n"
 

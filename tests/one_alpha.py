@@ -4,7 +4,7 @@ to a single (graph, alpha) row, and a row's verdicts in bitwise form."""
 import dataclasses
 
 from alphaenergy.bounds import EQUALITY_RTOL, evaluate_many
-from alphaenergy.spectra import graph_spectra
+from alphaenergy.spectra import graph_spectra, spectrum_tables
 
 
 def alpha_spectrum(g, alpha: float):
@@ -14,7 +14,8 @@ def alpha_spectrum(g, alpha: float):
 
 def evaluate_all(g, alpha: float, equality_tol: float = EQUALITY_RTOL):
     """Every bound's BoundEvaluation on `g` at one alpha, in BOUND_IDS order."""
-    return evaluate_many([("", alpha_spectrum(g, alpha))], equality_tol).evaluations(0)
+    table, = spectrum_tables(([g], [alpha]))
+    return evaluate_many([""], table, equality_tol).evaluations(0)
 
 
 def evaluation_bits(evaluations):

@@ -485,8 +485,8 @@ def test_columnar_verdicts_bit_identical_to_one_row(graphs, alphas):
     # verdicts, claims included, of evaluating that row alone.
     v = run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas)
     assert len(v.spectra) == len(graphs) * len(alphas)
-    for r, row in enumerate(zip(v.graph_ids, v.spectra)):
-        alone = B.evaluate_many([row]).evaluations(0)
+    for r, sp in enumerate(v.spectra):
+        alone = evaluate_all(sp.graph, sp.alpha)
         assert evaluation_bits(v.evaluations(r)) == evaluation_bits(alone)
 
 

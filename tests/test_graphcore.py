@@ -41,6 +41,20 @@ def test_graph_validation():
     assert g.edges == frozenset({(0, 2), (0, 1)})
 
 
+@pytest.mark.parametrize("order", [2.5, 2.0, "3", None, np.float64(3.0)])
+def test_graph_order_must_be_an_integer(order):
+    # A float order is not truncated, and a string is a typed error, not a
+    # bare TypeError.
+    with pytest.raises(InvalidParametersError, match="integer"):
+        Graph(order)
+
+
+def test_graph_order_accepts_numpy_integers():
+    g = Graph(np.int64(3), [(0, 1)])
+    assert type(g.n) is int and g == Graph(3, [(0, 1)])
+    assert Graph(np.uint8(2)).n == 2
+
+
 def test_generators_shapes():
     k4 = complete(4)
     assert k4.m == 6 and k4.degree_sequence == (3, 3, 3, 3)

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from alphaenergy import bounds, cli, graphcore, harness
+from alphaenergy import bounds, cli, graphcore, harness, spectra
 from alphaenergy.bounds import BOUND_IDS
 from alphaenergy.graphcore import Graph, complete, cycle, petersen, serialize_graph6, star
 from alphaenergy.harness import (
@@ -96,6 +96,81 @@ def test_fuzz_solves_each_graph_at_most_three_times(monkeypatch):
     result = run_fuzz(4, 6, 4, 1, list(DEFAULT_ALPHA_GRID))
     assert len(result.verdicts.spectra) == 4 * len(DEFAULT_ALPHA_GRID)
     assert 0 < len(calls) <= 3 * 4
+
+
+def test_sweep_solves_once_per_order_and_never_certifies(monkeypatch):
+    # Orders 4, 5, 4: one stacked solve for both 4-vertex graphs' rows and
+    # one for the 5-vertex graph's, whatever the writers and tallies read.
+    calls = _count_eigvalsh(monkeypatch)
+    certified = _count_certify(monkeypatch)
+    corpus = [(g6(cycle(4)), cycle(4)), (g6(cycle(5)), cycle(5)), ("C~", K4)]
+    v = run_sweep(corpus, list(DEFAULT_ALPHA_GRID))
+    reports_to_json(v)
+    reports_to_csv(v)
+    summarize(v)
+    violations(v, strict=True)
+    k = len(DEFAULT_ALPHA_GRID)
+    assert calls == [(2 * k, 4, 4), (k, 5, 5)]
+    assert certified == []
+
+
+def test_fuzz_solves_once_with_its_deletion_spectra(monkeypatch):
+    # One order: the graphs' rows and the edge-deleted graphs' rows at the
+    # alphas in [1/2, 1) share one stacked solve.
+    calls = _count_eigvalsh(monkeypatch)
+    result = run_fuzz(7, 7, 4, 2024, list(DEFAULT_ALPHA_GRID))
+    checked = sum(0.5 <= a < 1.0 for a in DEFAULT_ALPHA_GRID)
+    assert calls == [(4 * (len(DEFAULT_ALPHA_GRID) + checked), 7, 7)]
+    assert len(result.verdicts.spectra) == 4 * len(DEFAULT_ALPHA_GRID)
+
+
+def _batching_sample() -> list[tuple[str, Graph]]:
+    """About 100 atlas graphs in a seeded order that interleaves the orders:
+    every graph on at most 4 vertices (K1 and K2 among them), 87 seeded
+    larger ones, and the 2K2 edge list."""
+    corpus, _ = load_corpus(str(ATLAS))
+    rng = np.random.default_rng(16)
+    small = [item for item in corpus if item[1].n <= 4]
+    picked = small + [corpus[i] for i in rng.choice(np.arange(len(small), len(corpus)), 87,
+                                                    replace=False)]
+    picked.append(("2k2.txt:1", graphcore.parse_edge_list("4 2\n0 1\n2 3\n")))
+    return [picked[i] for i in rng.permutation(len(picked))]
+
+
+@pytest.mark.parametrize("alphas", [(0.0, 0.5, 1.0), DEFAULT_ALPHA_GRID], ids=["0-half-1", "grid"])
+def test_one_sweep_equals_its_one_graph_sweeps(alphas, monkeypatch):
+    # Stacking rows across graphs changes no bit: the reports are the
+    # one-graph reports concatenated, and every column and spectrum is the
+    # one-graph one, however many stacks the rows are split into.
+    corpus, alphas, k = _batching_sample(), list(alphas), len(alphas)
+    orders = [g.n for _, g in corpus]
+    assert set(orders) == set(range(1, 8)) and orders != sorted(orders)
+    assert {"@", "A_", "2k2.txt:1"} <= {gid for gid, _ in corpus}
+    whole = run_sweep(corpus, alphas)
+    alone = [run_sweep([item], alphas) for item in corpus]
+    header = ",".join(harness.CSV_COLUMNS) + "\n"
+    # Compared as line lists, which pytest diffs quickly when they differ.
+    json_lines = reports_to_json(whole).splitlines(keepends=True)
+    csv_lines = reports_to_csv(whole).splitlines(keepends=True)
+    assert json_lines == [line for v in alone for line in reports_to_json(v).splitlines(True)]
+    assert csv_lines == [header] + [line for v in alone
+                                    for line in reports_to_csv(v).splitlines(True)[1:]]
+    for j, v in enumerate(alone):
+        rows = slice(j * k, (j + 1) * k)
+        for name, col in zip(spectra.Columns._fields, v.spectra.columns):
+            assert getattr(whole.spectra.columns, name)[rows].tobytes() == col.tobytes(), name
+        for a in range(k):
+            assert whole.spectra.rho[j * k + a].tobytes() == v.spectra.rho[a].tobytes()
+        for name in ("reason", "value", "target", "gap", "holds", "equality"):
+            assert getattr(whole, name)[:, rows].tobytes() == getattr(v, name).tobytes(), name
+    # A cap of three 7-vertex graphs per stack: several stacks per order.
+    monkeypatch.setattr(spectra, "STACK_ENTRIES", 3 * k * 7 * 7)
+    calls = _count_eigvalsh(monkeypatch)
+    chunked = run_sweep(corpus, alphas)
+    assert len(calls) > len(set(orders)) + 20
+    assert all(np.prod(shape) <= spectra.STACK_ENTRIES for shape in calls)
+    assert reports_to_json(chunked).splitlines(True) == json_lines
+    assert reports_to_csv(chunked).splitlines(True) == csv_lines
 
 
 def test_fuzz_checks_each_graph_connectivity_once(monkeypatch):
@@ -277,7 +352,36 @@ def test_json_writer_numbers_match_json_dumps():
           1e16, -2.5e300, 5e-324, float("inf"), float("-inf"), float("nan")]
     xs += np.random.default_rng(3).normal(size=200).tolist()
     xs += (np.random.default_rng(4).normal(size=200) * 10.0 ** np.arange(-100, 100)).tolist()
-    assert [harness._json_number(x) for x in xs] == [json.dumps(round12(x)) for x in xs]
+    assert harness._json_numbers(xs) == [json.dumps(round12(x)) for x in xs]
+
+
+# Where %.12g switches to an exponent (below 1e-4, from 1e12 after
+# rounding), integers, signed zeros, subnormals, non-finite values and floats
+# past 2**53.
+_FORMAT_EDGES = [
+    0.0, -0.0, 1.0, -3.0, 7.0, 1e16, -1e16, 2.0 ** 53 + 2.0, 1e15, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-310, float("inf"), float("-inf"), float("nan"),
+    1e-4, -1e-4, 1e-5, 9.99999999999e-5, 9.999999999995e-5, 9.9999999999949e-5,
+    0.00010000000000049, 1.00000000000049e-5, 999999999999.4, 999999999999.5, 1e12,
+    123456789012.5, 0.1, 1.0 / 3.0,
+]
+
+
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10 ** 17, 10 ** 17).map(float),
+    st.floats(1e-6, 1e-3), st.floats(-1e-3, -1e-6),
+    st.floats(1e11, 1e13), st.floats(0.0, 1e-300),
+    st.sampled_from(_FORMAT_EDGES),
+), min_size=1, max_size=40))
+@example(_FORMAT_EDGES)
+@settings(max_examples=300, deadline=None)
+def test_bulk_number_formats_match_the_per_float_ones(xs):
+    # One % call per list gives json.dumps(round12(x)) for JSON and fmt12(x)
+    # for CSV, for every x.
+    assert harness._json_numbers(xs) == [json.dumps(round12(x)) for x in xs]
+    assert harness._json_join(xs) == ",".join(json.dumps(round12(x)) for x in xs)
+    assert harness._csv_join(xs).split(";") == [fmt12(x) for x in xs]
 
 
 def test_csv_awkward_ids_read_back(tmp_path):
