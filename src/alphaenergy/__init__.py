@@ -6,10 +6,11 @@ A `Graph` caches what depends on it alone. `run_sweep` and `run_fuzz` check
 corpora over whole alpha grids: each solves its call's (graph, alpha) rows
 as one `SpectrumTable` of columns, one stacked eigensolve per graph order,
 and returns one `bounds.Verdicts` table per call, a row per (graph, alpha).
-An `AlphaSpectrum` record is built only for a row asked for by index.
-`analyze` returns the certified verdicts of one graph at one alpha, and
-`equality_hits` reads one bound's equality cases from a table, each with its
-certificate."""
+That table is the call's one verdict record. An `AlphaSpectrum` record is
+built only for a row asked for by index, as `Verdicts.claims(r)` does to
+certify row r's stated-class claims. `analyze` returns the one-row table of
+one graph at one alpha with its claims, and `equality_hits` reads one
+bound's equality cases from a table, each with its certificate."""
 
 from .densela import NoConvergenceError, eigendecompose
 from .graphcore import (
@@ -37,14 +38,12 @@ from .spectra import (
     AlphaOutOfRangeError,
     AlphaSpectrum,
     SpectrumTable,
-    alpha_matrices,
     graph_spectra,
     spectrum_tables,
 )
 from .bounds import (
     BOUND_IDS,
     BOUNDS,
-    BoundEvaluation,
     ExtremalCertificate,
     certify,
 )

@@ -16,8 +16,8 @@ the stated equality classes.
 Guards, value and target are array expressions over `spectra.Columns`, one
 entry per (graph, alpha) row. `evaluate_many` runs the table once over the
 columns of a call's `spectra.SpectrumTable` into (15, R) `Verdicts`, the
-call's result; `Verdicts.evaluations(r)` builds row r's AlphaSpectrum,
-certifies it and builds its `BoundEvaluation` objects only when asked.
+call's one verdict record; `Verdicts.claims(r)` builds row r's
+AlphaSpectrum, certifies it and reads its claims only when asked.
 """
 
 from __future__ import annotations
@@ -34,29 +34,6 @@ HOLDS_RTOL = 1e-9
 EQUALITY_RTOL = 1e-7
 DISTINCT_EIG_TOL = 1e-7
 GAMMA_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class BoundEvaluation:
-    """Verdict for one bound on one (graph, alpha) pair.
-
-    `energy` holds whatever quantity the bound constrains: the energy for
-    most bounds, twice the energy for the signless-Laplacian corollary, and
-    the spectral radius for the rho_* bounds. `gap` is value - energy for
-    upper bounds and energy - value for lower bounds, so holds means
-    gap >= -1e-9 * (1 + |value|).
-    """
-
-    bound_id: str
-    kind: str
-    applicable: bool
-    reason: str | None
-    value: float | None
-    energy: float | None
-    holds: bool | None
-    gap: float | None
-    equality: bool | None
-    equality_claim_matched: bool | None
 
 
 @dataclass(frozen=True)
@@ -331,30 +308,30 @@ class Verdicts:
     """Every bound on R (graph, alpha) rows. Row r is the graph
     `graph_ids[r]` at row r of `spectra`, whose `spectra[r]` builds that
     row's AlphaSpectrum; the verdicts are (15, R) arrays, rows of BOUNDS in
-    BOUND_IDS order. Where a bound is not applicable its value, target and
-    gap are NaN and holds and equality are False."""
+    BOUND_IDS order. `gap` is value - target for upper bounds and
+    target - value for lower ones; holds means gap >= -HOLDS_RTOL *
+    (1 + |value|) and the bound's `second_link`. Where a bound is not
+    applicable its value, target and gap are NaN and holds and equality are
+    False. The fourth verdict, the stated-class claim, is read per row by
+    `claims(r)`."""
 
     graph_ids: tuple[str, ...]
     spectra: SpectrumTable
     reason: np.ndarray    # 0 if applicable, else 1 + index of the first false guard
     value: np.ndarray
-    target: np.ndarray    # the constrained quantity, BoundEvaluation.energy
+    target: np.ndarray    # the constrained quantity: energy, 2x energy or rho_1
     gap: np.ndarray
     holds: np.ndarray
     equality: np.ndarray
 
-    def evaluations(self, r: int) -> tuple[BoundEvaluation, ...]:
-        """Row r's verdicts as objects, certified once, with the claims."""
+    def claims(self, r: int) -> tuple[bool | None, ...]:
+        """Row r's claims in BOUND_IDS order, certified once: whether the
+        graph lies in each applicable bound's stated equality class, None
+        where the bound is not applicable or names no class."""
         sp = self.spectra[r]
         cert = certify(sp)
-        cols = (self.reason, self.value, self.target, self.holds, self.gap, self.equality)
-        out = []
-        for b, code, *verdict in zip(BOUNDS, *(col[:, r].tolist() for col in cols)):
-            if code:
-                out.append(BoundEvaluation(b.id, b.kind, False, b.guards[code - 1][0], *[None] * 6))
-            else:
-                out.append(BoundEvaluation(b.id, b.kind, True, None, *verdict, b.claim(sp, cert)))
-        return tuple(out)
+        return tuple(None if code else b.claim(sp, cert)
+                     for b, code in zip(BOUNDS, self.reason[:, r].tolist()))
 
 
 def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,

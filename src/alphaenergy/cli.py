@@ -148,18 +148,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     alphas = _parse_alphas(args.alpha, harness.DEFAULT_ALPHA_GRID)
-    result = harness.run_fuzz(
+    v, mono = harness.run_fuzz(
         args.n_min, args.n_max, args.trials, args.seed, alphas, args.tolerance
     )
-    v = result.verdicts
     if args.out:
         _write_output(_report_text(v, args.format), args.out)
     bad = harness.violations(v, strict=args.strict)
-    code = _verdict_tail(v, bad + list(result.monotonicity_violations))
+    code = _verdict_tail(v, bad + list(mono))
     print(
         f"{args.trials} graphs, {len(v.spectra)} reports, "
         f"{len(bad)} unexpected bound violations, "
-        f"{len(result.monotonicity_violations)} monotonicity violations",
+        f"{len(mono)} monotonicity violations",
         file=sys.stderr,
     )
     return code

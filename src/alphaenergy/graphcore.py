@@ -6,7 +6,7 @@ A `Graph` is its one read-only 0/1 adjacency matrix: the graph6 decoder and
 the G(n, p), regular and edge-deletion generators write that matrix
 directly, with no per-edge Python pass, and the edge set, edge count,
 degrees and connectivity are derived from it. The adjacency inertia solves
-it as it stands, and `spectra.alpha_matrices` builds every
+it as it stands, and `spectra.spectrum_tables` builds every
 alpha*D + (1-alpha)*A from it. Random generators draw from
 `pcg64.default_rng(seed)`, the stream of numpy's seeded PCG64 generator,
 identical for identical seeds on every platform; a small call draws it

@@ -6,8 +6,8 @@ fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 edge-deleted graphs join the same stacks), then run the bound table once
 over the table's columns, and return that one `bounds.Verdicts` table: row r
 is the report on graph `graph_ids[r]` at row r of `spectra`, and
-`Verdicts.evaluations(r)` builds, and certifies, that row's spectrum record
-and verdict objects only when asked. `summarize`, `violations`,
+`Verdicts.claims(r)` builds and certifies that row's spectrum record for its
+stated-class claims only when asked. `summarize`, `violations`,
 hunt-equality's `equality_hits` and both writers read columns.
 The CSV writer formats each float once to 12 significant digits with
 `fmt12`; the JSON writer writes the `round12` value, the float that string
@@ -22,12 +22,12 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import bounds, graphcore, pcg64, spectra
-from .bounds import BOUND_IDS, BoundEvaluation
+from .bounds import BOUND_IDS
 from .graphcore import Graph
 
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
@@ -43,9 +43,12 @@ CSV_COLUMNS = (
 
 
 def analyze(graph_id: str, g: Graph, alpha: float,
-            equality_tol: float = bounds.EQUALITY_RTOL) -> tuple[BoundEvaluation, ...]:
-    """Every bound verdict, certified, for one graph at one alpha."""
-    return run_sweep([(graph_id, g)], [alpha], equality_tol).evaluations(0)
+            equality_tol: float = bounds.EQUALITY_RTOL
+            ) -> tuple[bounds.Verdicts, tuple[bool | None, ...]]:
+    """Every bound verdict for one graph at one alpha: the one-row table and
+    its certified claims."""
+    v = run_sweep([(graph_id, g)], [alpha], equality_tol)
+    return v, v.claims(0)
 
 
 # -- corpus ingestion ------------------------------------------------------
@@ -128,12 +131,6 @@ def violations(v: bounds.Verdicts, strict: bool = False) -> list[tuple[str, floa
 # -- fuzz --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuzzResult:
-    verdicts: bounds.Verdicts
-    monotonicity_violations: tuple[tuple[str, float, str], ...]
-
-
 def _random_connected_graph(rng, n_min: int, n_max: int, trial: int) -> Graph:
     # Every fourth graph comes from the pairing model (k <= 4 keeps the
     # rejection rate low); the rest are connectivity-retried G(n, p) draws.
@@ -156,12 +153,15 @@ def _random_connected_graph(rng, n_min: int, n_max: int, trial: int) -> Graph:
 
 def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
              alphas: list[float],
-             equality_tol: float = bounds.EQUALITY_RTOL) -> FuzzResult:
+             equality_tol: float = bounds.EQUALITY_RTOL
+             ) -> tuple[bounds.Verdicts, tuple[tuple[str, float, str], ...]]:
     """Evaluate every bound on random connected graphs, plus the
-    edge-deletion monotonicity property for alpha in [1/2, 1).
+    edge-deletion monotonicity property for alpha in [1/2, 1): the verdict
+    table and the (graph_id, alpha, property) monotonicity violations.
 
-    Each graph is drawn, then the edge it loses; the graphs and the
-    edge-deleted graphs are solved together once all are drawn."""
+    Each graph is drawn, then the edge it loses, indexed among its
+    upper-triangle entries in row-major (sorted edge) order; the graphs and
+    the edge-deleted graphs are solved together once all are drawn."""
     if not 3 <= n_min <= n_max <= 62:
         raise ValueError(f"n range must satisfy 3 <= n_min <= n_max <= 62, got [{n_min}, {n_max}]")
     if trials < 1:
@@ -177,9 +177,10 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         graphs.append(g)
         if g.m == 0:
             continue
-        edge = sorted(g.edges)[int(rng.integers(0, g.m))]
+        edge = int(rng.integers(0, g.m))
         if checked:
-            smaller.append((trial, graphcore.delete_edge(g, *edge)))
+            u, v = np.nonzero(np.triu(g.adjacency, 1))
+            smaller.append((trial, graphcore.delete_edge(g, int(u[edge]), int(v[edge]))))
     table, after = spectra.spectrum_tables(
         (graphs, alphas), ([h for _, h in smaller], [alphas[i] for i in checked]))
     gids = [graphcore.serialize_graph6(g).decode("ascii") for g in graphs]
@@ -188,8 +189,8 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         for a, i in enumerate(checked):
             if np.any(after.rho[j * len(checked) + a] > table.rho[trial * k + i] + 1e-9):
                 mono.append((gids[trial], table.alphas[i], "edge_deletion_monotonicity"))
-    return FuzzResult(bounds.evaluate_many([gid for gid in gids for _ in range(k)], table,
-                                           equality_tol), tuple(mono))
+    return bounds.evaluate_many([gid for gid in gids for _ in range(k)], table,
+                                equality_tol), tuple(mono)
 
 
 # -- equality hunting ---------------------------------------------------------

@@ -151,15 +151,6 @@ def _fill(out: np.ndarray, diag: np.ndarray, g: Graph, al: np.ndarray) -> None:
     out.reshape(len(al), g.n * g.n)[:, ::g.n + 1] = diag
 
 
-def alpha_matrices(g: Graph, alphas) -> np.ndarray:
-    """alpha*D + (1-alpha)*A for each alpha, as one fresh float64 (k, n, n)
-    stack: finite and exactly symmetric, since both terms are."""
-    al = np.array([_check_alpha(x) for x in alphas], dtype=np.float64)
-    out = np.empty((len(al), g.n, g.n))
-    _fill(out, np.empty((len(al), g.n)), g, al)
-    return out
-
-
 def _chunks(n: int, blocks: list):
     """`blocks` of order n, (first row, graph, alphas) each, in runs of at
     most STACK_ENTRIES matrix entries; a block is never split."""
@@ -179,9 +170,9 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
     one order solved together.
 
     Rows are solved grouped by graph order, in chunks of whole graphs
-    (`_chunks`), and put in table order at the end. A chunk's stack is its
-    graphs' `alpha_matrices`, and each scalar is one reduction along the rows
-    of its solve.
+    (`_chunks`), and put in table order at the end. A chunk's stack is a
+    fresh float64 array holding its graphs' alpha matrices, each written by
+    `_fill`, and each scalar is one reduction along the rows of its solve.
     """
     groups = [(tuple(graphs), tuple(_check_alpha(x) for x in alphas))
               for graphs, alphas in groups]

@@ -7,7 +7,8 @@ from a singular value decomposition; characteristic polynomials from the
 Faddeev-LeVerrier recursion, determinants from cofactor expansion;
 connectivity from a union-find over the edge set; graph6 records decoded
 bit by bit as the format's description reads; CSV reports from
-`csv.writer` and JSON reports from `json.dumps`.
+`csv.writer` and JSON reports from `json.dumps`, reading a verdict table
+one row at a time through `one_alpha.row_view`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 import math
 
 import numpy as np
+
+from one_alpha import row_view
 
 
 def adjacency(g) -> np.ndarray:
@@ -213,7 +216,7 @@ def reports_to_csv_reference(v) -> str:
             graph_id, sp.n, sp.m, sp.zagreb, cell(sp.alpha),
             ";".join(cell(x) for x in sp.rho.tolist()), cell(sp.energy), sp.eta,
         ]
-        for ev in v.evaluations(r):
+        for ev in row_view(v, r):
             lines.append(row(prefix + [
                 ev.bound_id, ev.kind, cell(ev.applicable), cell(ev.reason),
                 cell(ev.value), cell(ev.holds), cell(ev.gap), cell(ev.equality),
@@ -254,7 +257,7 @@ def reports_to_json_reference(v) -> str:
                     "gap": r12(ev.gap),
                     "equality": ev.equality,
                 }
-                for ev in v.evaluations(r)
+                for ev in row_view(v, r)
             ],
         }, separators=(",", ":")))
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from alphaenergy import bounds as B
 from alphaenergy.bounds import BOUND_IDS, certify
 from alphaenergy.graphcore import Graph, complete, cycle, erdos_renyi, path, petersen, star
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
-from one_alpha import alpha_spectrum, evaluate_all, evaluation_bits
+from one_alpha import alpha_spectrum, evaluate_all, evaluation_bits, row_view
 
 SQRT3 = math.sqrt(3.0)
 
@@ -432,25 +432,24 @@ ATLAS_NOT_APPLICABLE = {
 
 
 @pytest.fixture(scope="module")
-def atlas_rows():
+def atlas_verdicts():
     corpus, skipped = load_corpus(str(ATLAS))
     assert len(corpus) == 996 and not skipped
-    v = run_sweep(corpus, list(ATLAS_ALPHAS))
-    return [(gid, sp.alpha, v.evaluations(r))
-            for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra))]
+    return run_sweep(corpus, list(ATLAS_ALPHAS))
 
 
-def test_atlas7_equality_hits_frozen(atlas_rows):
+def test_atlas7_equality_hits_frozen(atlas_verdicts):
     # On this corpus equality gaps are at most 1.3e-14 relative and every
     # other gap is at least 3.8e-5, so the table does not depend on the
     # LAPACK build.
+    v = atlas_verdicts
     claim_text = {None: "null", True: "true", False: "false"}
-    got = [
-        f"{gid} {fmt12(alpha)} {e.bound_id} {claim_text[e.equality_claim_matched]}"
-        for gid, alpha, evaluations in atlas_rows
-        for e in evaluations
-        if e.applicable and e.equality
-    ]
+    hit = (v.reason == 0) & v.equality
+    got = []
+    for r in np.flatnonzero(hit.any(axis=0)).tolist():
+        alpha, claims = v.spectra.alphas[r % len(v.spectra.alphas)], v.claims(r)
+        got += [f"{v.graph_ids[r]} {fmt12(alpha)} {BOUND_IDS[i]} {claim_text[claims[i]]}"
+                for i in np.flatnonzero(hit[:, r]).tolist()]
     frozen = [
         line for line in (DATA / "atlas7_equality.txt").read_text().splitlines()
         if not line.startswith("#")
@@ -459,12 +458,12 @@ def test_atlas7_equality_hits_frozen(atlas_rows):
     assert "Cl 0 lb_average_degree false" in frozen  # C4, outside the stated class
 
 
-def test_atlas7_not_applicable_counts_frozen(atlas_rows):
+def test_atlas7_not_applicable_counts_frozen(atlas_verdicts):
     got = Counter(
-        (e.bound_id, e.reason)
-        for _, _, evaluations in atlas_rows
-        for e in evaluations
-        if not e.applicable
+        (b.id, b.guards[code - 1][0])
+        for b, codes in zip(B.BOUNDS, atlas_verdicts.reason.tolist())
+        for code in codes
+        if code
     )
     assert got == ATLAS_NOT_APPLICABLE
 
@@ -487,7 +486,7 @@ def test_columnar_verdicts_bit_identical_to_one_row(graphs, alphas):
     assert len(v.spectra) == len(graphs) * len(alphas)
     for r, sp in enumerate(v.spectra):
         alone = evaluate_all(sp.graph, sp.alpha)
-        assert evaluation_bits(v.evaluations(r)) == evaluation_bits(alone)
+        assert evaluation_bits(row_view(v, r)) == evaluation_bits(alone)
 
 
 def test_squares_keep_the_bits_of_python_floats():

@@ -5,7 +5,7 @@ import oracles
 import pytest
 from hypothesis import example, given, strategies as st
 
-from alphaenergy import graphcore, spectra
+from alphaenergy import graphcore
 from alphaenergy.graphcore import (
     GRAPH6_HEADER,
     GenerationFailureError,
@@ -28,6 +28,7 @@ from alphaenergy.graphcore import (
     serialize_graph6,
     star,
 )
+from one_alpha import solved_stacks
 
 
 def test_graph_validation():
@@ -118,7 +119,7 @@ def test_degree_matrix():
     for g, d in ((complete(4), [3, 3, 3, 3]), (star(3), [3, 1, 1, 1]),
                  (path(3), [1, 2, 1])):
         assert g.degrees().tolist() == d
-        assert np.allclose(spectra.alpha_matrices(g, [1.0])[0], np.diag(d))
+        assert np.allclose(solved_stacks(g, [1.0])[0][0], np.diag(d))
 
 
 def test_cached_fields_leave_equality_and_hash_alone():

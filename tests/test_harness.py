@@ -30,7 +30,7 @@ from alphaenergy.harness import (
     summarize,
     violations,
 )
-from one_alpha import evaluation_bits
+from one_alpha import evaluation_bits, row_view
 
 
 def g6(g) -> str:
@@ -60,7 +60,7 @@ def test_analyze_certifies_once(monkeypatch):
 
 
 def test_sweep_writers_and_summaries_never_certify(monkeypatch):
-    # Only Verdicts.evaluations certifies; the drivers' consumers read the
+    # Only Verdicts.claims certifies; the drivers' consumers read the
     # verdict columns.
     calls = _count_certify(monkeypatch)
     v = run_sweep([("C~", K4), (g6(star(3)), star(3))], list(DEFAULT_ALPHA_GRID))
@@ -93,8 +93,8 @@ def test_sweep_solves_each_graph_at_most_twice(monkeypatch):
 
 def test_fuzz_solves_each_graph_at_most_three_times(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
-    result = run_fuzz(4, 6, 4, 1, list(DEFAULT_ALPHA_GRID))
-    assert len(result.verdicts.spectra) == 4 * len(DEFAULT_ALPHA_GRID)
+    v, _ = run_fuzz(4, 6, 4, 1, list(DEFAULT_ALPHA_GRID))
+    assert len(v.spectra) == 4 * len(DEFAULT_ALPHA_GRID)
     assert 0 < len(calls) <= 3 * 4
 
 
@@ -118,10 +118,10 @@ def test_fuzz_solves_once_with_its_deletion_spectra(monkeypatch):
     # One order: the graphs' rows and the edge-deleted graphs' rows at the
     # alphas in [1/2, 1) share one stacked solve.
     calls = _count_eigvalsh(monkeypatch)
-    result = run_fuzz(7, 7, 4, 2024, list(DEFAULT_ALPHA_GRID))
+    v, _ = run_fuzz(7, 7, 4, 2024, list(DEFAULT_ALPHA_GRID))
     checked = sum(0.5 <= a < 1.0 for a in DEFAULT_ALPHA_GRID)
     assert calls == [(4 * (len(DEFAULT_ALPHA_GRID) + checked), 7, 7)]
-    assert len(result.verdicts.spectra) == 4 * len(DEFAULT_ALPHA_GRID)
+    assert len(v.spectra) == 4 * len(DEFAULT_ALPHA_GRID)
 
 
 def _batching_sample() -> list[tuple[str, Graph]]:
@@ -191,17 +191,21 @@ def test_analyze_is_the_one_alpha_case_of_the_sweep():
         swept = run_sweep([(g6(g), g)], list(DEFAULT_ALPHA_GRID))
         lines = reports_to_json(swept).splitlines()
         for r, alpha in enumerate(DEFAULT_ALPHA_GRID):
-            assert evaluation_bits(analyze(g6(g), g, alpha)) == evaluation_bits(swept.evaluations(r))
+            alone, claims = analyze(g6(g), g, alpha)
+            assert evaluation_bits(row_view(alone, 0)) == evaluation_bits(row_view(swept, r))
+            assert claims == swept.claims(r)
             single = run_sweep([(g6(g), g)], [alpha])
             assert single.spectra[0].rho.tobytes() == swept.spectra[r].rho.tobytes()
             assert reports_to_json(single) == lines[r] + "\n"
 
 
 def test_analyze_report_invariants():
-    evaluations = analyze("C~", K4, 0.5)
+    alone, claims = analyze("C~", K4, 0.5)
+    evaluations = row_view(alone, 0)
     assert [e.bound_id for e in evaluations] == list(BOUND_IDS)
+    assert claims == tuple(e.equality_claim_matched for e in evaluations)
     v = run_sweep([("C~", K4)], [0.5])
-    assert v.evaluations(0) == evaluations
+    assert row_view(v, 0) == evaluations
     sp = v.spectra[0]
     assert v.graph_ids == ("C~",) and sp.alpha == 0.5
     assert len(sp.rho) == sp.n == 4
@@ -281,7 +285,7 @@ def _comma_path(tmp_path):
 
 def _k1(tmp_path):
     v = run_sweep([("@", Graph(1))], list(DEFAULT_ALPHA_GRID) + [1.0])
-    reasons = {ev.reason for r in range(len(v.spectra)) for ev in v.evaluations(r)
+    reasons = {ev.reason for r in range(len(v.spectra)) for ev in row_view(v, r)
                if ev.bound_id == "rho_lb_star"}
     assert None not in reasons
     return v
@@ -302,12 +306,12 @@ def test_json_writer_matches_reference(build, tmp_path):
 
 
 def _summary_and_violations_by_row(v, strict):
-    """`summarize` and `violations` rebuilt from each row's verdict objects."""
+    """`summarize` and `violations` rebuilt from each row's verdict records."""
     keys = ("applicable", "holds", "violations", "equalities")
     summary = {bid: dict.fromkeys(keys, 0) for bid in BOUND_IDS}
     bad = []
     for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra)):
-        for e in v.evaluations(r):
+        for e in row_view(v, r):
             counts = summary[e.bound_id]
             counts["applicable"] += e.applicable
             counts["holds"] += e.holds is True
@@ -435,15 +439,34 @@ def test_load_corpus_edge_list(tmp_path):
 
 
 def test_fuzz_reproducible_and_sound():
-    a = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
-    b = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
-    assert a.verdicts.graph_ids == b.verdicts.graph_ids
-    assert violations(a.verdicts) == []
-    assert a.monotonicity_violations == ()
+    a, mono = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
+    b, _ = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
+    assert a.graph_ids == b.graph_ids
+    assert violations(a) == []
+    assert mono == ()
     with pytest.raises(ValueError):
         run_fuzz(4, 8, 0, seed=1, alphas=[0.0])
     with pytest.raises(ValueError):
         run_fuzz(2, 8, 5, seed=1, alphas=[0.0])
+
+
+def test_fuzz_deletes_the_drawn_edge(monkeypatch):
+    # Which edge each graph loses, frozen: the drawn index into its edges in
+    # sorted order, passed on as Python ints.
+    deleted = []
+    real = graphcore.delete_edge
+
+    def recording(g, u, v):
+        deleted.append((g6(g), u, v))
+        return real(g, u, v)
+
+    monkeypatch.setattr(graphcore, "delete_edge", recording)
+    run_fuzz(4, 12, 8, 5, [0.5])
+    assert deleted == [
+        ("IMpz~~zWw", 5, 7), ("HWe@`XS", 1, 2), ("HiddpEW", 1, 5), ("D~{", 2, 3),
+        ("EFCg", 1, 3), ("Kn|||Nwm]ZE~", 4, 6), ("GwDVVC", 6, 7), ("HoL]`^o", 1, 5),
+    ]
+    assert all(type(u) is int and type(v) is int for _, u, v in deleted)
 
 
 def test_hunt_stars_always_hit():
@@ -487,11 +510,11 @@ def test_hunt_koolen_on_complete_family():
 
 
 def _hits_by_row(v):
-    """Per bound id, `equality_hits` rebuilt from each row's verdict objects
+    """Per bound id, `equality_hits` rebuilt from each row's verdict records
     and certificate."""
     hits = {bid: [] for bid in BOUND_IDS}
     for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra)):
-        for e in v.evaluations(r):
+        for e in row_view(v, r):
             if not e.equality:
                 continue
             cert = bounds.certify(sp)
@@ -640,7 +663,7 @@ def test_cli_fuzz_violations_follow_the_summary_on_stderr(capsys):
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
-    table = harness.summary_lines(summarize(run_fuzz(4, 10, 50, 3, list(DEFAULT_ALPHA_GRID)).verdicts))
+    table = harness.summary_lines(summarize(run_fuzz(4, 10, 50, 3, list(DEFAULT_ALPHA_GRID))[0]))
     assert lines[:len(table)] == table
     bad = lines[len(table):-1]
     assert len(bad) == 285

@@ -10,14 +10,21 @@ from alphaenergy.graphcore import (
     INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, star,
 )
 from alphaenergy.harness import DEFAULT_ALPHA_GRID
-from alphaenergy.spectra import AlphaOutOfRangeError, alpha_matrices, graph_spectra
-from one_alpha import alpha_spectrum
+from alphaenergy.spectra import AlphaOutOfRangeError, graph_spectra
+from one_alpha import alpha_spectrum, solved_stacks
 
 SQRT3 = math.sqrt(3.0)
 
 
+def alpha_matrices(g, alphas):
+    """The one stack of alpha*D + (1-alpha)*A, one slice per alpha, that the
+    package solves for `g` at `alphas`."""
+    stack, = solved_stacks(g, alphas)
+    return stack
+
+
 def alpha_matrix(g, alpha):
-    """The package's alpha*D + (1-alpha)*A at one alpha."""
+    """The package's alpha*D + (1-alpha)*A at one alpha, as solved."""
     return alpha_matrices(g, [alpha])[0]
 
 
@@ -328,7 +335,8 @@ def test_adjacency_solved_once_per_graph(monkeypatch):
     # One stack solve per analyze call; the adjacency spectrum, read by the
     # certificate, is solved once for the Graph object, not once per alpha.
     for alpha in DEFAULT_ALPHA_GRID:
-        assert harness.analyze("P", g, alpha)[0].applicable
+        v, _ = harness.analyze("P", g, alpha)
+        assert v.reason[0, 0] == 0  # ub_mcclelland applicable
     stack = (1, 10, 10)
     assert calls == [stack, (10, 10)] + [stack] * (len(DEFAULT_ALPHA_GRID) - 1)
     # Sweeps never certify, so they never solve the adjacency spectrum.
