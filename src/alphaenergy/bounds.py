@@ -23,7 +23,7 @@ AlphaSpectrum, certifies it and reads its claims only when asked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,15 +36,13 @@ DISTINCT_EIG_TOL = 1e-7
 GAMMA_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class ExtremalCertificate:
-    """Structural facts used to check the stated equality classes."""
-
-    is_complete: bool
-    is_regular: bool
-    is_star: bool
-    distinct_alpha_eigenvalue_count: int
-    adjacency_inertia: tuple[int, int, int]
+# Structural facts used to check the stated equality classes; the inertia is
+# the adjacency spectrum's (positive, zero, negative) counts. (Records here
+# are namedtuples or plain classes: a dataclass would cost every import its
+# generated methods.)
+ExtremalCertificate = namedtuple(
+    "ExtremalCertificate",
+    "is_complete is_regular is_star distinct_alpha_eigenvalue_count adjacency_inertia")
 
 
 def _merged_eigenvalues(values: np.ndarray) -> list[float]:
@@ -85,20 +83,22 @@ def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
 Guard = tuple[str, Callable[[Columns], np.ndarray]]
 
 
-@dataclass(frozen=True)
 class Bound:
     """One published bound: hypotheses, closed form, constrained quantity
     and stated equality class (read from one row's spectrum and certificate).
     `second_link(c, value)` must also be true for the bound to hold (the
     chain bound's middle inequality)."""
 
-    id: str
-    kind: str
-    guards: tuple[Guard, ...]
-    value: Callable[[Columns], np.ndarray]
-    target: Callable[[Columns], np.ndarray] = lambda c: c.energy
-    claim: Callable[[AlphaSpectrum, ExtremalCertificate], bool | None] = lambda sp, cert: None
-    second_link: Callable[[Columns, np.ndarray], np.ndarray] | None = None
+    __slots__ = ("id", "kind", "guards", "value", "target", "claim", "second_link")
+
+    def __init__(self, id: str, kind: str, guards: tuple[Guard, ...],
+                 value: Callable[[Columns], np.ndarray],
+                 target: Callable[[Columns], np.ndarray] = lambda c: c.energy,
+                 claim: Callable[[AlphaSpectrum, ExtremalCertificate], bool | None]
+                 = lambda sp, cert: None,
+                 second_link: Callable[[Columns, np.ndarray], np.ndarray] | None = None):
+        self.id, self.kind, self.guards, self.value = id, kind, guards, value
+        self.target, self.claim, self.second_link = target, claim, second_link
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
@@ -303,7 +303,6 @@ BOUND_IDS = tuple(b.id for b in BOUNDS)
 _UPPER = np.array([[b.kind == "upper"] for b in BOUNDS])
 
 
-@dataclass(frozen=True, eq=False)
 class Verdicts:
     """Every bound on R (graph, alpha) rows. Row r is the graph
     `graph_ids[r]` at row r of `spectra`, whose `spectra[r]` builds that
@@ -315,14 +314,17 @@ class Verdicts:
     False. The fourth verdict, the stated-class claim, is read per row by
     `claims(r)`."""
 
-    graph_ids: tuple[str, ...]
-    spectra: SpectrumTable
-    reason: np.ndarray    # 0 if applicable, else 1 + index of the first false guard
-    value: np.ndarray
-    target: np.ndarray    # the constrained quantity: energy, 2x energy or rho_1
-    gap: np.ndarray
-    holds: np.ndarray
-    equality: np.ndarray
+    __slots__ = ("graph_ids", "spectra", "reason", "value", "target", "gap", "holds",
+                 "equality")
+
+    def __init__(self, graph_ids: tuple[str, ...], spectra: SpectrumTable,
+                 reason: np.ndarray, value: np.ndarray, target: np.ndarray, gap: np.ndarray,
+                 holds: np.ndarray, equality: np.ndarray):
+        self.graph_ids, self.spectra = graph_ids, spectra
+        self.reason = reason  # int8: 0 if applicable, else 1 + index of the first false guard
+        self.value = value
+        self.target = target  # the constrained quantity: energy, 2x energy or rho_1
+        self.gap, self.holds, self.equality = gap, holds, equality
 
     def claims(self, r: int) -> tuple[bool | None, ...]:
         """Row r's claims in BOUND_IDS order, certified once: whether the

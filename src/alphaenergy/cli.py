@@ -19,6 +19,7 @@ Exit status: 0 = clean, 1 = usage or parse error or a failed eigensolve,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -93,13 +94,14 @@ def _report_text(v, fmt: str) -> str:
     return (harness.reports_to_csv if fmt == "csv" else harness.reports_to_json)(v)
 
 
-def _verdict_tail(v, bad: list[tuple[str, float, str]]) -> int:
-    """Write the summary table of `v`, then one line per counted violation in
-    `bad`, to stderr; EXIT_VIOLATIONS if any violation line was written."""
-    for line in harness.summary_lines(harness.summarize(v)):
-        print(line, file=sys.stderr)
-    for graph_id, alpha, bid in bad:
-        print(f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}", file=sys.stderr)
+def _verdict_tail(v, bad: list[tuple[str, float, str]], closing: str = "") -> int:
+    """Write the summary table of `v`, one line per counted violation in
+    `bad`, then `closing`, to stderr in one write; EXIT_VIOLATIONS if any
+    violation line was written."""
+    lines = harness.summary_lines(harness.summarize(v))
+    lines += [f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}"
+              for graph_id, alpha, bid in bad]
+    sys.stderr.write("\n".join(lines) + "\n" + closing)
     return EXIT_VIOLATIONS if bad else EXIT_OK
 
 
@@ -154,14 +156,10 @@ def _cmd_fuzz(args) -> int:
     if args.out:
         _write_output(_report_text(v, args.format), args.out)
     bad = harness.violations(v, strict=args.strict)
-    code = _verdict_tail(v, bad + list(mono))
-    print(
+    return _verdict_tail(v, bad + list(mono), (
         f"{args.trials} graphs, {len(v.spectra)} reports, "
         f"{len(bad)} unexpected bound violations, "
-        f"{len(mono)} monotonicity violations",
-        file=sys.stderr,
-    )
-    return code
+        f"{len(mono)} monotonicity violations\n"))
 
 
 _HUNT_FAMILIES = ("complete", "star", "cycle", "path", "petersen")
@@ -327,6 +325,11 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The objects left by importing (numpy's among them) live as long as the
+    # process. Frozen, no collection walks them, and the young generation's
+    # count starts at zero, so whether a small call pays a collection does
+    # not depend on how much the imports happened to allocate.
+    gc.freeze()
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)

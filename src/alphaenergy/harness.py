@@ -11,9 +11,12 @@ stated-class claims only when asked. `summarize`, `violations`,
 hunt-equality's `equality_hits` and both writers read columns.
 The CSV writer formats each float once to 12 significant digits with
 `fmt12`; the JSON writer writes the `round12` value, the float that string
-parses to, as `json.dumps` would, formatting each list of numbers in one `%`
-call. So the two formats carry identical numeric values, and reruns produce
-byte-identical files.
+parses to, as `json.dumps` would. So the two formats carry identical numeric
+values, and reruns produce byte-identical files. A row's 15 bound cells are
+fixed by its verdict pattern (each bound's reason code, holds and equality)
+up to its applicable values and gaps, so both writers join one `%` template
+per distinct pattern per call and fill each row with one `%` call; a
+graph's id field and integers are formatted once per graph.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict
 
 import numpy as np
 
@@ -217,7 +219,7 @@ def equality_hits(v: bounds.Verdicts, bound_id: str) -> list[dict]:
             "gap": round12(v.gap[i, r]),
             "claim_matched": matched,
             "contradicts_claim": matched is False,
-            "certificate": asdict(cert),
+            "certificate": cert._asdict(),
         })
     return hits
 
@@ -276,65 +278,97 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def _cell_format(templates: list[str], null: str, quote, spec: str, number):
-    """A format's bound cells from one template per bound over (applicable,
-    reason, value, holds, gap, equality): per bound, its not-applicable cell
-    for each reason code and its applicable template, in which the numbers
-    take `spec`, after `number` maps a list of them to strings when that is
-    given."""
-    cells = [
-        ([""] + [tpl % ("false", quote(reason), null, null, null, null) for reason, _ in b.guards],
-         tpl % ("true", null, spec, "%s", spec, "%s"))
-        for tpl, b in zip(templates, bounds.BOUNDS)
-    ]
-    return cells, number
-
-
-_JSON_CELLS = _cell_format(
-    [f'{{"id":{json.dumps(b.id)},"kind":{json.dumps(b.kind)},"applicable":%s,"reason":%s,'
-     '"value":%s,"holds":%s,"gap":%s,"equality":%s}' for b in bounds.BOUNDS],
-    "null", json.dumps, "%s", _json_numbers)
-_CSV_CELLS = _cell_format([f"{b.id},{b.kind},%s,%s,%s,%s,%s,%s" for b in bounds.BOUNDS],
-                          "", _csv_field, "%.12g", None)
 _BOOL = ("false", "true")
 
 
-def _bound_cells(v: bounds.Verdicts, cell_format) -> list[tuple[str, ...]]:
-    """Per row of `v`, its 15 bound cells in BOUND_IDS order, built bound by
-    bound. Only the applicable cells' values and gaps are formatted, each
-    list in one call, in the order the cells take them."""
-    cells, number = cell_format
-    applicable = v.reason == 0
-    values, gaps = v.value[applicable].tolist(), v.gap[applicable].tolist()
-    if number is not None:
-        values, gaps = number(values), number(gaps)
-    values, gaps = iter(values), iter(gaps)
-    columns = []
-    for (na, app), codes, holds, equal in zip(
-            cells, v.reason.tolist(), v.holds.tolist(), v.equality.tolist()):
-        columns.append([na[code] if code else app % (next(values), _BOOL[h], next(gaps), _BOOL[eq])
-                        for code, h, eq in zip(codes, holds, equal)])
-    return list(zip(*columns))
+def _cell_templates(cell: str, quote, null: str, number: str) -> list:
+    """Per bound, its cell for each verdict code as a `%` template: first
+    indexed by reason code (the not-applicable cells; index 0 is unused),
+    then by [holds][equality] (the applicable cells, whose value and gap are
+    `number` placeholders). `cell` takes a bound's id, kind, applicable,
+    reason, value, holds, gap and equality; `quote` writes the strings among
+    them, and any '%' it leaves is doubled."""
+    def text(s: str) -> str:
+        return quote(s).replace("%", "%%")
+    templates = []
+    for b in bounds.BOUNDS:
+        bid, kind = text(b.id), text(b.kind)
+        templates.append((
+            [None] + [cell % (bid, kind, "false", text(reason), null, null, null, null)
+                      for reason, _ in b.guards],
+            [[cell % (bid, kind, "true", null, number, h, number, eq) for eq in _BOOL]
+             for h in _BOOL]))
+    return templates
+
+
+def _bound_texts(v: bounds.Verdicts, templates, sep: str, numbers=None) -> list[str]:
+    """Per row of `v`, its 15 bound cells joined by `sep`.
+
+    A row's text is fixed by its verdict pattern, the 15 (reason, holds,
+    equality) codes, up to its applicable values and gaps. So each pattern's
+    template is joined once per call from `templates` (`_cell_templates`),
+    and each row is one `%` call on its own numbers. Those are read in one
+    pass, every applicable cell's value then gap in row order, and passed
+    through `numbers` first when it is given.
+    """
+    applicable = (v.reason == 0).T
+    values, gaps = v.value.T[applicable].tolist(), v.gap.T[applicable].tolist()
+    flat = values + gaps
+    flat[::2], flat[1::2] = values, gaps
+    flat = tuple(numbers(flat) if numbers else flat)
+    # A row's pattern as bytes, one byte per code: reason is int8, holds and
+    # equality are bool.
+    width = len(bounds.BOUNDS)
+    codes, holds, equal = v.reason.T.tobytes(), v.holds.T.tobytes(), v.equality.T.tobytes()
+    patterns = {}  # pattern -> (its template, the count of its numbers)
+    texts = []
+    i = 0
+    for start in range(0, len(codes), width):
+        end = start + width
+        key = codes[start:end] + holds[start:end] + equal[start:end]
+        pattern = patterns.get(key)
+        if pattern is None:
+            row = zip(templates, key, key[width:], key[2 * width:])
+            pattern = patterns[key] = (
+                sep.join([na[code] if code else app[h][eq] for (na, app), code, h, eq in row]),
+                2 * key[:width].count(0))
+        j = i + pattern[1]
+        texts.append(pattern[0] % flat[i:j])
+        i = j
+    return texts
+
+
+_JSON_CELLS = _cell_templates(
+    '{"id":%s,"kind":%s,"applicable":%s,"reason":%s,"value":%s,"holds":%s,"gap":%s,'
+    '"equality":%s}', json.dumps, "null", "%s")
+# A CSV row's bound text is its 15 lines, each led by _LEAD, which the writer
+# replaces with the row's eight leading fields. No cell holds a NUL: cells
+# are bound ids and kinds, true/false, reasons and formatted numbers.
+_LEAD = "\0"
+_CSV_CELLS = _cell_templates(_LEAD + "%s,%s,%s,%s,%s,%s,%s,%s\n", _csv_field, "", "%.12g")
 
 
 def reports_to_json(v: bounds.Verdicts) -> str:
     """One JSON object per row of `v`, one row per line, built directly with
     the bytes `json.dumps` writes for the same dict with compact separators:
     numbers are `round12` values and the graph id is `json.dumps`-escaped.
-    A graph's integers and each alpha are formatted once per call."""
+    A graph's integers and id field are formatted once per graph, each alpha
+    once per call."""
     t = v.spectra
-    k = len(t.alphas)
-    graphs = [f'"n":{g.n},"m":{g.m},"zagreb":{g.zagreb},"alpha":' for g in t.graphs]
-    alphas = _json_numbers(list(t.alphas))
-    lines = [
-        f'{{"graph_id":{json.dumps(gid)},{graphs[r // k]}{alphas[r % k]},'
-        f'"spectrum":[{_json_join(rho.tolist())}],"energy":{energy},'
-        f'"eta":{eta},"bounds":[{",".join(row)}]}}'
-        for r, (gid, rho, energy, eta, row) in enumerate(zip(
-            v.graph_ids, t.rho, _json_numbers(t.energy.tolist()), t.eta.tolist(),
-            _bound_cells(v, _JSON_CELLS)))
-    ]
-    return "\n".join(lines) + "\n"
+    alphas = [f',"alpha":{a},' for a in _json_numbers(list(t.alphas))]
+    rows = zip(v.graph_ids, t.rho, _json_numbers(t.energy.tolist()), t.eta.tolist(),
+               _bound_texts(v, _JSON_CELLS, ",", _json_numbers))
+    lines = []
+    for g in t.graphs:
+        ints, gid = f'"n":{g.n},"m":{g.m},"zagreb":{g.zagreb}', None
+        # alphas first: zip stops after the graph's last row, drawing no more.
+        for alpha, (row_id, rho, energy, eta, body) in zip(alphas, rows):
+            if row_id != gid:
+                gid = row_id
+                head = f'{{"graph_id":{json.dumps(row_id)},{ints}'
+            lines.append(f'{head}{alpha}"spectrum":[{_json_join(rho.tolist())}],'
+                         f'"energy":{energy},"eta":{eta},"bounds":[{body}]}}\n')
+    return "".join(lines)
 
 
 def reports_to_csv(v: bounds.Verdicts) -> str:
@@ -343,20 +377,24 @@ def reports_to_csv(v: bounds.Verdicts) -> str:
     Each float is formatted once with `fmt12`, which gives the same string
     as the JSON writer's `round12` value, so both formats carry the same
     numbers. A row's eight leading fields are built once and shared by its
-    bound rows; a graph's integers and each alpha once per call.
+    bound rows; a graph's integers and id field (quoted only where csv.writer
+    would quote it) once per graph, each alpha once per call.
     """
     t = v.spectra
-    k = len(t.alphas)
-    graphs = [f"{g.n},{g.m},{g.zagreb}," for g in t.graphs]
-    alphas = list(map(fmt12, t.alphas))
-    lines = [",".join(CSV_COLUMNS)]
-    for r, (gid, rho, energy, eta, row) in enumerate(zip(
-            v.graph_ids, t.rho, t.energy.tolist(), t.eta.tolist(), _bound_cells(v, _CSV_CELLS))):
-        prefix = (f"{gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid)},"
-                  f"{graphs[r // k]}{alphas[r % k]},{_csv_join(rho.tolist())},"
-                  f"{energy:.12g},{eta},")
-        lines.extend(map(prefix.__add__, row))
-    return "\n".join(lines) + "\n"
+    alphas = [f",{fmt12(a)}," for a in t.alphas]
+    rows = zip(v.graph_ids, t.rho, t.energy.tolist(), t.eta.tolist(),
+               _bound_texts(v, _CSV_CELLS, ""))
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for g in t.graphs:
+        ints, gid = f",{g.n},{g.m},{g.zagreb}", None
+        # alphas first: zip stops after the graph's last row, drawing no more.
+        for alpha, (row_id, rho, energy, eta, body) in zip(alphas, rows):
+            if row_id != gid:
+                gid = row_id
+                head = (row_id if _GRAPH6_ID.fullmatch(row_id) else _csv_field(row_id)) + ints
+            lines.append(body.replace(
+                _LEAD, f"{head}{alpha}{_csv_join(rho.tolist())},{energy:.12g},{eta},"))
+    return "".join(lines)
 
 
 def summary_lines(summary: dict[str, dict[str, int]]) -> list[str]:

@@ -28,7 +28,6 @@ is cached on the `Graph` itself.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,20 +53,25 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
 class AlphaSpectrum:
     """Spectrum of alpha*D + (1-alpha)*A plus every derived scalar."""
 
-    alpha: float
-    graph: Graph
-    rho: np.ndarray          # eigenvalues, descending
-    shift: float             # 2*alpha*m/n, the eigenvalue mean
-    s: np.ndarray            # rho - shift; sums to zero
-    energy: float            # sum |s_i|
-    eta: int                 # count of rho_i >= shift (tolerance SHIFT_TIE_TOL)
-    two_s: float             # sum s_i^2, via the degree closed form
-    gamma_det: float         # |prod s_i|, clamped to 0 near a singular shift
-    theta: float             # sqrt(Zg/n) - shift
+    __slots__ = ("alpha", "graph", "rho", "shift", "s", "energy", "eta", "two_s", "gamma_det",
+                 "theta")
+
+    def __init__(self, alpha: float, graph: Graph, rho: np.ndarray, shift: float,
+                 s: np.ndarray, energy: float, eta: int, two_s: float, gamma_det: float,
+                 theta: float):
+        self.alpha = alpha
+        self.graph = graph
+        self.rho = rho              # eigenvalues, descending
+        self.shift = shift          # 2*alpha*m/n, the eigenvalue mean
+        self.s = s                  # rho - shift; sums to zero
+        self.energy = energy        # sum |s_i|
+        self.eta = eta              # count of rho_i >= shift (tolerance SHIFT_TIE_TOL)
+        self.two_s = two_s          # sum s_i^2, via the degree closed form
+        self.gamma_det = gamma_det  # |prod s_i|, clamped to 0 near a singular shift
+        self.theta = theta          # sqrt(Zg/n) - shift
 
     @property
     def n(self) -> int:

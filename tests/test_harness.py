@@ -1,6 +1,6 @@
 import contextlib
 import csv
-import dataclasses
+import functools
 import io
 import json
 import os
@@ -291,20 +291,6 @@ def _k1(tmp_path):
     return v
 
 
-@pytest.mark.parametrize("build", [_atlas_slice, _awkward_ids, _comma_path, _k1],
-                         ids=["atlas-60", "awkward-ids", "comma-path", "k1"])
-def test_csv_writer_matches_reference(build, tmp_path):
-    v = build(tmp_path)
-    assert reports_to_csv(v) == oracles.reports_to_csv_reference(v)
-
-
-@pytest.mark.parametrize("build", [_atlas_slice, _awkward_ids, _comma_path, _k1],
-                         ids=["atlas-60", "awkward-ids", "comma-path", "k1"])
-def test_json_writer_matches_reference(build, tmp_path):
-    v = build(tmp_path)
-    assert reports_to_json(v) == oracles.reports_to_json_reference(v)
-
-
 def _summary_and_violations_by_row(v, strict):
     """`summarize` and `violations` rebuilt from each row's verdict records."""
     keys = ("applicable", "holds", "violations", "equalities")
@@ -337,7 +323,32 @@ def _flipped_holds(tmp_path):
     # Every applicable verdict flipped, so most rows fail several bounds and
     # the order of violations within and across rows shows.
     v = _atlas_slice(tmp_path)
-    return dataclasses.replace(v, holds=(v.reason == 0) & ~v.holds)
+    return bounds.Verdicts(v.graph_ids, v.spectra, v.reason, v.value, v.target, v.gap,
+                           (v.reason == 0) & ~v.holds, v.equality)
+
+
+def _mixed_fuzz(tmp_path):
+    # Orders 3..12 in one call, the edge-deleted graphs' rows solved alongside.
+    v, _ = run_fuzz(3, 12, 20, 9, list(DEFAULT_ALPHA_GRID))
+    assert len({g.n for g in v.spectra.graphs}) > 5
+    return v
+
+
+_WRITER_TABLES = {"atlas-60": _atlas_slice, "awkward-ids": _awkward_ids,
+                  "comma-path": _comma_path, "k1": _k1, "mixed-fuzz": _mixed_fuzz,
+                  "flipped-holds": _flipped_holds, "repeated-id": _repeated_id}
+
+
+@pytest.mark.parametrize("build", list(_WRITER_TABLES.values()), ids=list(_WRITER_TABLES))
+def test_csv_writer_matches_reference(build, tmp_path):
+    v = build(tmp_path)
+    assert reports_to_csv(v) == oracles.reports_to_csv_reference(v)
+
+
+@pytest.mark.parametrize("build", list(_WRITER_TABLES.values()), ids=list(_WRITER_TABLES))
+def test_json_writer_matches_reference(build, tmp_path):
+    v = build(tmp_path)
+    assert reports_to_json(v) == oracles.reports_to_json_reference(v)
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
@@ -371,13 +382,18 @@ _FORMAT_EDGES = [
 ]
 
 
-@given(st.lists(st.one_of(
+# Floats of every kind in _FORMAT_EDGES: integers, exponents of both signs,
+# signed zeros, subnormals, values past 1e12 and non-finite ones.
+_FORMAT_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-10 ** 17, 10 ** 17).map(float),
     st.floats(1e-6, 1e-3), st.floats(-1e-3, -1e-6),
     st.floats(1e11, 1e13), st.floats(0.0, 1e-300),
     st.sampled_from(_FORMAT_EDGES),
-), min_size=1, max_size=40))
+)
+
+
+@given(st.lists(_FORMAT_FLOATS, min_size=1, max_size=40))
 @example(_FORMAT_EDGES)
 @settings(max_examples=300, deadline=None)
 def test_bulk_number_formats_match_the_per_float_ones(xs):
@@ -386,6 +402,50 @@ def test_bulk_number_formats_match_the_per_float_ones(xs):
     assert harness._json_numbers(xs) == [json.dumps(round12(x)) for x in xs]
     assert harness._json_join(xs) == ",".join(json.dumps(round12(x)) for x in xs)
     assert harness._csv_join(xs).split(";") == [fmt12(x) for x in xs]
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_base() -> bounds.Verdicts:
+    """Three atlas graphs, of orders 5, 7 and 7, on the default grid."""
+    corpus, _ = load_corpus(str(ATLAS))
+    return run_sweep([corpus[i] for i in (10, 150, 900)], list(DEFAULT_ALPHA_GRID))
+
+
+# One bound's cell: a reason code (0 = applicable) and its holds and
+# equality flags.
+_PATTERN = st.tuples(*[st.tuples(st.integers(0, len(b.guards)), st.booleans(), st.booleans())
+                       for b in bounds.BOUNDS])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_writers_match_reference_on_drawn_verdict_patterns(data):
+    # A real table's rows given drawn verdicts: each row takes one of a few
+    # drawn patterns (every bound's reason code from 0 to its guard count, and
+    # on applicable cells its holds and equality flags), so rows share
+    # patterns and differ in their numbers. The applicable cells' values and
+    # gaps cycle through a drawn list of floats of every kind. Cells that are
+    # not applicable keep NaN and False, as evaluate_many leaves them.
+    v = _pattern_base()
+    patterns = data.draw(st.lists(_PATTERN, min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(patterns), min_size=len(v.spectra),
+                              max_size=len(v.spectra)))
+    reason, holds, equality = np.array(rows).transpose(2, 1, 0)
+    reason = reason.astype(np.int8)
+    applicable = reason == 0
+    k = int(applicable.sum())
+    value, gap = np.full(reason.shape, np.nan), np.full(reason.shape, np.nan)
+    numbers = data.draw(st.lists(_FORMAT_FLOATS, min_size=1, max_size=40))
+    value[applicable] = np.resize(numbers, k)
+    gap[applicable] = np.resize(numbers[::-1], k)
+    drawn = bounds.Verdicts(v.graph_ids, v.spectra, reason, value,
+                            np.where(applicable, v.target, np.nan), gap,
+                            holds.astype(bool) & applicable, equality.astype(bool) & applicable)
+    # Compared as line lists, which pytest diffs quickly when they differ.
+    csv_lines = oracles.reports_to_csv_reference(drawn).splitlines(True)
+    assert reports_to_csv(drawn).splitlines(True) == csv_lines
+    json_lines = oracles.reports_to_json_reference(drawn).splitlines(True)
+    assert reports_to_json(drawn).splitlines(True) == json_lines
 
 
 def test_csv_awkward_ids_read_back(tmp_path):
