@@ -8,16 +8,26 @@ the stated equality classes.
   first predicate that is false makes the bound not applicable with that
   reason. Hypothesis failures are reported, never raised, so sweeps walk
   straight through hypothesis-violating regions.
-- `value(c)`: the bound's closed form.
-- `target(c)`: the quantity it constrains, the energy unless stated.
+- `value(t)`: the bound's closed form.
+- `target(t)`: the quantity it constrains, the energy unless stated.
 - `claim(sp, cert)`: whether the graph lies in the equality class the paper
   names, or None when the paper names none.
 
-Guards, value and target are array expressions over `spectra.Columns`, one
-entry per (graph, alpha) row. `evaluate_many` runs the table once over the
-columns of a call's `spectra.SpectrumTable` into (15, R) `Verdicts`, the
-call's one verdict record; `Verdicts.claims(r)` builds row r's
-AlphaSpectrum, certifies it and reads its claims only when asked.
+Guards, value and target are array expressions over `Terms`: a call's
+`spectra.Columns`, one entry per (graph, alpha) row, and the terms several
+closed forms share (2m/n, sqrt(Zg/n), 1 - alpha, alpha^2 Zg + (1-alpha)^2 2m,
+4 alpha m/n, 2 alpha m/n^2, the star radius bound and n - 1), each computed
+once per call in the expression tree the forms would use inline, so sharing
+changes no bit. `evaluate_many` runs the table once over the columns of a
+call's `spectra.SpectrumTable` into (15, R) `Verdicts`, the call's one
+verdict record. Its guard table evaluates each distinct predicate once and
+gathers them into a (15, guards, R) array whose first false entry per bound
+is the reason code. Every closed form runs on whole columns, and the rows
+where its bound is not applicable are set to NaN, except the three log
+forms: their shared guard tuple keeps one subset of applicable rows, since
+`_log` raises on the non-positive arguments a failed guard can leave.
+`Verdicts.claims(r)` builds row r's AlphaSpectrum, certifies it and reads
+its claims only when asked.
 """
 
 from __future__ import annotations
@@ -80,23 +90,56 @@ def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
     )
 
 
-Guard = tuple[str, Callable[[Columns], np.ndarray]]
+# What guards, closed forms and targets read: a call's `Columns`, then the
+# terms that several closed forms share, computed once per call.
+Terms = namedtuple("Terms", Columns._fields + (
+    "avg",              # 2m/n
+    "root_zn",          # sqrt(Zg/n)
+    "one_minus_alpha",  # 1 - alpha
+    "frob",             # alpha^2 Zg + (1-alpha)^2 2m
+    "four_amn",         # 4 alpha m/n
+    "two_amn2",         # 2 alpha m/n^2
+    "star",             # the star radius bound, `_star_radius_bound`
+    "n_minus_1",        # n - 1
+))
+
+
+def _terms(c: Columns) -> Terms:
+    """`c` and its shared terms, each in the expression tree the closed
+    forms wrote inline, so every value keeps its bits."""
+    one_minus_alpha = 1.0 - c.alpha
+    return Terms(*c, 2.0 * c.m / c.n, np.sqrt(c.zagreb / c.n), one_minus_alpha,
+                 _sq(c.alpha) * c.zagreb + _sq(one_minus_alpha) * 2.0 * c.m,
+                 4.0 * c.alpha * c.m / c.n, 2.0 * c.alpha * c.m / c.n ** 2,
+                 _star_radius_bound(c), c.n - 1)
+
+
+Guard = tuple[str, Callable[[Terms], np.ndarray]]
+
+
+# Targets as named functions: `evaluate_many` computes each distinct one once.
+def _energy(t: Terms) -> np.ndarray:
+    return t.energy
+
+
+def _rho_1(t: Terms) -> np.ndarray:
+    return t.rho_1
 
 
 class Bound:
     """One published bound: hypotheses, closed form, constrained quantity
     and stated equality class (read from one row's spectrum and certificate).
-    `second_link(c, value)` must also be true for the bound to hold (the
+    `second_link(t, value)` must also be true for the bound to hold (the
     chain bound's middle inequality)."""
 
     __slots__ = ("id", "kind", "guards", "value", "target", "claim", "second_link")
 
     def __init__(self, id: str, kind: str, guards: tuple[Guard, ...],
-                 value: Callable[[Columns], np.ndarray],
-                 target: Callable[[Columns], np.ndarray] = lambda c: c.energy,
+                 value: Callable[[Terms], np.ndarray],
+                 target: Callable[[Terms], np.ndarray] = _energy,
                  claim: Callable[[AlphaSpectrum, ExtremalCertificate], bool | None]
                  = lambda sp, cert: None,
-                 second_link: Callable[[Columns, np.ndarray], np.ndarray] | None = None):
+                 second_link: Callable[[Terms, np.ndarray], np.ndarray] | None = None):
         self.id, self.kind, self.guards, self.value = id, kind, guards, value
         self.target, self.claim, self.second_link = target, claim, second_link
 
@@ -115,68 +158,65 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 # -- hypotheses -------------------------------------------------------------
 
-_CONNECTED: Guard = ("requires connected", lambda c: c.connected)
-_N_AT_LEAST_3: Guard = ("requires n >= 3", lambda c: c.n >= 3)
-_ALPHA_BELOW_1: Guard = ("requires alpha in [0, 1)", lambda c: c.alpha < 1.0)
+
+def _alpha_below_1(t: Terms) -> np.ndarray:
+    return t.alpha < 1.0
+
+
+_CONNECTED: Guard = ("requires connected", lambda t: t.connected)
+_N_AT_LEAST_3: Guard = ("requires n >= 3", lambda t: t.n >= 3)
+_ALPHA_BELOW_1: Guard = ("requires alpha in [0, 1)", _alpha_below_1)
 _LOG_GUARDS: tuple[Guard, ...] = (
     _CONNECTED,
     _N_AT_LEAST_3,
-    ("requires alpha <= 1 - n/(2m)", lambda c: c.alpha <= 1.0 - c.n / (2.0 * c.m)),
-    ("singular shift", lambda c: c.gamma_det > GAMMA_FLOOR),
-    ("requires theta > 0", lambda c: c.theta > 0.0),
+    ("requires alpha <= 1 - n/(2m)", lambda t: t.alpha <= 1.0 - t.n / (2.0 * t.m)),
+    ("singular shift", lambda t: t.gamma_det > GAMMA_FLOOR),
+    ("requires theta > 0", lambda t: t.theta > 0.0),
 )
 
 
-def _zagreb_side_condition(c: Columns) -> np.ndarray:
+def _zagreb_side_condition(t: Terms) -> np.ndarray:
     """For alpha > 1/2, Zg lies above 8m^2/n - 2m or below 4m^2/n."""
     return (
-        (c.alpha <= 0.5)
-        | (c.zagreb > 8.0 * c.m * c.m / c.n - 2.0 * c.m)
-        | (c.zagreb < 4.0 * c.m * c.m / c.n)
+        (t.alpha <= 0.5)
+        | (t.zagreb > 8.0 * t.m * t.m / t.n - 2.0 * t.m)
+        | (t.zagreb < 4.0 * t.m * t.m / t.n)
     )
 
 
 # -- closed forms -------------------------------------------------------------
 
 
-def _koolen_alpha(c: Columns) -> np.ndarray:
-    avg = 2.0 * c.m / c.n
-    inner = c.two_s - _sq(1.0 - c.alpha) * avg * avg
-    return (1.0 - c.alpha) * avg + np.sqrt((c.n - 1) * np.maximum(inner, 0.0))
+def _koolen_alpha(t: Terms) -> np.ndarray:
+    inner = t.two_s - _sq(t.one_minus_alpha) * t.avg * t.avg
+    return t.one_minus_alpha * t.avg + np.sqrt(t.n_minus_1 * np.maximum(inner, 0.0))
 
 
-def _koolen_energy(c: Columns) -> np.ndarray:
-    avg = 2.0 * c.m / c.n
-    return avg + np.sqrt((c.n - 1) * np.maximum(2.0 * c.m - avg * avg, 0.0))
+def _koolen_energy(t: Terms) -> np.ndarray:
+    return t.avg + np.sqrt(t.n_minus_1 * np.maximum(2.0 * t.m - t.avg * t.avg, 0.0))
 
 
-def _koolen_signless(c: Columns) -> np.ndarray:
-    avg = 2.0 * c.m / c.n
-    inner = 2.0 * c.m + c.zagreb - (4.0 * c.m * c.m / c.n) * (1.0 + 1.0 / c.n)
-    return avg + np.sqrt((c.n - 1) * np.maximum(inner, 0.0))
+def _koolen_signless(t: Terms) -> np.ndarray:
+    inner = 2.0 * t.m + t.zagreb - (4.0 * t.m * t.m / t.n) * (1.0 + 1.0 / t.n)
+    return t.avg + np.sqrt(t.n_minus_1 * np.maximum(inner, 0.0))
 
 
-def _log_zagreb(c: Columns) -> np.ndarray:
-    sq = np.sqrt(c.zagreb / c.n)
+def _log_zagreb(t: Terms) -> np.ndarray:
     return (
-        _sq(c.alpha) * c.zagreb
-        + _sq(1.0 - c.alpha) * 2.0 * c.m
-        - (2.0 * c.alpha * c.m / c.n ** 2)
-        * (2.0 * c.alpha * c.n * c.m + 2.0 * c.alpha * c.m + c.n)
-        + _log(c.theta / c.gamma_det)
-        + (4.0 * c.alpha * c.m / c.n) * sq
-        - sq * (sq - 1.0)
+        t.frob
+        - t.two_amn2 * (2.0 * t.alpha * t.n * t.m + 2.0 * t.alpha * t.m + t.n)
+        + _log(t.theta / t.gamma_det)
+        + t.four_amn * t.root_zn
+        - t.root_zn * (t.root_zn - 1.0)
     )
 
 
-def _log_degree(c: Columns) -> np.ndarray:
+def _log_degree(t: Terms) -> np.ndarray:
     return (
-        _sq(c.alpha) * c.zagreb
-        + _sq(1.0 - c.alpha) * 2.0 * c.m
-        + _log(2.0 * c.m * (1.0 - c.alpha) / (c.n * c.gamma_det))
-        - (2.0 * c.alpha * c.m / c.n ** 2)
-        * (2.0 * c.n * c.alpha * c.m + 2.0 * c.alpha * c.m - 4.0 * c.m + c.n)
-        - (2.0 * c.m / c.n ** 2) * (2.0 * c.m - c.n)
+        t.frob
+        + _log(2.0 * t.m * t.one_minus_alpha / (t.n * t.gamma_det))
+        - t.two_amn2 * (2.0 * t.n * t.alpha * t.m + 2.0 * t.alpha * t.m - 4.0 * t.m + t.n)
+        - (2.0 * t.m / t.n ** 2) * (2.0 * t.m - t.n)
     )
 
 
@@ -235,27 +275,27 @@ _COMMON_GUARDS = (_CONNECTED, _N_AT_LEAST_3, _ALPHA_BELOW_1)
 BOUNDS: tuple[Bound, ...] = (
     # Cauchy-Schwarz: sqrt(2S n).
     Bound("ub_mcclelland", "upper", (_CONNECTED,),
-          lambda c: np.sqrt(c.two_s * c.n)),
+          lambda t: np.sqrt(t.two_s * t.n)),
     # (1-a)(2m/n) + sqrt((n-1)[2S - (1-a)^2 (2m/n)^2]).
     Bound("ub_koolen_alpha", "upper",
-          (_CONNECTED, _N_AT_LEAST_3, ("requires alpha < 1", lambda c: c.alpha < 1.0),
+          (_CONNECTED, _N_AT_LEAST_3, ("requires alpha < 1", _alpha_below_1),
            ("zagreb side condition fails for alpha > 1/2", _zagreb_side_condition)),
           _koolen_alpha, claim=_koolen_claim),
     # 2m/n + sqrt((n-1)[2m - (2m/n)^2]) on the plain energy.
     Bound("ub_koolen_energy", "upper",
-          (_CONNECTED, ("requires alpha = 0", lambda c: c.alpha == 0.0), _N_AT_LEAST_3),
+          (_CONNECTED, ("requires alpha = 0", lambda t: t.alpha == 0.0), _N_AT_LEAST_3),
           _koolen_energy, claim=_koolen_claim),
     # 2m/n + sqrt((n-1)[2m + Zg - (4m^2/n)(1 + 1/n)]) against twice the
     # alpha = 1/2 energy (the signless-Laplacian energy).
     Bound("ub_koolen_signless", "upper",
-          (_CONNECTED, ("requires alpha = 1/2", lambda c: c.alpha == 0.5), _N_AT_LEAST_3),
-          _koolen_signless, target=lambda c: 2.0 * c.energy, claim=_signless_claim),
+          (_CONNECTED, ("requires alpha = 1/2", lambda t: t.alpha == 0.5), _N_AT_LEAST_3),
+          _koolen_signless, target=lambda t: 2.0 * t.energy, claim=_signless_claim),
     # 2(n-1) + 2(eta-1)(alpha n - 1) - 4 alpha eta m / n.
     Bound("ub_eta", "upper",
           (_CONNECTED, _N_AT_LEAST_3,
-           ("requires alpha in [1/2, 1)", lambda c: (0.5 <= c.alpha) & (c.alpha < 1.0))),
-          lambda c: (2.0 * (c.n - 1) + 2.0 * (c.eta - 1) * (c.alpha * c.n - 1.0)
-                     - 4.0 * c.alpha * c.eta * c.m / c.n),
+           ("requires alpha in [1/2, 1)", lambda t: (0.5 <= t.alpha) & (t.alpha < 1.0))),
+          lambda t: (2.0 * t.n_minus_1 + 2.0 * (t.eta - 1) * (t.alpha * t.n - 1.0)
+                     - 4.0 * t.alpha * t.eta * t.m / t.n),
           claim=lambda sp, cert: cert.is_complete),
     # Log-determinant upper bounds through sqrt(Zg/n) and through 2m/n.
     Bound("ub_log_zagreb", "upper", _LOG_GUARDS, _log_zagreb, claim=_log_claim),
@@ -264,43 +304,51 @@ BOUNDS: tuple[Bound, ...] = (
     # Known to exceed the energy for alpha > 0 on some graphs; the verdict
     # records the violation rather than papering over it.
     Bound("lb_frobenius_asstated", "lower", _COMMON_GUARDS,
-          lambda c: np.sqrt(2.0 * np.maximum(
-              _sq(c.alpha) * c.zagreb + _sq(1.0 - c.alpha) * 2.0 * c.m
-              - 2.0 * _sq(c.alpha * c.m) / c.n, 0.0))),
+          lambda t: np.sqrt(2.0 * np.maximum(
+              t.frob - 2.0 * _sq(t.alpha * t.m) / t.n, 0.0))),
     # sqrt(2S): what the Cauchy-Schwarz argument supports once the centered
     # eigenvalues are used throughout.
     Bound("lb_frobenius_repaired", "lower", _COMMON_GUARDS,
-          lambda c: np.sqrt(2.0 * c.two_s)),
+          lambda t: np.sqrt(2.0 * t.two_s)),
     Bound("lb_average_degree", "lower", _COMMON_GUARDS,
-          lambda c: 4.0 * (1.0 - c.alpha) * c.m / c.n, claim=_inertia_claim),
+          lambda t: 4.0 * t.one_minus_alpha * t.m / t.n, claim=_inertia_claim),
     Bound("lb_zagreb", "lower", _COMMON_GUARDS,
-          lambda c: 2.0 * np.sqrt(c.zagreb / c.n) - 4.0 * c.alpha * c.m / c.n,
-          claim=_inertia_claim),
+          lambda t: 2.0 * t.root_zn - t.four_amn, claim=_inertia_claim),
     Bound("lb_maxdeg", "lower", _COMMON_GUARDS,
-          lambda c: _star_radius_bound(c) - 4.0 * c.alpha * c.m / c.n,
-          claim=lambda sp, cert: cert.is_star),
+          lambda t: t.star - t.four_amn, claim=lambda sp, cert: cert.is_star),
     # sqrt(Zg/n) + (n-1) + ln(Gamma/theta) - 2am/n. The trailing -2am/n keeps
     # the bound below the energy for alpha > 0; the uncentered variant without
     # it overshoots on dense graphs.
     Bound("lb_log", "lower", _LOG_GUARDS,
-          lambda c: (np.sqrt(c.zagreb / c.n) + (c.n - 1)
-                     + _log(c.gamma_det / c.theta) - c.shift),
+          lambda t: t.root_zn + t.n_minus_1 + _log(t.gamma_det / t.theta) - t.shift,
           claim=_log_claim),
     # Half the star radius bound, on the spectral radius.
     Bound("rho_lb_star", "lower",
-          (_CONNECTED, _ALPHA_BELOW_1, ("requires n >= 2", lambda c: c.n >= 2)),
-          lambda c: 0.5 * _star_radius_bound(c),
-          target=lambda c: c.rho_1, claim=lambda sp, cert: cert.is_star),
+          (_CONNECTED, _ALPHA_BELOW_1, ("requires n >= 2", lambda t: t.n >= 2)),
+          lambda t: 0.5 * t.star, target=_rho_1, claim=lambda sp, cert: cert.is_star),
     # Chain rho_1 >= sqrt(Zg/n) >= 2m/n; holds requires both links.
     Bound("rho_lb_chain", "lower", (_CONNECTED,),
-          lambda c: np.sqrt(c.zagreb / c.n),
-          target=lambda c: c.rho_1, claim=lambda sp, cert: cert.is_regular,
-          second_link=lambda c, value: (
-              value >= 2.0 * c.m / c.n - HOLDS_RTOL * (1.0 + np.abs(value)))),
+          lambda t: t.root_zn, target=_rho_1, claim=lambda sp, cert: cert.is_regular,
+          second_link=lambda t, value: value >= t.avg - HOLDS_RTOL * (1.0 + np.abs(value))),
 )
 
 BOUND_IDS = tuple(b.id for b in BOUNDS)
 _UPPER = np.array([[b.kind == "upper"] for b in BOUNDS])
+
+# The guard table: every distinct predicate once, in order of first use, and
+# per bound the indices of its guards into that list, padded to a common
+# width with the index of an extra all-false row. The first false entry of a
+# bound's gathered guards is its first failing guard, or the padding when
+# every guard holds.
+_PREDICATES = tuple({pred: None for b in BOUNDS for _, pred in b.guards})
+_WIDTH = 1 + max(len(b.guards) for b in BOUNDS)
+_GUARD_ROWS = np.array([[_PREDICATES.index(pred) for _, pred in b.guards]
+                        + [len(_PREDICATES)] * (_WIDTH - len(b.guards)) for b in BOUNDS])
+_GUARD_COUNTS = np.array([[len(b.guards)] for b in BOUNDS])
+# Every distinct target once, and per bound the index of its own.
+_TARGETS = tuple({b.target: None for b in BOUNDS})
+_TARGET_ROWS = np.array([_TARGETS.index(b.target) for b in BOUNDS])
+_LINKED = tuple((i, b.second_link) for i, b in enumerate(BOUNDS) if b.second_link)
 
 
 class Verdicts:
@@ -339,35 +387,38 @@ class Verdicts:
 def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,
                   equality_tol: float = EQUALITY_RTOL) -> Verdicts:
     """Every bound on every row of `spectra`, row r named `graph_ids[r]`,
-    in one pass over its columns. Values and targets are computed on
-    applicable rows only; guards run on all, under errstate."""
-    c = spectra.columns
-    reason = np.zeros((len(BOUNDS), len(spectra)), dtype=np.int8)
-    value = np.full(reason.shape, np.nan)
-    target = value.copy()
-    link = np.ones(reason.shape, dtype=bool)
-    shared = {}  # bounds with one guard tuple share its reasons and rows
+    in one pass over its columns, under errstate: each distinct guard
+    predicate, shared term and target once; every closed form but the log
+    ones on whole columns, with the rows where the bound is not applicable
+    set to NaN afterwards. The log forms run on the rows their guards pass
+    alone, because `_log` raises on a non-positive argument, as a failed
+    guard can leave there."""
+    size = len(spectra)
     with np.errstate(all="ignore"):
+        t = _terms(spectra.columns)
+        ok = np.zeros((len(_PREDICATES) + 1, size), dtype=bool)  # the last row stays false
+        for j, pred in enumerate(_PREDICATES):
+            ok[j] = pred(t)
+        first = ok[_GUARD_ROWS].argmin(axis=1)
+        reason = np.where(first < _GUARD_COUNTS, first + 1, 0).astype(np.int8)
+        not_applicable = reason != 0
+        value = np.empty(reason.shape)
+        log_rows = None
         for i, b in enumerate(BOUNDS):
-            if id(b.guards) not in shared:
-                code = reason[i]
-                for j in range(len(b.guards), 0, -1):
-                    code[~b.guards[j - 1][1](c)] = j
-                rows = (code == 0).nonzero()[0]
-                if len(rows) == len(spectra):  # writing through a slice is cheaper
-                    rows, sub = slice(None), c
-                else:
-                    sub = Columns(*(col[rows] for col in c)) if len(rows) else None
-                shared[id(b.guards)] = code, rows, sub
-            code, rows, sub = shared[id(b.guards)]
-            reason[i] = code
-            if sub is None:
+            if b.guards is not _LOG_GUARDS:
+                value[i] = b.value(t)
                 continue
-            value[i, rows] = b.value(sub)
-            target[i, rows] = b.target(sub)
-            if b.second_link is not None:
-                link[i, rows] = b.second_link(sub, value[i, rows])
+            if log_rows is None:  # the three log forms share one guard tuple
+                log_rows = np.flatnonzero(reason[i] == 0)
+                sub = t if len(log_rows) == size else Terms(*(col[log_rows] for col in t))
+            if len(log_rows):
+                value[i, log_rows] = b.value(sub)
+        value[not_applicable] = np.nan
+        target = np.array([f(t) for f in _TARGETS])[_TARGET_ROWS]
+        target[not_applicable] = np.nan
         gap = np.where(_UPPER, value - target, target - value)
-        holds = (gap >= -HOLDS_RTOL * (1.0 + np.abs(value))) & link
+        holds = gap >= -HOLDS_RTOL * (1.0 + np.abs(value))
+        for i, second_link in _LINKED:
+            holds[i] &= second_link(t, value[i])
         equality = np.abs(gap) <= equality_tol * (1.0 + np.abs(target))
     return Verdicts(tuple(graph_ids), spectra, reason, value, target, gap, holds, equality)

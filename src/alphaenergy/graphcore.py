@@ -5,9 +5,12 @@ Vertices are dense 0-based integers so graphs index directly into matrices.
 A `Graph` is its one read-only 0/1 adjacency matrix: the graph6 decoder and
 the G(n, p), regular and edge-deletion generators write that matrix
 directly, with no per-edge Python pass, and the edge set, edge count,
-degrees and connectivity are derived from it. The adjacency inertia solves
-it as it stands, and `spectra.spectrum_tables` builds every
-alpha*D + (1-alpha)*A from it. Random generators draw from
+degrees and connectivity are derived from it. Every pass over the vertex
+pairs u < v (graph6 encoding and decoding, the G(n, p) draw, the edge set)
+goes through one read-only strict upper-triangle mask per order,
+`upper_mask(n)`, built once and cached for the last 64 orders used. The
+adjacency inertia solves it as it stands, and `spectra.spectrum_tables`
+builds every alpha*D + (1-alpha)*A from it. Random generators draw from
 `pcg64.default_rng(seed)`, the stream of numpy's seeded PCG64 generator,
 identical for identical seeds on every platform; a small call draws it
 without importing `numpy.random`.
@@ -16,7 +19,7 @@ without importing `numpy.random`.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -57,6 +60,17 @@ class MalformedEdgeListError(ValueError):
 
 class NoSuchEdgeError(LookupError):
     """Requested edge is not present in the graph."""
+
+
+@lru_cache(maxsize=64)  # every graph6 order; n^2 bytes each, 1 MB at MAX_ORDER
+def upper_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) boolean mask of the pairs u < v. Boolean indexing
+    reads and writes its entries in row-major order, the order of
+    `np.triu_indices(n, 1)`; its transpose picks the same pairs from a
+    transposed matrix in graph6 order."""
+    mask = ~np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 class Graph:
@@ -127,7 +141,7 @@ class Graph:
 
     @cached_property
     def edges(self) -> frozenset:
-        u, v = np.nonzero(np.triu(self.adjacency, 1))
+        u, v = np.nonzero(upper_mask(self.n) & (self.adjacency > 0.0))
         return frozenset(zip(u.tolist(), v.tolist()))
 
     @cached_property
@@ -245,10 +259,10 @@ def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParametersError(f"erdos_renyi needs n >= 1 and p in [0,1], got ({n}, {p})")
     rng = pcg64.default_rng(seed)
-    upper = np.triu_indices(n, 1)
+    upper, pairs = upper_mask(n), n * (n - 1) // 2
     for _ in range(ER_MAX_DRAWS):
         a = np.zeros((n, n))
-        a[upper] = rng.random(len(upper[0])) < p
+        a[upper] = rng.random(pairs) < p
         a += a.T
         g = Graph._from_adjacency(a)
         if not connected or g.connected:
@@ -300,7 +314,7 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
 # bits (value = byte - 63, most significant bit first) of the upper adjacency
 # triangle in column order x(0,1), x(0,2), x(1,2), x(0,3), ...; pad bits zero.
 # That is the row-major order of the lower triangle of the transpose, so the
-# bits fill `a.T[np.tri(n, k=-1, dtype=bool)]`. A file may start each record
+# bits fill `a.T[upper_mask(n).T]`. A file may start each record
 # with GRAPH6_HEADER, as networkx's writers do.
 
 
@@ -343,7 +357,7 @@ def parse_graph6(data: bytes | str) -> Graph:
     if bits[nbits:].any():
         raise MalformedGraph6Error("nonzero padding bits")
     a = np.zeros((n, n))
-    a.T[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    a.T[upper_mask(n).T] = bits[:nbits]
     a += a.T
     return Graph._from_adjacency(a)
 
@@ -352,7 +366,7 @@ def serialize_graph6(g: Graph) -> bytes:
     """Encode a graph as one graph6 record; inverse of parse_graph6."""
     if g.n > GRAPH6_MAX_ORDER:
         raise GraphTooLargeError(f"graph6 single-byte header caps n at 62, got {g.n}")
-    bits = g.adjacency.T[np.tri(g.n, k=-1, dtype=bool)]
+    bits = g.adjacency.T[upper_mask(g.n).T]
     nbytes = (len(bits) + 5) // 6
     padded = np.zeros(nbytes * 6)
     padded[: len(bits)] = bits

@@ -181,18 +181,25 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
             continue
         edge = int(rng.integers(0, g.m))
         if checked:
-            u, v = np.nonzero(np.triu(g.adjacency, 1))
+            u, v = np.nonzero(graphcore.upper_mask(g.n) & (g.adjacency > 0.0))
             smaller.append((trial, graphcore.delete_edge(g, int(u[edge]), int(v[edge]))))
     table, after = spectra.spectrum_tables(
         (graphs, alphas), ([h for _, h in smaller], [alphas[i] for i in checked]))
     gids = [graphcore.serialize_graph6(g).decode("ascii") for g in graphs]
-    k, mono = len(table.alphas), []
-    for j, (trial, _) in enumerate(smaller):
-        for a, i in enumerate(checked):
-            if np.any(after.rho[j * len(checked) + a] > table.rho[trial * k + i] + 1e-9):
-                mono.append((gids[trial], table.alphas[i], "edge_deletion_monotonicity"))
+    k, mono = len(table.alphas), ()
+    if len(after):
+        # One comparison over every pair's spectra end to end, then one
+        # any() per pair: pair (j, a) is after row j * len(checked) + a
+        # against its graph's row at alpha index checked[a].
+        pairs = [(trial, i) for trial, _ in smaller for i in checked]
+        before = np.concatenate([table.rho[trial * k + i] for trial, i in pairs])
+        lifted = np.concatenate(after.rho) > before + 1e-9
+        starts = np.cumsum([0] + [len(row) for row in after.rho[:-1]])
+        any_lifted = np.logical_or.reduceat(lifted, starts).tolist()
+        mono = tuple((gids[trial], table.alphas[i], "edge_deletion_monotonicity")
+                     for (trial, i), bad in zip(pairs, any_lifted) if bad)
     return bounds.evaluate_many([gid for gid in gids for _ in range(k)], table,
-                                equality_tol), tuple(mono)
+                                equality_tol), mono
 
 
 # -- equality hunting ---------------------------------------------------------

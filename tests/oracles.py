@@ -8,7 +8,8 @@ Faddeev-LeVerrier recursion, determinants from cofactor expansion;
 connectivity from a union-find over the edge set; graph6 records decoded
 bit by bit as the format's description reads; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
-one row at a time through `one_alpha.row_view`.
+one row at a time through `one_alpha.row_view`; the bounds' closed forms
+from Python floats and the `math` module, one row at a time.
 """
 
 from __future__ import annotations
@@ -261,3 +262,56 @@ def reports_to_json_reference(v) -> str:
             ],
         }, separators=(",", ":")))
     return "\n".join(lines) + "\n"
+
+
+def bound_closed_forms(n: float, m: float, zagreb: float, max_degree: float, alpha: float,
+                       shift: float, energy: float, eta: int, two_s: float, gamma_det: float,
+                       theta: float, rho_1: float) -> dict:
+    """Per bound id, a function of no arguments giving (value, target) of
+    that bound on one row, in Python floats: `math.sqrt`, `math.log` and
+    `** 2` in the expression trees the paper's formulas are written in, term
+    by term and left to right. The graph's integers come in as floats, as
+    the bound table reads them. Only an applicable row's forms are defined:
+    a log form raises on a row whose determinant guard fails."""
+    def star_radius():
+        disc = alpha ** 2 * (max_degree + 1) ** 2 + 4.0 * max_degree * (1.0 - 2.0 * alpha)
+        return alpha * (max_degree + 1) + math.sqrt(max(disc, 0.0))
+
+    def koolen(inner):
+        return 2.0 * m / n + math.sqrt((n - 1) * max(inner, 0.0))
+
+    def koolen_alpha():
+        avg = 2.0 * m / n
+        inner = two_s - (1.0 - alpha) ** 2 * avg * avg
+        return (1.0 - alpha) * avg + math.sqrt((n - 1) * max(inner, 0.0))
+
+    root = math.sqrt(zagreb / n)
+    return {
+        "ub_mcclelland": lambda: (math.sqrt(two_s * n), energy),
+        "ub_koolen_alpha": lambda: (koolen_alpha(), energy),
+        "ub_koolen_energy": lambda: (koolen(2.0 * m - (2.0 * m / n) * (2.0 * m / n)), energy),
+        "ub_koolen_signless": lambda: (
+            koolen(2.0 * m + zagreb - (4.0 * m * m / n) * (1.0 + 1.0 / n)), 2.0 * energy),
+        "ub_eta": lambda: (2.0 * (n - 1) + 2.0 * (eta - 1) * (alpha * n - 1.0)
+                           - 4.0 * alpha * eta * m / n, energy),
+        "ub_log_zagreb": lambda: (
+            alpha ** 2 * zagreb + (1.0 - alpha) ** 2 * 2.0 * m
+            - (2.0 * alpha * m / n ** 2) * (2.0 * alpha * n * m + 2.0 * alpha * m + n)
+            + math.log(theta / gamma_det) + (4.0 * alpha * m / n) * root
+            - root * (root - 1.0), energy),
+        "ub_log_degree": lambda: (
+            alpha ** 2 * zagreb + (1.0 - alpha) ** 2 * 2.0 * m
+            + math.log(2.0 * m * (1.0 - alpha) / (n * gamma_det))
+            - (2.0 * alpha * m / n ** 2) * (2.0 * n * alpha * m + 2.0 * alpha * m - 4.0 * m + n)
+            - (2.0 * m / n ** 2) * (2.0 * m - n), energy),
+        "lb_frobenius_asstated": lambda: (math.sqrt(2.0 * max(
+            alpha ** 2 * zagreb + (1.0 - alpha) ** 2 * 2.0 * m - 2.0 * (alpha * m) ** 2 / n,
+            0.0)), energy),
+        "lb_frobenius_repaired": lambda: (math.sqrt(2.0 * two_s), energy),
+        "lb_average_degree": lambda: (4.0 * (1.0 - alpha) * m / n, energy),
+        "lb_zagreb": lambda: (2.0 * root - 4.0 * alpha * m / n, energy),
+        "lb_maxdeg": lambda: (star_radius() - 4.0 * alpha * m / n, energy),
+        "lb_log": lambda: (root + (n - 1) + math.log(gamma_det / theta) - shift, energy),
+        "rho_lb_star": lambda: (0.5 * star_radius(), rho_1),
+        "rho_lb_chain": lambda: (root, rho_1),
+    }

@@ -513,3 +513,36 @@ def test_squares_keep_the_bits_of_python_floats():
         dev = alpha * sp.graph.degrees().astype(np.float64) - sp.shift
         assert sp.two_s.hex() == ((1.0 - alpha) ** 2 * 2.0 * m + float(np.sum(dev ** 2))).hex()
         assert ev("lb_frobenius_asstated", g, alpha).value.hex() == asstated(alpha, pow2).hex()
+
+
+def _assert_closed_form_bits(v):
+    # Every applicable value and target equals the scalar closed form of
+    # oracles.bound_closed_forms on the row's Python floats, bit for bit.
+    c = v.spectra.columns
+    rows = zip(*(col.tolist() for col in c))
+    applicable = (v.reason == 0).T.tolist()
+    values, targets = v.value.T.tolist(), v.target.T.tolist()
+    for r, (*scalars, _), ok, value, target in zip(range(len(v.spectra)), rows, applicable,
+                                                   values, targets):
+        forms = oracles.bound_closed_forms(*scalars)
+        for i in np.flatnonzero(ok).tolist():
+            want = forms[BOUND_IDS[i]]()
+            assert (value[i].hex(), target[i].hex()) == (want[0].hex(), want[1].hex()), (
+                v.graph_ids[r], c.alpha[r], BOUND_IDS[i])
+
+
+def test_values_and_targets_keep_the_scalar_bits_on_the_atlas(atlas_verdicts):
+    assert (atlas_verdicts.reason == 0).sum() > 100000
+    _assert_closed_form_bits(atlas_verdicts)
+
+
+@given(st.lists(_GRAPHS, min_size=1, max_size=4), st.lists(_ALPHAS, min_size=1, max_size=5))
+# Alphas where squaring through pow and as x * x give Petersen different
+# bits: in alpha^2 Zg + (1-alpha)^2 2m through (1 - alpha)^2 (the first two)
+# and in alpha^2 (the next two), and in (alpha m)^2 (the last).
+@example([petersen(), complete(6), star(4)],
+         [0.21950047788373403, 0.4759282635226673, 0.34167518411834064, 0.24483522451472206,
+          0.34701816716933565])
+@settings(max_examples=60, deadline=None)
+def test_values_and_targets_keep_the_scalar_bits_on_random_graphs(graphs, alphas):
+    _assert_closed_form_bits(run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas))

@@ -342,13 +342,17 @@ _WRITER_TABLES = {"atlas-60": _atlas_slice, "awkward-ids": _awkward_ids,
 @pytest.mark.parametrize("build", list(_WRITER_TABLES.values()), ids=list(_WRITER_TABLES))
 def test_csv_writer_matches_reference(build, tmp_path):
     v = build(tmp_path)
-    assert reports_to_csv(v) == oracles.reports_to_csv_reference(v)
+    # Lists of lines: a failure shows the first differing line at once,
+    # where pytest's diff of two long strings takes seconds.
+    assert (reports_to_csv(v).splitlines(True)
+            == oracles.reports_to_csv_reference(v).splitlines(True))
 
 
 @pytest.mark.parametrize("build", list(_WRITER_TABLES.values()), ids=list(_WRITER_TABLES))
 def test_json_writer_matches_reference(build, tmp_path):
     v = build(tmp_path)
-    assert reports_to_json(v) == oracles.reports_to_json_reference(v)
+    assert (reports_to_json(v).splitlines(True)
+            == oracles.reports_to_json_reference(v).splitlines(True))
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
@@ -508,6 +512,72 @@ def test_fuzz_reproducible_and_sound():
         run_fuzz(4, 8, 0, seed=1, alphas=[0.0])
     with pytest.raises(ValueError):
         run_fuzz(2, 8, 5, seed=1, alphas=[0.0])
+
+
+def _lift_deletion_rows(monkeypatch, tables: list):
+    """Wrap `spectra.spectrum_tables` for one fuzz call whose every graph
+    loses an edge: of pair (graph j, its a-th alpha in [1/2, 1)), the
+    edge-deleted graph's entry e = (j + a) % n is raised 2e-9 above the
+    graph's own entry e when (j + a) % 3 == 0, a violation, and to exactly
+    1e-9 above it when (j + a) % 3 == 1, inside the tolerance. Appends the
+    call's (table, lifted table) to `tables`."""
+    real = spectra.spectrum_tables
+
+    def lifting(*groups):
+        table, after = real(*groups)
+        k, checked = len(table.alphas), len(after.alphas)
+        rho = [row.copy() for row in after.rho]
+        for j, g in enumerate(after.graphs):
+            for a, alpha in enumerate(after.alphas):
+                before, e = table.rho[j * k + table.alphas.index(alpha)], (j + a) % g.n
+                if (j + a) % 3 < 2:
+                    rho[j * checked + a][e] = before[e] + (2e-9, 1e-9)[(j + a) % 3]
+        after = spectra.SpectrumTable(after.graphs, after.alphas, tuple(rho), after.shift,
+                                      after.energy, after.eta, after.two_s, after.gamma_det,
+                                      after.theta, after.rho_1)
+        tables.append((table, after))
+        return table, after
+
+    monkeypatch.setattr(spectra, "spectrum_tables", lifting)
+
+
+def _monotonicity_by_pair(v, table, after) -> list:
+    """The fuzz call's monotonicity violations, one pair (graph, alpha in
+    [1/2, 1)) at a time: some entry of the edge-deleted graph's spectrum
+    lies more than 1e-9 above the graph's, in graph then alpha order."""
+    k, bad = len(table.alphas), []
+    for j in range(len(after.graphs)):
+        for a, alpha in enumerate(after.alphas):
+            before = table.rho[j * k + table.alphas.index(alpha)].tolist()
+            smaller = after.rho[j * len(after.alphas) + a].tolist()
+            if any(x > y + 1e-9 for x, y in zip(smaller, before)):
+                bad.append((v.graph_ids[j * k], alpha, "edge_deletion_monotonicity"))
+    return bad
+
+
+def test_fuzz_reports_each_monotonicity_violation_in_pair_order(monkeypatch):
+    # Orders 3..12 in one call, so the pairs' spectra have many lengths.
+    tables = []
+    _lift_deletion_rows(monkeypatch, tables)
+    v, mono = run_fuzz(3, 12, 30, 9, list(DEFAULT_ALPHA_GRID))
+    (table, after), = tables
+    assert len({g.n for g in after.graphs}) > 5 and len(after.graphs) == 30
+    expected = _monotonicity_by_pair(v, table, after)
+    assert list(mono) == expected
+    checked = [a for a in DEFAULT_ALPHA_GRID if 0.5 <= a < 1.0]
+    assert expected == [(v.graph_ids[j * len(DEFAULT_ALPHA_GRID)], alpha,
+                         "edge_deletion_monotonicity")
+                        for j in range(30) for a, alpha in enumerate(checked)
+                        if (j + a) % 3 == 0]
+
+
+def test_fuzz_without_a_checked_alpha_solves_no_deletion_rows(monkeypatch):
+    tables = []
+    _lift_deletion_rows(monkeypatch, tables)
+    v, mono = run_fuzz(3, 12, 30, 9, [0.0, 0.25, 0.45, 1.0])
+    (table, after), = tables
+    assert len(after) == 0 and len(table) == 30 * 4
+    assert mono == ()
 
 
 def test_fuzz_deletes_the_drawn_edge(monkeypatch):

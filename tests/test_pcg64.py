@@ -25,6 +25,7 @@ _SPANS = st.one_of(st.integers(1, 59), st.sampled_from([2**32, 2**63, 3 * 2**30,
 _STUBS = st.tuples(st.integers(1, 40), st.integers(1, 5)).map(
     lambda nk: np.repeat(np.arange(nk[0]), nk[1])
 )
+_FORTY_STUBS = np.repeat(np.arange(10), 4)
 _DRAWS = st.lists(st.one_of(
     st.just(("random",)),
     st.tuples(st.just("random"), st.integers(0, 50)),
@@ -48,6 +49,14 @@ def _draw(gen, op):
 # than once.
 @example(12, [("integers", 0, 3 * 2**30)], 400)
 @example(10, [("integers", 0, 3 * 2**61)], 400)
+# The pairing model's permutation of 40 stubs (k = 4 at n = 10): entered with
+# a pending 32-bit half (seed 1), and leaving one that the next 32-bit draw
+# reads (seed 0).
+@example(1, [("integers", 0, 59), ("permutation", _FORTY_STUBS), ("integers", 0, 59)], 400)
+@example(0, [("permutation", _FORTY_STUBS), ("integers", 0, 59)], 400)
+@example(3, [("permutation", _FORTY_STUBS), ("permutation", _FORTY_STUBS)], 400)
+# random(size) in Python, then a random(size) that passes the budget.
+@example(5, [("random", 30), ("random", 30), ("random",)], 40)
 def test_every_draw_matches_numpy_across_the_handover(seed, draws, budget):
     oracle = np.random.default_rng(seed)
     with mock.patch.multiple(pcg64, BUDGET=budget, _requested=0):
@@ -80,6 +89,7 @@ def test_generators_give_the_same_graphs_on_both_paths():
         lambda: graphcore.erdos_renyi(12, 0.4, 99),
         lambda: graphcore.erdos_renyi(30, 0.1, 2**63 - 1, connected=True),
         lambda: graphcore.random_regular(10, 3, 1),
+        lambda: graphcore.random_regular(10, 4, 7),
         lambda: graphcore.random_regular(20, 16, 2**40),
     ]
     for call in calls:
@@ -113,7 +123,8 @@ def _fresh_fuzz(n: int, seed: int, out: Path, budget: int | None) -> str:
 
 
 def test_small_fuzz_call_leaves_numpy_random_unimported(tmp_path):
-    for n, seed, imported in ((7, 12345, "False"), (10, 5, "True")):
+    # Seed 2712 at n = 10 asks for about 25,700 values, past BUDGET.
+    for n, seed, imported in ((7, 12345, "False"), (10, 2712, "True")):
         python_out, numpy_out = tmp_path / f"py{n}.json", tmp_path / f"np{n}.json"
         assert _fresh_fuzz(n, seed, python_out, None) == imported
         assert _fresh_fuzz(n, seed, numpy_out, 0) == "True"
