@@ -1,6 +1,6 @@
 """The published bounds on the centered-spectrum energy (or the spectral
-radius) as one table evaluated over columns, with numerical certification of
-the stated equality classes.
+radius) as one table evaluated over columns, with the stated equality
+classes decided from the graph.
 
 `BOUNDS` holds one `Bound` row per bound, in `BOUND_IDS` order. A row is data:
 
@@ -10,8 +10,11 @@ the stated equality classes.
   straight through hypothesis-violating regions.
 - `value(t)`: the bound's closed form.
 - `target(t)`: the quantity it constrains, the energy unless stated.
-- `claim(sp, cert)`: whether the graph lies in the equality class the paper
-  names, or None when the paper names none.
+- `claim(g, alpha)`: whether the graph lies in the equality class the paper
+  names, or None when the paper names none. Every class is a property of the
+  `Graph`'s integers (regularity, completeness, star shape, the number of
+  common neighbours every two vertices share); only the log class also
+  tests alpha.
 
 Guards, value and target are array expressions over `Terms`: a call's
 `spectra.Columns`, one entry per (graph, alpha) row, and the terms several
@@ -26,8 +29,8 @@ is the reason code. Every closed form runs on whole columns, and the rows
 where its bound is not applicable are set to NaN, except the three log
 forms: their shared guard tuple keeps one subset of applicable rows, since
 `_log` raises on the non-positive arguments a failed guard can leave.
-`Verdicts.claims(r)` builds row r's AlphaSpectrum, certifies it and reads
-its claims only when asked.
+`Verdicts.claims(r)` reads row r's claims from its graph and alpha only when
+asked, and solves nothing. `certify` is hunt-equality's per-hit certificate.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .graphcore import Graph
 from .spectra import AlphaSpectrum, Columns, SpectrumTable
 
 HOLDS_RTOL = 1e-9
@@ -46,7 +50,7 @@ DISTINCT_EIG_TOL = 1e-7
 GAMMA_FLOOR = 1e-10
 
 
-# Structural facts used to check the stated equality classes; the inertia is
+# The structural facts hunt-equality writes next to each hit; the inertia is
 # the adjacency spectrum's (positive, zero, negative) counts. (Records here
 # are namedtuples or plain classes: a dataclass would cost every import its
 # generated methods.)
@@ -55,37 +59,18 @@ ExtremalCertificate = namedtuple(
     "is_complete is_regular is_star distinct_alpha_eigenvalue_count adjacency_inertia")
 
 
-def _merged_eigenvalues(values: np.ndarray) -> list[float]:
-    """Collapse a descending eigenvalue sequence into per-cluster means."""
-    groups: list[list[float]] = []
-    for x in values.tolist():
-        if groups and groups[-1][-1] - x <= DISTINCT_EIG_TOL:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    return [sum(grp) / len(grp) for grp in groups]
-
-
-def _matches_values(observed: np.ndarray, stated: list[float]) -> bool:
-    """Do the merged distinct eigenvalues equal the stated ones?"""
-    merged = _merged_eigenvalues(observed)
-    expect = sorted(stated, reverse=True)
-    return len(merged) == len(expect) and all(
-        abs(a - b) <= DISTINCT_EIG_TOL for a, b in zip(merged, expect)
-    )
-
-
 def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
-    """Structural certificate for the equality classes: completeness,
-    regularity, star shape, distinct eigenvalue count, adjacency inertia.
-    Reads the graph's cached invariants from `sp.graph`, which solves the
-    adjacency spectrum once per graph, on its first certificate."""
+    """Structural certificate of one row: completeness, regularity, star
+    shape, the count of distinct alpha-eigenvalues (clusters chained by
+    consecutive gaps of at most DISTINCT_EIG_TOL) and the adjacency inertia,
+    which `sp.graph` solves once per graph, on its first certificate."""
     g = sp.graph
     return ExtremalCertificate(
         is_complete=g.is_complete,
         is_regular=g.is_regular,
         is_star=g.is_star,
-        distinct_alpha_eigenvalue_count=len(_merged_eigenvalues(sp.rho)),
+        distinct_alpha_eigenvalue_count=1 + int(np.count_nonzero(
+            sp.rho[:-1] - sp.rho[1:] > DISTINCT_EIG_TOL)),
         adjacency_inertia=g.adjacency_inertia,
     )
 
@@ -128,7 +113,7 @@ def _rho_1(t: Terms) -> np.ndarray:
 
 class Bound:
     """One published bound: hypotheses, closed form, constrained quantity
-    and stated equality class (read from one row's spectrum and certificate).
+    and stated equality class (decided from the row's graph and alpha).
     `second_link(t, value)` must also be true for the bound to hold (the
     chain bound's middle inequality)."""
 
@@ -137,8 +122,7 @@ class Bound:
     def __init__(self, id: str, kind: str, guards: tuple[Guard, ...],
                  value: Callable[[Terms], np.ndarray],
                  target: Callable[[Terms], np.ndarray] = _energy,
-                 claim: Callable[[AlphaSpectrum, ExtremalCertificate], bool | None]
-                 = lambda sp, cert: None,
+                 claim: Callable[[Graph, float], bool | None] = lambda g, alpha: None,
                  second_link: Callable[[Terms, np.ndarray], np.ndarray] | None = None):
         self.id, self.kind, self.guards, self.value = id, kind, guards, value
         self.target, self.claim, self.second_link = target, claim, second_link
@@ -228,46 +212,35 @@ def _star_radius_bound(c: Columns) -> np.ndarray:
 
 
 # -- equality classes -----------------------------------------------------------
+#
+# Each bound's guards make its graph connected, with n >= 3 where the class
+# needs it, before a claim is read.
 
 
-def _average_and_radius(sp: AlphaSpectrum) -> tuple[float, float]:
-    """2m/n and the Cauchy-Schwarz radius sqrt((2m - (2m/n)^2) / (n - 1))."""
-    avg = 2.0 * sp.m / sp.n
-    return avg, math.sqrt(max(2.0 * sp.m - avg * avg, 0.0) / (sp.n - 1))
+def _koolen_claim(g: Graph, alpha: float) -> bool:
+    """Koolen and Moulton's class ("Maximal energy graphs", 2001): K_n, or a
+    k-regular graph where every two vertices share mu neighbours (strongly
+    regular with lambda = mu). Then A^2 = (k - mu) I + mu J, so the
+    eigenvalues other than k are +-sqrt(k - mu), the Cauchy-Schwarz radius,
+    and alpha*D + (1-alpha)*A has the stated ones for every alpha."""
+    return g.is_regular and g.common_neighbours is not None
 
 
-def _koolen_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
-    # Complete graphs, or regular graphs whose three distinct eigenvalues are
-    # the average degree and the two symmetric Cauchy-Schwarz saturation values.
-    if cert.is_complete:
-        return True
-    if not cert.is_regular:
-        return False
-    avg, r = _average_and_radius(sp)
-    sat = (1.0 - sp.alpha) * r
-    return _matches_values(sp.rho, [avg, sp.alpha * avg + sat, sp.alpha * avg - sat])
+def _log_claim(g: Graph, alpha: float) -> bool:
+    """Regular with alpha-eigenvalues k and alpha*k +- 1: a Koolen graph whose
+    (1 - alpha) sqrt(k - mu) is 1 within DISTINCT_EIG_TOL. K_n has
+    k - mu = 1, so it is in the class for alpha <= DISTINCT_EIG_TOL."""
+    return _koolen_claim(g, alpha) and abs(
+        (1.0 - alpha) * math.sqrt(g.degree_sequence[0] - g.common_neighbours) - 1.0
+    ) <= DISTINCT_EIG_TOL
 
 
-def _signless_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
-    if cert.is_complete:
-        return True
-    if not cert.is_regular:
-        return False
-    avg, r = _average_and_radius(sp)
-    return _matches_values(2.0 * sp.rho, [2.0 * avg, avg + r, avg - r])
-
-
-def _log_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
-    if cert.is_complete and sp.alpha == 0.0:
-        return True
-    if not cert.is_regular:
-        return False
-    k = float(sp.graph.degree_sequence[0])
-    return _matches_values(sp.rho, [k, sp.alpha * k + 1.0, sp.alpha * k - 1.0])
-
-
-def _inertia_claim(sp: AlphaSpectrum, cert: ExtremalCertificate) -> bool:
-    return cert.is_regular and cert.adjacency_inertia == (1, 0, sp.n - 1)
+def _complete_claim(g: Graph, alpha: float) -> bool:
+    """Regular with adjacency inertia (1, 0, n - 1). By J. H. Smith's theorem
+    (1970) a connected graph with one positive eigenvalue is complete
+    multipartite, and zero is not an eigenvalue only when every part is a
+    single vertex: the class is K_n."""
+    return g.is_complete
 
 
 _COMMON_GUARDS = (_CONNECTED, _N_AT_LEAST_3, _ALPHA_BELOW_1)
@@ -289,14 +262,14 @@ BOUNDS: tuple[Bound, ...] = (
     # alpha = 1/2 energy (the signless-Laplacian energy).
     Bound("ub_koolen_signless", "upper",
           (_CONNECTED, ("requires alpha = 1/2", lambda t: t.alpha == 0.5), _N_AT_LEAST_3),
-          _koolen_signless, target=lambda t: 2.0 * t.energy, claim=_signless_claim),
+          _koolen_signless, target=lambda t: 2.0 * t.energy, claim=_koolen_claim),
     # 2(n-1) + 2(eta-1)(alpha n - 1) - 4 alpha eta m / n.
     Bound("ub_eta", "upper",
           (_CONNECTED, _N_AT_LEAST_3,
            ("requires alpha in [1/2, 1)", lambda t: (0.5 <= t.alpha) & (t.alpha < 1.0))),
           lambda t: (2.0 * t.n_minus_1 + 2.0 * (t.eta - 1) * (t.alpha * t.n - 1.0)
                      - 4.0 * t.alpha * t.eta * t.m / t.n),
-          claim=lambda sp, cert: cert.is_complete),
+          claim=_complete_claim),
     # Log-determinant upper bounds through sqrt(Zg/n) and through 2m/n.
     Bound("ub_log_zagreb", "upper", _LOG_GUARDS, _log_zagreb, claim=_log_claim),
     Bound("ub_log_degree", "upper", _LOG_GUARDS, _log_degree, claim=_log_claim),
@@ -311,11 +284,11 @@ BOUNDS: tuple[Bound, ...] = (
     Bound("lb_frobenius_repaired", "lower", _COMMON_GUARDS,
           lambda t: np.sqrt(2.0 * t.two_s)),
     Bound("lb_average_degree", "lower", _COMMON_GUARDS,
-          lambda t: 4.0 * t.one_minus_alpha * t.m / t.n, claim=_inertia_claim),
+          lambda t: 4.0 * t.one_minus_alpha * t.m / t.n, claim=_complete_claim),
     Bound("lb_zagreb", "lower", _COMMON_GUARDS,
-          lambda t: 2.0 * t.root_zn - t.four_amn, claim=_inertia_claim),
+          lambda t: 2.0 * t.root_zn - t.four_amn, claim=_complete_claim),
     Bound("lb_maxdeg", "lower", _COMMON_GUARDS,
-          lambda t: t.star - t.four_amn, claim=lambda sp, cert: cert.is_star),
+          lambda t: t.star - t.four_amn, claim=lambda g, alpha: g.is_star),
     # sqrt(Zg/n) + (n-1) + ln(Gamma/theta) - 2am/n. The trailing -2am/n keeps
     # the bound below the energy for alpha > 0; the uncentered variant without
     # it overshoots on dense graphs.
@@ -325,10 +298,10 @@ BOUNDS: tuple[Bound, ...] = (
     # Half the star radius bound, on the spectral radius.
     Bound("rho_lb_star", "lower",
           (_CONNECTED, _ALPHA_BELOW_1, ("requires n >= 2", lambda t: t.n >= 2)),
-          lambda t: 0.5 * t.star, target=_rho_1, claim=lambda sp, cert: cert.is_star),
+          lambda t: 0.5 * t.star, target=_rho_1, claim=lambda g, alpha: g.is_star),
     # Chain rho_1 >= sqrt(Zg/n) >= 2m/n; holds requires both links.
     Bound("rho_lb_chain", "lower", (_CONNECTED,),
-          lambda t: t.root_zn, target=_rho_1, claim=lambda sp, cert: cert.is_regular,
+          lambda t: t.root_zn, target=_rho_1, claim=lambda g, alpha: g.is_regular,
           second_link=lambda t, value: value >= t.avg - HOLDS_RTOL * (1.0 + np.abs(value))),
 )
 
@@ -353,14 +326,13 @@ _LINKED = tuple((i, b.second_link) for i, b in enumerate(BOUNDS) if b.second_lin
 
 class Verdicts:
     """Every bound on R (graph, alpha) rows. Row r is the graph
-    `graph_ids[r]` at row r of `spectra`, whose `spectra[r]` builds that
-    row's AlphaSpectrum; the verdicts are (15, R) arrays, rows of BOUNDS in
-    BOUND_IDS order. `gap` is value - target for upper bounds and
-    target - value for lower ones; holds means gap >= -HOLDS_RTOL *
+    `graph_ids[r]` at row r of `spectra`; the verdicts are (15, R) arrays,
+    rows of BOUNDS in BOUND_IDS order. `gap` is value - target for upper
+    bounds and target - value for lower ones; holds means gap >= -HOLDS_RTOL *
     (1 + |value|) and the bound's `second_link`. Where a bound is not
     applicable its value, target and gap are NaN and holds and equality are
-    False. The fourth verdict, the stated-class claim, is read per row by
-    `claims(r)`."""
+    False. The fourth verdict, the stated-class claim, is read per row from
+    the row's graph and alpha by `claims(r)`."""
 
     __slots__ = ("graph_ids", "spectra", "reason", "value", "target", "gap", "holds",
                  "equality")
@@ -375,12 +347,12 @@ class Verdicts:
         self.gap, self.holds, self.equality = gap, holds, equality
 
     def claims(self, r: int) -> tuple[bool | None, ...]:
-        """Row r's claims in BOUND_IDS order, certified once: whether the
-        graph lies in each applicable bound's stated equality class, None
-        where the bound is not applicable or names no class."""
-        sp = self.spectra[r]
-        cert = certify(sp)
-        return tuple(None if code else b.claim(sp, cert)
+        """Row r's claims in BOUND_IDS order: whether the graph lies in each
+        applicable bound's stated equality class, None where the bound is not
+        applicable or names no class."""
+        k = len(self.spectra.alphas)
+        g, alpha = self.spectra.graphs[r // k], self.spectra.alphas[r % k]
+        return tuple(None if code else b.claim(g, alpha)
                      for b, code in zip(BOUNDS, self.reason[:, r].tolist()))
 
 

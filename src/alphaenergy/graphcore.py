@@ -79,10 +79,11 @@ class Graph:
     per-graph record of what the bound verdicts read.
 
     `n` is the matrix's order. `edges` (the frozenset of (u, v) with u < v),
-    `m`, `degrees()`, `degree_sequence`, `zagreb`, `connected` and
-    `adjacency_inertia` are derived from the matrix on first read and cached
-    on the instance. Two graphs are equal, and hash alike, when they have the
-    same order and the same edge set, that is the same matrix."""
+    `m`, `degrees()`, `degree_sequence`, `zagreb`, `connected`,
+    `common_neighbours` and `adjacency_inertia` are derived from the matrix
+    on first read and cached on the instance. Two graphs are equal, and hash
+    alike, when they have the same order and the same edge set, that is the
+    same matrix."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         try:
@@ -170,6 +171,14 @@ class Graph:
     @cached_property
     def connected(self) -> bool:
         return is_connected(self)
+
+    @cached_property
+    def common_neighbours(self) -> int | None:
+        """The number of common neighbours that every two distinct vertices
+        share, or None when it varies or there is no pair: the one value off
+        the diagonal of A @ A, which is exact in float64 for a 0/1 matrix."""
+        counts = (self.adjacency @ self.adjacency)[upper_mask(self.n)]
+        return int(counts[0]) if counts.size and counts.min() == counts.max() else None
 
     @cached_property
     def adjacency_inertia(self) -> tuple[int, int, int]:

@@ -6,9 +6,10 @@ fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 edge-deleted graphs join the same stacks), then run the bound table once
 over the table's columns, and return that one `bounds.Verdicts` table: row r
 is the report on graph `graph_ids[r]` at row r of `spectra`, and
-`Verdicts.claims(r)` builds and certifies that row's spectrum record for its
-stated-class claims only when asked. `summarize`, `violations`,
-hunt-equality's `equality_hits` and both writers read columns.
+`Verdicts.claims(r)` reads that row's stated-class claims from its graph and
+alpha only when asked. `summarize`, `violations`, hunt-equality's
+`equality_hits` and both writers read columns; `equality_hits` and `analyze`
+also certify the rows they report.
 The CSV writer formats each float once to 12 significant digits with
 `fmt12`; the JSON writer writes the `round12` value, the float that string
 parses to, as `json.dumps` would. So the two formats carry identical numeric
@@ -46,11 +47,11 @@ CSV_COLUMNS = (
 
 def analyze(graph_id: str, g: Graph, alpha: float,
             equality_tol: float = bounds.EQUALITY_RTOL
-            ) -> tuple[bounds.Verdicts, tuple[bool | None, ...]]:
-    """Every bound verdict for one graph at one alpha: the one-row table and
-    its certified claims."""
+            ) -> tuple[bounds.Verdicts, tuple[bool | None, ...], bounds.ExtremalCertificate]:
+    """Every bound verdict for one graph at one alpha: the one-row table, its
+    claims and its certificate, as hunt-equality writes it."""
     v = run_sweep([(graph_id, g)], [alpha], equality_tol)
-    return v, v.claims(0)
+    return v, v.claims(0), bounds.certify(v.spectra[0])
 
 
 # -- corpus ingestion ------------------------------------------------------
@@ -216,7 +217,7 @@ def equality_hits(v: bounds.Verdicts, bound_id: str) -> list[dict]:
     for r in np.flatnonzero(v.equality[i]).tolist():
         sp = v.spectra[r]
         cert = bounds.certify(sp)
-        matched = bounds.BOUNDS[i].claim(sp, cert)
+        matched = bounds.BOUNDS[i].claim(sp.graph, sp.alpha)
         hits.append({
             "graph_id": v.graph_ids[r],
             "alpha": round12(sp.alpha),

@@ -19,10 +19,10 @@ numpy/LAPACK build give bit-identical spectra, another build may differ in
 the last few digits.
 
 A table hands the bound pass its `Columns`; an `AlphaSpectrum` record is
-built only for a row that is asked for by index (`graph_spectra`, claims and
+built only for a row that is asked for by index (`graph_spectra` and
 certificates). What depends on the graph alone (adjacency matrix, degrees,
-Zagreb index, connectivity, adjacency inertia, complete/regular/star flags)
-is cached on the `Graph` itself.
+Zagreb index, connectivity, common neighbours, adjacency inertia,
+complete/regular/star flags) is cached on the `Graph` itself.
 """
 
 from __future__ import annotations

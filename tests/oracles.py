@@ -9,7 +9,8 @@ connectivity from a union-find over the edge set; graph6 records decoded
 bit by bit as the format's description reads; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
 one row at a time through `one_alpha.row_view`; the bounds' closed forms
-from Python floats and the `math` module, one row at a time.
+from Python floats and the `math` module, one row at a time; the stated
+equality classes from the eigenvalues `alpha_eigs` gives.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 
 import numpy as np
 
+from alphaenergy.bounds import BOUND_IDS
 from one_alpha import row_view
 
 
@@ -315,3 +317,62 @@ def bound_closed_forms(n: float, m: float, zagreb: float, max_degree: float, alp
         "rho_lb_star": lambda: (0.5 * star_radius(), rho_1),
         "rho_lb_chain": lambda: (root, rho_1),
     }
+
+
+SPECTRAL_TOL = 1e-9  # eigenvalues of these small 0/1 matrices within this are equal
+LOG_CLASS_TOL = 1e-7  # how far an alpha-eigenvalue may sit from alpha*k +- 1
+
+
+def stated_classes(g, alpha: float) -> dict:
+    """Per bound id, whether `g` lies in the equality class the paper names
+    for it, read from its spectra alone; None for a bound that names no
+    class. Meant for rows where the bound applies: its guards make `g`
+    connected, with n >= 3 wherever a class needs it.
+
+    With adjacency eigenvalues lambda_1 >= ... >= lambda_n (`alpha_eigs` at
+    alpha = 0) and average degree d:
+    - regular: lambda_1 = d;
+    - Koolen (the three Koolen bounds): regular, and every |lambda_i| with
+      i > 1 is the Cauchy-Schwarz radius sqrt(d (n - d) / (n - 1));
+    - complete (ub_eta): lambda = n - 1 once and -1 n - 1 times;
+    - inertia (lb_average_degree, lb_zagreb): regular, one positive
+      eigenvalue and no zero one;
+    - star (lb_maxdeg, rho_lb_star): lambda = +-sqrt(n - 1) and n - 2 zeros;
+    - log (the three log bounds): regular, and every alpha-eigenvalue but
+      the largest lies within LOG_CLASS_TOL of alpha*d + 1 or alpha*d - 1.
+    """
+    n = g.n
+    lam = alpha_eigs(g, 0.0)
+    d = 2.0 * len(g.edges) / n
+
+    def near(x, y, tol=SPECTRAL_TOL):
+        return bool(np.all(np.abs(np.asarray(x) - np.asarray(y)) <= tol))
+
+    regular = near(lam[0], d)
+    radius = math.sqrt(d * (n - d) / (n - 1)) if n > 1 else 0.0
+    koolen = regular and near(np.abs(lam[1:]), radius)
+    inertia = (regular and int(np.sum(lam > SPECTRAL_TOL)) == 1
+               and not np.any(np.abs(lam) <= SPECTRAL_TOL))
+    complete = near(lam, [n - 1.0] + [-1.0] * (n - 1))
+    star = n >= 2 and near(lam, [math.sqrt(n - 1)] + [0.0] * (n - 2) + [-math.sqrt(n - 1)])
+    rho = alpha_eigs(g, alpha)
+    log = regular and near(np.abs(rho[1:] - alpha * d), 1.0, LOG_CLASS_TOL)
+    return {
+        "ub_koolen_alpha": koolen, "ub_koolen_energy": koolen, "ub_koolen_signless": koolen,
+        "ub_eta": complete, "ub_log_zagreb": log, "ub_log_degree": log,
+        "lb_average_degree": inertia, "lb_zagreb": inertia, "lb_maxdeg": star, "lb_log": log,
+        "rho_lb_star": star, "rho_lb_chain": regular,
+    }
+
+
+def claims_reference(v) -> list[tuple]:
+    """Per row of the verdict table `v`, its claims in bound order as
+    `stated_classes` reads them: None where the row's bound is not
+    applicable or names no class."""
+    k = len(v.spectra.alphas)
+    rows = []
+    for r, codes in enumerate(v.reason.T.tolist()):
+        stated = stated_classes(v.spectra.graphs[r // k], v.spectra.alphas[r % k])
+        rows.append(tuple(None if code else stated.get(bid)
+                          for bid, code in zip(BOUND_IDS, codes)))
+    return rows

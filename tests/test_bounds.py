@@ -9,7 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from alphaenergy import bounds as B
 from alphaenergy.bounds import BOUND_IDS, certify
-from alphaenergy.graphcore import Graph, complete, cycle, erdos_renyi, path, petersen, star
+from alphaenergy.graphcore import (
+    Graph, complete, cycle, erdos_renyi, path, petersen, random_regular, serialize_graph6, star,
+)
+from alphaenergy.spectra import AlphaSpectrum
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
 from one_alpha import alpha_spectrum, evaluate_all, evaluation_bits, row_view
 
@@ -65,6 +68,110 @@ def test_certificate_invariants(er_corpus_small):
         if cert.is_complete:
             assert cert.is_regular
         assert sum(cert.adjacency_inertia) == g.n
+
+
+def test_certificate_chains_its_clusters():
+    # Each consecutive gap is within DISTINCT_EIG_TOL, the whole run is not:
+    # the run is still one cluster, as a chained merge counts it.
+    step = 0.6 * B.DISTINCT_EIG_TOL
+    g = complete(3)
+
+    def count(rho):
+        rho = np.array(rho)
+        return certify(AlphaSpectrum(0.0, g, rho, 0.0, rho, 0.0, 0, 0.0, 0.0, 0.0)
+                       ).distinct_alpha_eigenvalue_count
+
+    assert count([2.0, 2.0 - step, 2.0 - 2 * step]) == 1
+    assert count([2.0, 2.0 - step, 2.0 - 2 * step, -1.0]) == 2
+    assert count([2.0, 2.0 - 2 * step, 2.0 - 4 * step]) == 3
+    assert count([5.0]) == 1
+
+
+# -- stated classes ---------------------------------------------------------
+
+
+def paley(q: int) -> Graph:
+    """Paley graph of a prime q = 1 mod 4: i ~ j when j - i is a nonzero
+    square mod q."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(i, j) for i in range(q) for j in range(i + 1, q) if (j - i) % q in squares])
+
+
+def rook(a: int) -> Graph:
+    """K_a x K_a (Cartesian product): the a-by-a rook's graph."""
+    cells = range(a * a)
+    return Graph(a * a, [(u, v) for u in cells for v in cells
+                         if u < v and (u // a == v // a or u % a == v % a)])
+
+
+def clebsch_complement() -> Graph:
+    """Complement of the Clebsch graph (the folded 5-cube, 4-bit words at
+    Hamming distance 1 or 4): words at distance 2 or 3."""
+    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if bin(u ^ v).count("1") in (2, 3)])
+
+
+NAMED = {
+    "petersen": petersen(), "paley5": paley(5), "paley13": paley(13), "paley17": paley(17),
+    "k3xk3": rook(3), "k4xk4": rook(4), "clebsch-complement": clebsch_complement(),
+    **{f"k{n}": complete(n) for n in range(3, 9)},
+}
+K33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+CLAIM_ALPHAS = DEFAULT_ALPHA_GRID + (1.0, 1.0 - 1e-6, 1.0 - 1e-8)
+
+
+def _atlas_sample():
+    corpus, _ = load_corpus(str(ATLAS))
+    picks = np.random.default_rng(2101).choice(len(corpus), 120, replace=False)
+    return [corpus[i] for i in sorted(picks.tolist())]
+
+
+def _regular_sample():
+    rng = np.random.default_rng(2102)
+    graphs = []
+    while len(graphs) < 40:
+        n, k = int(rng.integers(5, 17)), int(rng.integers(2, 6))
+        if k < n and n * k % 2 == 0:
+            graphs.append(random_regular(n, k, int(rng.integers(0, 2**32))))
+    return [(serialize_graph6(g).decode(), g) for g in graphs]
+
+
+@pytest.mark.parametrize("corpus", [
+    _atlas_sample, _regular_sample, lambda: list(NAMED.items()) + [("k33", K33)],
+], ids=["atlas-120", "regular-40", "named"])
+def test_claims_match_the_spectral_oracle(corpus):
+    # Every row's claims, order included, equal each class read from the
+    # graph's spectra: at the default grid, at alpha = 1 and just below it.
+    v = run_sweep(corpus(), list(CLAIM_ALPHAS))
+    got = [v.claims(r) for r in range(len(v.spectra))]
+    assert got == oracles.claims_reference(v)
+    assert any(True in row for row in got) and any(False in row for row in got)
+
+
+@pytest.mark.parametrize("name,mu", [
+    ("k3", 1), ("k6", 4), ("k33", None), ("petersen", None), ("paley13", None),
+    ("k4xk4", 2), ("clebsch-complement", 6),
+])
+def test_common_neighbours_decide_the_koolen_class(name, mu):
+    g = K33 if name == "k33" else NAMED[name]
+    assert g.is_regular and g.common_neighbours == mu
+    koolen = mu is not None
+    assert ev("ub_koolen_alpha", g, 0.3).equality_claim_matched is koolen
+    assert ev("ub_koolen_energy", g, 0.0).equality_claim_matched is koolen
+    assert ev("ub_koolen_signless", g, 0.5).equality_claim_matched is koolen
+
+
+@pytest.mark.parametrize("name", ["k4xk4", "clebsch-complement"])
+def test_lambda_equals_mu_graphs_meet_the_koolen_bound(name):
+    # Spectrum k, (+-2)^...: (1 - alpha) * 2 = 1 at alpha = 1/2, where the
+    # alpha-eigenvalues are k, alpha k + 1 and alpha k - 1.
+    g = NAMED[name]
+    for alpha in (0.0, 0.3, 0.5):
+        got = ev("ub_koolen_alpha", g, alpha)
+        assert got.equality and got.equality_claim_matched, alpha
+    logs = [ev(bid, g, 0.5) for bid in ("ub_log_zagreb", "ub_log_degree", "lb_log")]
+    assert all(e.applicable and e.equality_claim_matched for e in logs)
+    assert ev("lb_log", g, 0.3).equality_claim_matched is False
 
 
 # -- upper bounds -----------------------------------------------------------
@@ -244,6 +351,10 @@ def test_lb_log():
     assert got.equality
     na = ev("lb_log", cycle(4), 0.5)
     assert not na.applicable and na.reason == "singular shift"
+    # K_n is in the class while (1 - alpha) * 1 lies within DISTINCT_EIG_TOL
+    # of 1.
+    assert ev("lb_log", complete(4), 0.5 * B.DISTINCT_EIG_TOL).equality_claim_matched
+    assert ev("lb_log", complete(4), 2.0 * B.DISTINCT_EIG_TOL).equality_claim_matched is False
 
 
 def test_lb_log_holds_at_positive_alpha():

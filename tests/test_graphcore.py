@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import oracles
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alphaenergy import graphcore
 from alphaenergy.graphcore import (
@@ -125,11 +125,21 @@ def test_degree_matrix():
 def test_cached_fields_leave_equality_and_hash_alone():
     a, b = petersen(), petersen()
     a.edges, a.m, a.degrees(), a.degree_sequence, a.zagreb, a.connected, a.adjacency_inertia
+    a.common_neighbours
     assert {"edges", "m", "degree_sequence", "zagreb", "connected",
-            "adjacency_inertia"} <= vars(a).keys()
-    assert not {"edges", "m", "adjacency_inertia"} & vars(b).keys()
+            "adjacency_inertia", "common_neighbours"} <= vars(a).keys()
+    assert not {"edges", "m", "adjacency_inertia", "common_neighbours"} & vars(b).keys()
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != delete_edge(a, *min(a.edges))
+
+
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_common_neighbours_counts_every_pair(n, p, seed):
+    g = erdos_renyi(n, p, seed)
+    nbrs = [{v for e in g.edges for v in e if u in e and v != u} for u in range(n)]
+    counts = {len(nbrs[u] & nbrs[v]) for u in range(n) for v in range(u + 1, n)}
+    assert g.common_neighbours == (counts.pop() if len(counts) == 1 else None)
 
 
 def test_is_connected():

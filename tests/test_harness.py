@@ -60,8 +60,8 @@ def test_analyze_certifies_once(monkeypatch):
 
 
 def test_sweep_writers_and_summaries_never_certify(monkeypatch):
-    # Only Verdicts.claims certifies; the drivers' consumers read the
-    # verdict columns.
+    # Only analyze and equality_hits certify; the drivers' consumers read
+    # the verdict columns.
     calls = _count_certify(monkeypatch)
     v = run_sweep([("C~", K4), (g6(star(3)), star(3))], list(DEFAULT_ALPHA_GRID))
     reports_to_csv(v)
@@ -89,6 +89,18 @@ def test_sweep_solves_each_graph_at_most_twice(monkeypatch):
     v = run_sweep(corpus, list(DEFAULT_ALPHA_GRID))
     assert len(v.spectra) == 3 * len(DEFAULT_ALPHA_GRID)
     assert 0 < len(calls) <= 2 * len(corpus)
+
+
+def test_claims_solve_nothing(monkeypatch):
+    # A row's claims come from its graph and alpha: over a whole sweep they
+    # solve no matrix and build no row record.
+    corpus = [(g6(g), g) for g in (K4, star(3), cycle(5), petersen(), complete(3))]
+    v = run_sweep(corpus, list(DEFAULT_ALPHA_GRID) + [1.0])
+    calls = _count_eigvalsh(monkeypatch)
+    monkeypatch.setattr(spectra.SpectrumTable, "__getitem__", None)
+    claims = [v.claims(r) for r in range(len(v.spectra))]
+    assert calls == [] and len(claims) == 5 * 12
+    assert claims == oracles.claims_reference(v)
 
 
 def test_fuzz_solves_each_graph_at_most_three_times(monkeypatch):
@@ -191,7 +203,7 @@ def test_analyze_is_the_one_alpha_case_of_the_sweep():
         swept = run_sweep([(g6(g), g)], list(DEFAULT_ALPHA_GRID))
         lines = reports_to_json(swept).splitlines()
         for r, alpha in enumerate(DEFAULT_ALPHA_GRID):
-            alone, claims = analyze(g6(g), g, alpha)
+            alone, claims, _ = analyze(g6(g), g, alpha)
             assert evaluation_bits(row_view(alone, 0)) == evaluation_bits(row_view(swept, r))
             assert claims == swept.claims(r)
             single = run_sweep([(g6(g), g)], [alpha])
@@ -200,7 +212,7 @@ def test_analyze_is_the_one_alpha_case_of_the_sweep():
 
 
 def test_analyze_report_invariants():
-    alone, claims = analyze("C~", K4, 0.5)
+    alone, claims, _ = analyze("C~", K4, 0.5)
     evaluations = row_view(alone, 0)
     assert [e.bound_id for e in evaluations] == list(BOUND_IDS)
     assert claims == tuple(e.equality_claim_matched for e in evaluations)

@@ -335,7 +335,7 @@ def test_adjacency_solved_once_per_graph(monkeypatch):
     # One stack solve per analyze call; the adjacency spectrum, read by the
     # certificate, is solved once for the Graph object, not once per alpha.
     for alpha in DEFAULT_ALPHA_GRID:
-        v, _ = harness.analyze("P", g, alpha)
+        v, _, _ = harness.analyze("P", g, alpha)
         assert v.reason[0, 0] == 0  # ub_mcclelland applicable
     stack = (1, 10, 10)
     assert calls == [stack, (10, 10)] + [stack] * (len(DEFAULT_ALPHA_GRID) - 1)
