@@ -1,6 +1,6 @@
 """The published bounds on the centered-spectrum energy (or the spectral
-radius) as one table evaluated over columns, with the stated equality
-classes decided from the graph.
+radius) as one table, evaluated over columns or on one row's floats, with the
+stated equality classes decided from the graph.
 
 `BOUNDS` holds one `Bound` row per bound, in `BOUND_IDS` order. A row is data:
 
@@ -16,19 +16,29 @@ classes decided from the graph.
   common neighbours every two vertices share); only the log class also
   tests alpha.
 
-Guards, value and target are array expressions over `Terms`: a call's
-`spectra.Columns`, one entry per (graph, alpha) row, and the terms several
-closed forms share (2m/n, sqrt(Zg/n), 1 - alpha, alpha^2 Zg + (1-alpha)^2 2m,
-4 alpha m/n, 2 alpha m/n^2, the star radius bound and n - 1), each computed
-once per call in the expression tree the forms would use inline, so sharing
-changes no bit. `evaluate_many` runs the table once over the columns of a
-call's `spectra.SpectrumTable` into (15, R) `Verdicts`, the call's one
-verdict record. Its guard table evaluates each distinct predicate once and
-gathers them into a (15, guards, R) array whose first false entry per bound
-is the reason code. Every closed form runs on whole columns, and the rows
-where its bound is not applicable are set to NaN, except the three log
-forms: their shared guard tuple keeps one subset of applicable rows, since
-`_log` raises on the non-positive arguments a failed guard can leave.
+Guards, value and target are expressions over `Terms`: the scalars of
+`spectra.Columns`, and the terms several closed forms share (2m/n,
+sqrt(Zg/n), 1 - alpha, alpha^2 Zg + (1-alpha)^2 2m, 4 alpha m/n,
+2 alpha m/n^2, the star radius bound and n - 1), each computed once per call
+in the expression tree the forms would use inline, so sharing changes no
+bit. The same expressions run on arrays, one entry per (graph, alpha) row,
+or on the Python floats of one row.
+
+`evaluate_many` evaluates a call's `spectra.SpectrumTable` into (15, R)
+`Verdicts`, the call's one verdict record, with one of two passes chosen by
+the row count; both give the same bits.
+- Two or more rows (a sweep, a fuzz): one pass over the table's columns. Its
+  guard table evaluates each distinct predicate once and gathers them into a
+  (15, guards, R) array whose first false entry per bound is the reason code.
+  Every closed form runs on whole columns, and the rows where its bound is
+  not applicable are set to NaN, except the three log forms: their shared
+  guard tuple keeps one subset of applicable rows, since `_log` raises on the
+  non-positive arguments a failed guard can leave.
+- One row (`bounds` on one graph at one alpha, `harness.analyze`): the table
+  bound by bound on Python floats, stopping at each bound's first failing
+  guard. On length-1 columns numpy's dispatch, paid per operation and, in a
+  fresh process, on the first use of each kernel, costs several times the
+  arithmetic, and a CLI call pays it once per process.
 `Verdicts.claims(r)` reads row r's claims from its graph and alpha only when
 asked, and solves nothing. `certify` is hunt-equality's per-hit certificate.
 """
@@ -75,8 +85,9 @@ def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
     )
 
 
-# What guards, closed forms and targets read: a call's `Columns`, then the
-# terms that several closed forms share, computed once per call.
+# What guards, closed forms and targets read: a call's `Columns`, or one
+# row's scalars, then the terms that several closed forms share, computed
+# once per call.
 Terms = namedtuple("Terms", Columns._fields + (
     "avg",              # 2m/n
     "root_zn",          # sqrt(Zg/n)
@@ -102,7 +113,7 @@ def _terms(c: Columns) -> Terms:
 Guard = tuple[str, Callable[[Terms], np.ndarray]]
 
 
-# Targets as named functions: `evaluate_many` computes each distinct one once.
+# Targets as named functions: the column pass computes each distinct one once.
 def _energy(t: Terms) -> np.ndarray:
     return t.energy
 
@@ -134,9 +145,11 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    """math.log per entry: the bits of the scalar formula, and a raised
-    ValueError, never a silent NaN, on a non-positive argument."""
+def _log(x: np.ndarray | float) -> np.ndarray | float:
+    """math.log per entry, or of a float: the bits of the scalar formula, and
+    a raised ValueError, never a silent NaN, on a non-positive argument."""
+    if isinstance(x, float):
+        return math.log(x)
     return np.array([math.log(v) for v in x.tolist()], dtype=np.float64)
 
 
@@ -356,41 +369,100 @@ class Verdicts:
                      for b, code in zip(BOUNDS, self.reason[:, r].tolist()))
 
 
+def _holds(gap, value):
+    """gap >= -HOLDS_RTOL * (1 + |value|), before a bound's second link; on
+    columns or on floats."""
+    return gap >= -HOLDS_RTOL * (1.0 + abs(value))
+
+
+def _equality(gap, target, tol: float):
+    """|gap| <= tol * (1 + |target|), on columns or on floats."""
+    return abs(gap) <= tol * (1.0 + abs(target))
+
+
 def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,
                   equality_tol: float = EQUALITY_RTOL) -> Verdicts:
-    """Every bound on every row of `spectra`, row r named `graph_ids[r]`,
-    in one pass over its columns, under errstate: each distinct guard
-    predicate, shared term and target once; every closed form but the log
-    ones on whole columns, with the rows where the bound is not applicable
-    set to NaN afterwards. The log forms run on the rows their guards pass
-    alone, because `_log` raises on a non-positive argument, as a failed
-    guard can leave there."""
-    size = len(spectra)
+    """Every bound on every row of `spectra`, row r named `graph_ids[r]`.
+
+    Two passes read the one table and give the same bits; the row count
+    picks one. A table of two or more rows is evaluated over its columns
+    (`_column_pass`), where numpy's per-operation dispatch is shared by the
+    rows. A one-row table, one graph at one alpha as `bounds` on a graph and
+    `harness.analyze` ask for, is walked bound by bound on Python floats
+    (`_row_pass`): on length-1 columns that dispatch, and in a fresh process
+    the first use of each kernel, costs more than the arithmetic. Both run
+    under errstate, since `_sq`, `np.sqrt` and `np.maximum` still see numpy
+    scalars on the one-row path."""
     with np.errstate(all="ignore"):
-        t = _terms(spectra.columns)
-        ok = np.zeros((len(_PREDICATES) + 1, size), dtype=bool)  # the last row stays false
-        for j, pred in enumerate(_PREDICATES):
-            ok[j] = pred(t)
-        first = ok[_GUARD_ROWS].argmin(axis=1)
-        reason = np.where(first < _GUARD_COUNTS, first + 1, 0).astype(np.int8)
-        not_applicable = reason != 0
-        value = np.empty(reason.shape)
-        log_rows = None
-        for i, b in enumerate(BOUNDS):
-            if b.guards is not _LOG_GUARDS:
-                value[i] = b.value(t)
-                continue
-            if log_rows is None:  # the three log forms share one guard tuple
-                log_rows = np.flatnonzero(reason[i] == 0)
-                sub = t if len(log_rows) == size else Terms(*(col[log_rows] for col in t))
-            if len(log_rows):
-                value[i, log_rows] = b.value(sub)
-        value[not_applicable] = np.nan
-        target = np.array([f(t) for f in _TARGETS])[_TARGET_ROWS]
-        target[not_applicable] = np.nan
-        gap = np.where(_UPPER, value - target, target - value)
-        holds = gap >= -HOLDS_RTOL * (1.0 + np.abs(value))
-        for i, second_link in _LINKED:
-            holds[i] &= second_link(t, value[i])
-        equality = np.abs(gap) <= equality_tol * (1.0 + np.abs(target))
-    return Verdicts(tuple(graph_ids), spectra, reason, value, target, gap, holds, equality)
+        if len(spectra) == 1:
+            verdicts = _row_pass(spectra, equality_tol)
+        else:
+            verdicts = _column_pass(spectra, equality_tol)
+    return Verdicts(tuple(graph_ids), spectra, *verdicts)
+
+
+def _column_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, ...]:
+    """The (reason, value, target, gap, holds, equality) arrays of every row,
+    in one pass over the table's columns: each distinct guard predicate,
+    shared term and target once; every closed form but the log ones on whole
+    columns, with the rows where the bound is not applicable set to NaN
+    afterwards. The log forms run on the rows their guards pass alone,
+    because `_log` raises on a non-positive argument, as a failed guard can
+    leave there."""
+    size = len(spectra)
+    t = _terms(spectra.columns)
+    ok = np.zeros((len(_PREDICATES) + 1, size), dtype=bool)  # the last row stays false
+    for j, pred in enumerate(_PREDICATES):
+        ok[j] = pred(t)
+    first = ok[_GUARD_ROWS].argmin(axis=1)
+    reason = np.where(first < _GUARD_COUNTS, first + 1, 0).astype(np.int8)
+    not_applicable = reason != 0
+    value = np.empty(reason.shape)
+    log_rows = None
+    for i, b in enumerate(BOUNDS):
+        if b.guards is not _LOG_GUARDS:
+            value[i] = b.value(t)
+            continue
+        if log_rows is None:  # the three log forms share one guard tuple
+            log_rows = np.flatnonzero(reason[i] == 0)
+            sub = t if len(log_rows) == size else Terms(*(col[log_rows] for col in t))
+        if len(log_rows):
+            value[i, log_rows] = b.value(sub)
+    value[not_applicable] = np.nan
+    target = np.array([f(t) for f in _TARGETS])[_TARGET_ROWS]
+    target[not_applicable] = np.nan
+    gap = np.where(_UPPER, value - target, target - value)
+    holds = _holds(gap, value)
+    for i, second_link in _LINKED:
+        holds[i] &= second_link(t, value[i])
+    return reason, value, target, gap, holds, _equality(gap, target, equality_tol)
+
+
+def _row_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, ...]:
+    """The same arrays for a one-row table, bound by bound on Python floats.
+    The `Terms` come from the graph's integers and the row's scalars. A
+    bound stops at its first failing guard, so a closed form runs only where
+    its bound applies. The stop is needed, not only cheaper: the log guard
+    divides by m, which is 0 on an edgeless graph, and a Python float raises
+    there where a column gives inf."""
+    g, = spectra.graphs
+    alpha, = spectra.alphas
+    t = _terms(Columns(
+        float(g.n), float(g.m), float(g.zagreb), float(g.degree_sequence[0]), alpha,
+        spectra.shift.item(), spectra.energy.item(), spectra.eta.item(), spectra.two_s.item(),
+        spectra.gamma_det.item(), spectra.theta.item(), spectra.rho_1.item(), g.connected))
+    rows = []
+    for b in BOUNDS:
+        for code, (_, pred) in enumerate(b.guards, 1):
+            if not pred(t):
+                rows.append((code, math.nan, math.nan, math.nan, False, False))
+                break
+        else:
+            value, target = b.value(t), b.target(t)
+            gap = value - target if b.kind == "upper" else target - value
+            holds = _holds(gap, value) and (b.second_link is None or b.second_link(t, value))
+            rows.append((0, value, target, gap, holds, _equality(gap, target, equality_tol)))
+    reason, value, target, gap, holds, equality = zip(*rows)
+    return (np.array(reason, dtype=np.int8)[:, None], np.array(value)[:, None],
+            np.array(target)[:, None], np.array(gap)[:, None],
+            np.array(holds, dtype=bool)[:, None], np.array(equality, dtype=bool)[:, None])

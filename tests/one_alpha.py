@@ -1,7 +1,7 @@
 """One-alpha shorthands for tests: the package's batch entry points applied
-to a single (graph, alpha) row, a row of a verdict table as one record per
-bound, a row's verdicts in bitwise form, and the alpha matrices a solve
-takes."""
+to a single (graph, alpha) row, a row of a spectrum table as a table of its
+own, a row of a verdict table as one record per bound, a row's verdicts in
+bitwise form, and the alpha matrices a solve takes."""
 
 from collections import namedtuple
 
@@ -9,7 +9,7 @@ import pytest
 
 from alphaenergy import densela
 from alphaenergy.bounds import BOUNDS, EQUALITY_RTOL, evaluate_many
-from alphaenergy.spectra import graph_spectra, spectrum_tables
+from alphaenergy.spectra import SpectrumTable, graph_spectra, spectrum_tables
 
 # One bound's verdict on one row, read from a `bounds.Verdicts` table:
 # `energy` is the table's target, the constrained quantity.
@@ -20,6 +20,16 @@ Evaluation = namedtuple("Evaluation", "bound_id kind applicable reason value ene
 def alpha_spectrum(g, alpha: float):
     """The AlphaSpectrum of `g` at one alpha."""
     return graph_spectra(g, [alpha])[0]
+
+
+def row_table(table: SpectrumTable, r: int) -> SpectrumTable:
+    """Row r of `table` as a one-row table: its graph, its alpha and the bits
+    of its spectrum and scalars, solved nowhere else."""
+    k, cut = len(table.alphas), slice(r, r + 1)
+    return SpectrumTable((table.graphs[r // k],), (table.alphas[r % k],), table.rho[cut],
+                         *(col[cut] for col in (table.shift, table.energy, table.eta,
+                                                table.two_s, table.gamma_det, table.theta,
+                                                table.rho_1)))
 
 
 def row_view(v, r: int) -> tuple[Evaluation, ...]:

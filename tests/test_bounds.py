@@ -12,9 +12,9 @@ from alphaenergy.bounds import BOUND_IDS, certify
 from alphaenergy.graphcore import (
     Graph, complete, cycle, erdos_renyi, path, petersen, random_regular, serialize_graph6, star,
 )
-from alphaenergy.spectra import AlphaSpectrum
+from alphaenergy.spectra import AlphaSpectrum, spectrum_tables
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
-from one_alpha import alpha_spectrum, evaluate_all, evaluation_bits, row_view
+from one_alpha import alpha_spectrum, evaluate_all, evaluation_bits, row_table, row_view
 
 SQRT3 = math.sqrt(3.0)
 
@@ -657,3 +657,62 @@ def test_values_and_targets_keep_the_scalar_bits_on_the_atlas(atlas_verdicts):
 @settings(max_examples=60, deadline=None)
 def test_values_and_targets_keep_the_scalar_bits_on_random_graphs(graphs, alphas):
     _assert_closed_form_bits(run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas))
+
+
+# -- the one-row pass ---------------------------------------------------------
+
+def _assert_row_pass_is_its_table_row(g, alpha, other, equality_tol=B.EQUALITY_RTOL):
+    # `g` at (alpha, other) is a two-row table, which the column pass
+    # evaluates; its first row alone is a one-row table with the same bits,
+    # which the one-row pass evaluates without building the table's Columns.
+    table, = spectrum_tables(([g], [alpha, other]))
+    whole = B.evaluate_many(["g", "g"], table, equality_tol)
+    alone = row_table(table, 0)
+    one = B.evaluate_many(["g"], alone, equality_tol)
+    assert "columns" not in vars(alone)
+    for name in ("reason", "value", "target", "gap", "holds", "equality"):
+        got, want = getattr(one, name), getattr(whole, name)[:, :1]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (
+            name, got.ravel(), want.ravel())
+    assert one.claims(0) == whole.claims(0)
+
+
+@given(_GRAPHS, _ALPHAS, _ALPHAS, st.booleans())
+@example(Graph(1), 0.0, 0.5, False)
+@example(DISCONNECTED, 0.5, 0.0, False)
+@example(petersen(), 1.0, 0.5, False)
+@example(complete(4), 1.0 - 1e-8, 0.5, False)
+# K2 at alpha = 0 meets McClelland's bound with a gap of exactly 0, which is
+# the boundary of holds and of equality once both tolerances are 0; at the
+# default tolerances no gap reaches either boundary.
+@example(complete(2), 0.0, 0.5, True)
+# An alpha where squaring through pow and as x * x give Petersen different
+# bits of alpha^2 Zg + (1-alpha)^2 2m.
+@example(petersen(), 0.21950047788373403, 0.5, False)
+@settings(max_examples=100, deadline=None)
+def test_row_pass_bit_identical_to_its_row_in_a_table(g, alpha, other, zero_tolerances):
+    # Any graph the parsers accept (n = 1..62, edgeless and disconnected
+    # ones included) at any alpha in [0, 1].
+    if not zero_tolerances:
+        _assert_row_pass_is_its_table_row(g, alpha, other)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "HOLDS_RTOL", 0.0)
+        _assert_row_pass_is_its_table_row(g, alpha, other, equality_tol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("g", [Graph(1), complete(2), Graph(2), Graph(3), DISCONNECTED, petersen()],
+                         ids=["K1", "K2", "2K1", "3K1", "2K2", "petersen"])
+def test_row_pass_edge_cases(g, alpha):
+    # No warning (warnings are errors here) and no exception. On K1 and the
+    # edgeless graphs m = 0, so the log guard's n/(2m) would divide by zero
+    # if a bound did not stop at its first failing guard.
+    _assert_row_pass_is_its_table_row(g, alpha, 0.25)
+
+
+def test_log_raises_on_a_non_positive_float():
+    assert B._log(1.0) == 0.0
+    for x in (0.0, -1.0, np.float64(0.0)):
+        with pytest.raises(ValueError):
+            B._log(x)
