@@ -31,9 +31,7 @@ the row count; both give the same bits.
   guard table evaluates each distinct predicate once and gathers them into a
   (15, guards, R) array whose first false entry per bound is the reason code.
   Every closed form runs on whole columns, and the rows where its bound is
-  not applicable are set to NaN, except the three log forms: their shared
-  guard tuple keeps one subset of applicable rows, since `_log` raises on the
-  non-positive arguments a failed guard can leave.
+  not applicable are set to NaN afterwards.
 - One row (`bounds` on one graph at one alpha, `harness.analyze`): the table
   bound by bound on Python floats, stopping at each bound's first failing
   guard. On length-1 columns numpy's dispatch, paid per operation and, in a
@@ -57,7 +55,6 @@ from .spectra import AlphaSpectrum, Columns, SpectrumTable
 HOLDS_RTOL = 1e-9
 EQUALITY_RTOL = 1e-7
 DISTINCT_EIG_TOL = 1e-7
-GAMMA_FLOOR = 1e-10
 
 
 # The structural facts hunt-equality writes next to each hit; the inertia is
@@ -145,14 +142,6 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def _log(x: np.ndarray | float) -> np.ndarray | float:
-    """math.log per entry, or of a float: the bits of the scalar formula, and
-    a raised ValueError, never a silent NaN, on a non-positive argument."""
-    if isinstance(x, float):
-        return math.log(x)
-    return np.array([math.log(v) for v in x.tolist()], dtype=np.float64)
-
-
 # -- hypotheses -------------------------------------------------------------
 
 
@@ -167,7 +156,7 @@ _LOG_GUARDS: tuple[Guard, ...] = (
     _CONNECTED,
     _N_AT_LEAST_3,
     ("requires alpha <= 1 - n/(2m)", lambda t: t.alpha <= 1.0 - t.n / (2.0 * t.m)),
-    ("singular shift", lambda t: t.gamma_det > GAMMA_FLOOR),
+    ("singular shift", lambda t: t.log_gamma > -np.inf),
     ("requires theta > 0", lambda t: t.theta > 0.0),
 )
 
@@ -202,7 +191,7 @@ def _log_zagreb(t: Terms) -> np.ndarray:
     return (
         t.frob
         - t.two_amn2 * (2.0 * t.alpha * t.n * t.m + 2.0 * t.alpha * t.m + t.n)
-        + _log(t.theta / t.gamma_det)
+        + (np.log(t.theta) - t.log_gamma)
         + t.four_amn * t.root_zn
         - t.root_zn * (t.root_zn - 1.0)
     )
@@ -211,7 +200,7 @@ def _log_zagreb(t: Terms) -> np.ndarray:
 def _log_degree(t: Terms) -> np.ndarray:
     return (
         t.frob
-        + _log(2.0 * t.m * t.one_minus_alpha / (t.n * t.gamma_det))
+        + (np.log(2.0 * t.m * t.one_minus_alpha / t.n) - t.log_gamma)
         - t.two_amn2 * (2.0 * t.n * t.alpha * t.m + 2.0 * t.alpha * t.m - 4.0 * t.m + t.n)
         - (2.0 * t.m / t.n ** 2) * (2.0 * t.m - t.n)
     )
@@ -306,7 +295,7 @@ BOUNDS: tuple[Bound, ...] = (
     # the bound below the energy for alpha > 0; the uncentered variant without
     # it overshoots on dense graphs.
     Bound("lb_log", "lower", _LOG_GUARDS,
-          lambda t: t.root_zn + t.n_minus_1 + _log(t.gamma_det / t.theta) - t.shift,
+          lambda t: t.root_zn + t.n_minus_1 + (t.log_gamma - np.log(t.theta)) - t.shift,
           claim=_log_claim),
     # Half the star radius bound, on the spectral radius.
     Bound("rho_lb_star", "lower",
@@ -404,30 +393,20 @@ def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,
 def _column_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, ...]:
     """The (reason, value, target, gap, holds, equality) arrays of every row,
     in one pass over the table's columns: each distinct guard predicate,
-    shared term and target once; every closed form but the log ones on whole
-    columns, with the rows where the bound is not applicable set to NaN
-    afterwards. The log forms run on the rows their guards pass alone,
-    because `_log` raises on a non-positive argument, as a failed guard can
-    leave there."""
-    size = len(spectra)
+    shared term and target once, and every closed form on whole columns, with
+    the rows where the bound is not applicable set to NaN afterwards. A form
+    may give inf or NaN on such a row (log theta at theta <= 0, -log Gamma at
+    a singular shift); errstate keeps that silent and the NaN overwrites it."""
     t = _terms(spectra.columns)
-    ok = np.zeros((len(_PREDICATES) + 1, size), dtype=bool)  # the last row stays false
+    ok = np.zeros((len(_PREDICATES) + 1, len(spectra)), dtype=bool)  # the last row stays false
     for j, pred in enumerate(_PREDICATES):
         ok[j] = pred(t)
     first = ok[_GUARD_ROWS].argmin(axis=1)
     reason = np.where(first < _GUARD_COUNTS, first + 1, 0).astype(np.int8)
     not_applicable = reason != 0
     value = np.empty(reason.shape)
-    log_rows = None
     for i, b in enumerate(BOUNDS):
-        if b.guards is not _LOG_GUARDS:
-            value[i] = b.value(t)
-            continue
-        if log_rows is None:  # the three log forms share one guard tuple
-            log_rows = np.flatnonzero(reason[i] == 0)
-            sub = t if len(log_rows) == size else Terms(*(col[log_rows] for col in t))
-        if len(log_rows):
-            value[i, log_rows] = b.value(sub)
+        value[i] = b.value(t)
     value[not_applicable] = np.nan
     target = np.array([f(t) for f in _TARGETS])[_TARGET_ROWS]
     target[not_applicable] = np.nan
@@ -444,13 +423,15 @@ def _row_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, 
     bound stops at its first failing guard, so a closed form runs only where
     its bound applies. The stop is needed, not only cheaper: the log guard
     divides by m, which is 0 on an edgeless graph, and a Python float raises
-    there where a column gives inf."""
+    there where a column gives inf. The log forms read the row's log Gamma
+    as a float and take `np.log` of a float, which has the bits of `np.log`
+    on a column, so the two passes agree."""
     g, = spectra.graphs
     alpha, = spectra.alphas
     t = _terms(Columns(
         float(g.n), float(g.m), float(g.zagreb), float(g.degree_sequence[0]), alpha,
         spectra.shift.item(), spectra.energy.item(), spectra.eta.item(), spectra.two_s.item(),
-        spectra.gamma_det.item(), spectra.theta.item(), spectra.rho_1.item(), g.connected))
+        spectra.log_gamma.item(), spectra.theta.item(), spectra.rho_1.item(), g.connected))
     rows = []
     for b in BOUNDS:
         for code, (_, pred) in enumerate(b.guards, 1):

@@ -3,8 +3,15 @@ scalar invariants the bound verdicts consume, as columns over a call's rows.
 
 For a graph with adjacency A and degree matrix D, the matrix under study is
 alpha*D + (1-alpha)*A. Its eigenvalues rho_i (descending), centered copies
-s_i = rho_i - 2*alpha*m/n, and the derived scalars (energy, eta, 2S, the
-shifted determinant Gamma, theta) are what the bounds read.
+s_i = rho_i - 2*alpha*m/n, and the derived scalars (energy, eta, 2S,
+log Gamma = sum log|s_i| for the shifted determinant Gamma = |prod s_i|,
+theta) are what the bounds read.
+
+Whether the shift is singular is decided here and nowhere else: a row with
+some |s_i| below `SINGULAR_SHIFT_TOL` has log Gamma = -inf. Carrying the
+logarithm keeps Gamma's range: the product itself overflows a float64 on a
+dense graph of a few hundred vertices and can underflow while every |s_i|
+is far from zero.
 
 `spectrum_tables` is the one solve path. It takes (graphs, alphas) groups,
 one `SpectrumTable` each, with rows graph-major then alpha. It builds the
@@ -20,9 +27,10 @@ the last few digits.
 
 A table hands the bound pass its `Columns`; an `AlphaSpectrum` record is
 built only for a row that is asked for by index (`graph_spectra` and
-certificates). What depends on the graph alone (adjacency matrix, degrees,
-Zagreb index, connectivity, common neighbours, adjacency inertia,
-complete/regular/star flags) is cached on the `Graph` itself.
+certificates), and only there is Gamma itself formed. What depends on the
+graph alone (adjacency matrix, degrees, Zagreb index, connectivity, common
+neighbours, adjacency inertia, complete/regular/star flags) is cached on the
+`Graph` itself.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from . import densela
 from .graphcore import Graph
 
 SHIFT_TIE_TOL = 1e-9     # eigenvalues within this of the shift count as >=
-SINGULAR_SHIFT_TOL = 1e-10  # any |rho_i - shift| below this zeroes gamma_det
+SINGULAR_SHIFT_TOL = 1e-10  # any |rho_i - shift| below this makes log_gamma -inf
 # Matrix entries in one stacked solve (8 MB of float64). A graph's alpha list
 # is never split, so one graph's stack may exceed it.
 STACK_ENTRIES = 1 << 20
@@ -70,7 +78,7 @@ class AlphaSpectrum:
         self.energy = energy        # sum |s_i|
         self.eta = eta              # count of rho_i >= shift (tolerance SHIFT_TIE_TOL)
         self.two_s = two_s          # sum s_i^2, via the degree closed form
-        self.gamma_det = gamma_det  # |prod s_i|, clamped to 0 near a singular shift
+        self.gamma_det = gamma_det  # |prod s_i|: 0 at a singular shift, inf on overflow
         self.theta = theta          # sqrt(Zg/n) - shift
 
     @property
@@ -94,23 +102,24 @@ class AlphaSpectrum:
 # (exact for the integers), but `eta` is the int64 count and `connected` is
 # boolean.
 Columns = namedtuple("Columns", "n m zagreb max_degree alpha shift energy eta two_s "
-                                "gamma_det theta rho_1 connected")
+                                "log_gamma theta rho_1 connected")
 
 
 class SpectrumTable:
     """Every graph in `graphs` at every alpha in `alphas`, as columns: row r
     is graph `graphs[r // k]` at `alphas[r % k]`, k = len(alphas). `rho[r]`
     is row r's eigenvalues, descending; `shift`, `energy`, `eta` (int64),
-    `two_s`, `gamma_det`, `theta` and `rho_1` are read-only arrays with one
-    entry per row. `table[r]` builds row r's AlphaSpectrum. (A plain class:
-    a dataclass would cost its import a generated `__init__`.)"""
+    `two_s`, `log_gamma` (-inf at a singular shift), `theta` and `rho_1`
+    are read-only arrays with one entry per row. `table[r]` builds row r's
+    AlphaSpectrum. (A plain class: a dataclass would cost its import a
+    generated `__init__`.)"""
 
     def __init__(self, graphs: tuple[Graph, ...], alphas: tuple[float, ...],
-                 rho: tuple[np.ndarray, ...], shift, energy, eta, two_s, gamma_det, theta,
+                 rho: tuple[np.ndarray, ...], shift, energy, eta, two_s, log_gamma, theta,
                  rho_1):
         self.graphs, self.alphas, self.rho = graphs, alphas, rho
         self.shift, self.energy, self.eta, self.two_s = shift, energy, eta, two_s
-        self.gamma_det, self.theta, self.rho_1 = gamma_det, theta, rho_1
+        self.log_gamma, self.theta, self.rho_1 = log_gamma, theta, rho_1
 
     def __len__(self) -> int:
         return len(self.rho)
@@ -121,9 +130,13 @@ class SpectrumTable:
         rho, shift = self.rho[r], float(self.shift[r])
         s = rho - shift
         s.setflags(write=False)
+        gamma_det = 0.0
+        if self.log_gamma[r] > -np.inf:
+            with np.errstate(over="ignore"):
+                gamma_det = abs(float(np.prod(s)))
         return AlphaSpectrum(self.alphas[r % k], self.graphs[r // k], rho, shift, s,
                              float(self.energy[r]), int(self.eta[r]), float(self.two_s[r]),
-                             float(self.gamma_det[r]), float(self.theta[r]))
+                             gamma_det, float(self.theta[r]))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.rho)))
@@ -139,7 +152,7 @@ class SpectrumTable:
             per_graph = per_graph.repeat(len(self.alphas), axis=0)
         n, m, zagreb, max_degree, connected = per_graph.T
         return Columns(n, m, zagreb, max_degree, np.array(self.alphas * len(self.graphs)),
-                       self.shift, self.energy, self.eta, self.two_s, self.gamma_det,
+                       self.shift, self.energy, self.eta, self.two_s, self.log_gamma,
                        self.theta, self.rho_1, connected != 0.0)
 
 
@@ -193,7 +206,7 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
     al, m, zagreb = np.array([(a, g.m, g.zagreb) for _, g, alphas in blocks for a in alphas],
                              dtype=np.float64).reshape(total, 3).T
     rho: list[np.ndarray] = []
-    out = np.empty((6, total))  # shift, energy, two_s, gamma_det, theta, rho_1
+    out = np.empty((6, total))  # shift, energy, two_s, log_gamma, theta, rho_1
     eta = np.empty(total, dtype=np.int64)
     for n, same_order in by_order.items():
         for chunk in _chunks(n, same_order):
@@ -214,9 +227,10 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
             # shift. float_power squares through C pow, as Python does.
             two_s = (np.float_power(1.0 - al[rows], 2) * 2.0 * m[rows]
                      + np.sum((diag - shift[:, None]) ** 2, axis=1))
-            gamma = np.where(np.min(abs_s, axis=1) < SINGULAR_SHIFT_TOL, 0.0,
-                             np.abs(np.prod(s, axis=1)))
-            out[:, rows] = (shift, np.sum(abs_s, axis=1), two_s, gamma,
+            with np.errstate(divide="ignore"):  # log 0 is -inf, as the test below gives
+                log_gamma = np.where(np.min(abs_s, axis=1) < SINGULAR_SHIFT_TOL, -np.inf,
+                                     np.sum(np.log(abs_s), axis=1))
+            out[:, rows] = (shift, np.sum(abs_s, axis=1), two_s, log_gamma,
                             np.sqrt(zagreb[rows] / n) - shift, w[:, 0])
             eta[rows] = np.sum(w >= (shift - SHIFT_TIE_TOL)[:, None], axis=1)
             rho.extend(w)
@@ -225,12 +239,12 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
         out, eta, rho = out[:, order], eta[order], [rho[j] for j in order.tolist()]
     out.setflags(write=False)
     eta.setflags(write=False)
-    shift, energy, two_s, gamma, theta, rho_1 = out
+    shift, energy, two_s, log_gamma, theta, rho_1 = out
     tables, first = [], 0
     for graphs, alphas in groups:
         cut = slice(first, first + len(graphs) * len(alphas))
         tables.append(SpectrumTable(graphs, alphas, tuple(rho[cut]), shift[cut], energy[cut],
-                                    eta[cut], two_s[cut], gamma[cut], theta[cut], rho_1[cut]))
+                                    eta[cut], two_s[cut], log_gamma[cut], theta[cut], rho_1[cut]))
         first = cut.stop
     return tuple(tables)
 

@@ -28,7 +28,7 @@ def row_table(table: SpectrumTable, r: int) -> SpectrumTable:
     k, cut = len(table.alphas), slice(r, r + 1)
     return SpectrumTable((table.graphs[r // k],), (table.alphas[r % k],), table.rho[cut],
                          *(col[cut] for col in (table.shift, table.energy, table.eta,
-                                                table.two_s, table.gamma_det, table.theta,
+                                                table.two_s, table.log_gamma, table.theta,
                                                 table.rho_1)))
 
 

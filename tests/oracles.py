@@ -9,8 +9,8 @@ connectivity from a union-find over the edge set; graph6 records decoded
 bit by bit as the format's description reads; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
 one row at a time through `one_alpha.row_view`; the bounds' closed forms
-from Python floats and the `math` module, one row at a time; the stated
-equality classes from the eigenvalues `alpha_eigs` gives.
+from Python floats, the `math` module and `np.log`, one row at a time; the
+stated equality classes from the eigenvalues `alpha_eigs` gives.
 """
 
 from __future__ import annotations
@@ -267,14 +267,16 @@ def reports_to_json_reference(v) -> str:
 
 
 def bound_closed_forms(n: float, m: float, zagreb: float, max_degree: float, alpha: float,
-                       shift: float, energy: float, eta: int, two_s: float, gamma_det: float,
+                       shift: float, energy: float, eta: int, two_s: float, log_gamma: float,
                        theta: float, rho_1: float) -> dict:
     """Per bound id, a function of no arguments giving (value, target) of
-    that bound on one row, in Python floats: `math.sqrt`, `math.log` and
-    `** 2` in the expression trees the paper's formulas are written in, term
-    by term and left to right. The graph's integers come in as floats, as
-    the bound table reads them. Only an applicable row's forms are defined:
-    a log form raises on a row whose determinant guard fails."""
+    that bound on one row, in Python floats: `math.sqrt` and `** 2` in the
+    expression trees the paper's formulas are written in, term by term and
+    left to right, with ln(x / Gamma) as ln x - log_gamma. The graph's
+    integers come in as floats, as the bound table reads them. The logs are
+    `np.log`, as in the table: `math.log` differs from it in the last bit on
+    a few inputs in ten thousand on some builds. Only an applicable row's
+    forms are defined."""
     def star_radius():
         disc = alpha ** 2 * (max_degree + 1) ** 2 + 4.0 * max_degree * (1.0 - 2.0 * alpha)
         return alpha * (max_degree + 1) + math.sqrt(max(disc, 0.0))
@@ -299,11 +301,11 @@ def bound_closed_forms(n: float, m: float, zagreb: float, max_degree: float, alp
         "ub_log_zagreb": lambda: (
             alpha ** 2 * zagreb + (1.0 - alpha) ** 2 * 2.0 * m
             - (2.0 * alpha * m / n ** 2) * (2.0 * alpha * n * m + 2.0 * alpha * m + n)
-            + math.log(theta / gamma_det) + (4.0 * alpha * m / n) * root
+            + (float(np.log(theta)) - log_gamma) + (4.0 * alpha * m / n) * root
             - root * (root - 1.0), energy),
         "ub_log_degree": lambda: (
             alpha ** 2 * zagreb + (1.0 - alpha) ** 2 * 2.0 * m
-            + math.log(2.0 * m * (1.0 - alpha) / (n * gamma_det))
+            + (float(np.log(2.0 * m * (1.0 - alpha) / n)) - log_gamma)
             - (2.0 * alpha * m / n ** 2) * (2.0 * n * alpha * m + 2.0 * alpha * m - 4.0 * m + n)
             - (2.0 * m / n ** 2) * (2.0 * m - n), energy),
         "lb_frobenius_asstated": lambda: (math.sqrt(2.0 * max(
@@ -313,7 +315,7 @@ def bound_closed_forms(n: float, m: float, zagreb: float, max_degree: float, alp
         "lb_average_degree": lambda: (4.0 * (1.0 - alpha) * m / n, energy),
         "lb_zagreb": lambda: (2.0 * root - 4.0 * alpha * m / n, energy),
         "lb_maxdeg": lambda: (star_radius() - 4.0 * alpha * m / n, energy),
-        "lb_log": lambda: (root + (n - 1) + math.log(gamma_det / theta) - shift, energy),
+        "lb_log": lambda: (root + (n - 1) + (log_gamma - float(np.log(theta))) - shift, energy),
         "rho_lb_star": lambda: (0.5 * star_radius(), rho_1),
         "rho_lb_chain": lambda: (root, rho_1),
     }

@@ -10,7 +10,8 @@ import oracles
 from alphaenergy import bounds as B
 from alphaenergy.bounds import BOUND_IDS, certify
 from alphaenergy.graphcore import (
-    Graph, complete, cycle, erdos_renyi, path, petersen, random_regular, serialize_graph6, star,
+    Graph, complete, cycle, erdos_renyi, parse_graph6, path, petersen, random_regular,
+    serialize_graph6, star,
 )
 from alphaenergy.spectra import AlphaSpectrum, spectrum_tables
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
@@ -675,6 +676,7 @@ def _assert_row_pass_is_its_table_row(g, alpha, other, equality_tol=B.EQUALITY_R
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (
             name, got.ravel(), want.ravel())
     assert one.claims(0) == whole.claims(0)
+    return whole
 
 
 @given(_GRAPHS, _ALPHAS, _ALPHAS, st.booleans())
@@ -692,13 +694,14 @@ def _assert_row_pass_is_its_table_row(g, alpha, other, equality_tol=B.EQUALITY_R
 @settings(max_examples=100, deadline=None)
 def test_row_pass_bit_identical_to_its_row_in_a_table(g, alpha, other, zero_tolerances):
     # Any graph the parsers accept (n = 1..62, edgeless and disconnected
-    # ones included) at any alpha in [0, 1].
-    if not zero_tolerances:
-        _assert_row_pass_is_its_table_row(g, alpha, other)
-        return
+    # ones included) at any alpha in [0, 1]; no warning, since warnings are
+    # errors here, and no applicable verdict that is not a finite number.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(B, "HOLDS_RTOL", 0.0)
-        _assert_row_pass_is_its_table_row(g, alpha, other, equality_tol=0.0)
+        if zero_tolerances:
+            mp.setattr(B, "HOLDS_RTOL", 0.0)
+        v = _assert_row_pass_is_its_table_row(g, alpha, other, 0.0 if zero_tolerances
+                                              else B.EQUALITY_RTOL)
+    assert all(np.isfinite(x[v.reason == 0]).all() for x in (v.value, v.target, v.gap))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -711,8 +714,40 @@ def test_row_pass_edge_cases(g, alpha):
     _assert_row_pass_is_its_table_row(g, alpha, 0.25)
 
 
-def test_log_raises_on_a_non_positive_float():
-    assert B._log(1.0) == 0.0
-    for x in (0.0, -1.0, np.float64(0.0)):
-        with pytest.raises(ValueError):
-            B._log(x)
+# -- the log determinant --------------------------------------------------------
+
+# The three log bounds' rows of a verdict table, at its first (graph, alpha).
+_LOG_BOUNDS = ([BOUND_IDS.index(bid) for bid in ("ub_log_zagreb", "ub_log_degree", "lb_log")], 0)
+
+
+def test_log_bounds_where_the_shifted_determinant_overflows():
+    # A dense n = 400 graph at alpha = 0: Gamma = |prod s_i| is about 1e313,
+    # past the float64 range, while log Gamma is a plain number. The log
+    # bounds apply and give finite values, with no overflow warning; the
+    # spectrum record still reports Gamma as inf.
+    v = _assert_row_pass_is_its_table_row(erdos_renyi(400, 0.5, 7, connected=True), 0.0, 0.5)
+    assert v.reason[_LOG_BOUNDS].tolist() == [0, 0, 0] and v.holds[_LOG_BOUNDS].all()
+    assert np.isfinite(v.value[_LOG_BOUNDS]).all() and np.isfinite(v.gap[_LOG_BOUNDS]).all()
+    assert v.spectra[0].gamma_det == math.inf
+
+
+# A connected 3-regular graph on 62 vertices (graph6). At alpha = 1/2 every
+# |s_i| is at least 0.025, yet Gamma = |prod s_i| is 8.1e-16: a test of Gamma
+# against a floor would call the shift singular.
+_TINY_GAMMA = (
+    "}?_O??A_??C@?_???????_????????????????G_?????????G????GG????O?@?C??O_???@"
+    "????_?GG???O?P???C?@???`????C?????A?@??@??O??C???O?A?A??????A?@@????@`?@??C"
+    "????????_????GG?????O??CO???GO?O??G?_??????@????_???@????????C??G??C?O???G"
+    "?_???_????_???AO????@????C?AC_???????G??C???A???_?@??O??A??C??A?G?A?????@?A"
+    "?????GO???O?????GG??"
+)
+
+
+def test_log_bounds_where_the_shifted_determinant_is_tiny():
+    g = parse_graph6(_TINY_GAMMA)
+    assert (g.n, g.m, g.connected, g.is_regular) == (62, 93, True, True)
+    v = _assert_row_pass_is_its_table_row(g, 0.5, 0.9)
+    sp = v.spectra[0]
+    assert np.min(np.abs(sp.s)) > 0.02 and 0.0 < sp.gamma_det < 1e-15
+    assert v.reason[_LOG_BOUNDS].tolist() == [0, 0, 0] and v.holds[_LOG_BOUNDS].all()
+    assert (v.gap[_LOG_BOUNDS] > 10.0).all()

@@ -545,7 +545,7 @@ def _lift_deletion_rows(monkeypatch, tables: list):
                 if (j + a) % 3 < 2:
                     rho[j * checked + a][e] = before[e] + (2e-9, 1e-9)[(j + a) % 3]
         after = spectra.SpectrumTable(after.graphs, after.alphas, tuple(rho), after.shift,
-                                      after.energy, after.eta, after.two_s, after.gamma_det,
+                                      after.energy, after.eta, after.two_s, after.log_gamma,
                                       after.theta, after.rho_1)
         tables.append((table, after))
         return table, after

@@ -10,7 +10,7 @@ from alphaenergy.graphcore import (
     INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, star,
 )
 from alphaenergy.harness import DEFAULT_ALPHA_GRID
-from alphaenergy.spectra import AlphaOutOfRangeError, graph_spectra
+from alphaenergy.spectra import AlphaOutOfRangeError, graph_spectra, spectrum_tables
 from one_alpha import alpha_spectrum, solved_stacks
 
 SQRT3 = math.sqrt(3.0)
@@ -107,12 +107,13 @@ def test_k4_half_spectrum_fixture():
     assert sp.zagreb == 36
     assert sp.connected
     # Gamma = |det(A_alpha - shift*I)| against cofactor expansion, at alpha = 1/2
-    # and at alpha = 0 where it is |det A(K4)| = 3.
-    for alpha, gamma in ((0.5, 0.1875), (0.0, 3.0)):
-        sp = alpha_spectrum(complete(4), alpha)
-        shifted = oracles.alpha_matrix(complete(4), alpha) - sp.shift * np.eye(4)
+    # and at alpha = 0 where it is |det A(K4)| = 3; the table's column is its log.
+    table, = spectrum_tables(([complete(4)], [0.5, 0.0]))
+    for sp, log_gamma, gamma in zip(table, table.log_gamma.tolist(), (0.1875, 3.0)):
+        shifted = oracles.alpha_matrix(complete(4), sp.alpha) - sp.shift * np.eye(4)
         assert sp.gamma_det == pytest.approx(gamma, abs=1e-10)
         assert sp.gamma_det == pytest.approx(abs(oracles.det_cofactor(shifted)), abs=1e-10)
+        assert log_gamma == pytest.approx(math.log(gamma), abs=1e-10)
 
 
 def test_regular_alpha_one_energy_zero():
@@ -253,11 +254,14 @@ def test_edge_perturbation_spectrum():
 
 
 def test_gamma_singular_shift_clamped():
-    sp = alpha_spectrum(cycle(4), 0.5)
-    assert np.allclose(sp.rho, [2.0, 1.0, 1.0, 0.0], atol=1e-10)
-    assert sp.gamma_det == 0.0
+    # A singular shift is log Gamma = -inf in the table and Gamma = 0 in the
+    # record, with no divide-by-zero warning (warnings are errors here).
+    c4, c5 = spectrum_tables(([cycle(4)], [0.5]), ([cycle(5)], [1.0]))
+    assert np.allclose(c4[0].rho, [2.0, 1.0, 1.0, 0.0], atol=1e-10)
     # Regular graph at alpha = 1: A_alpha = k*I, so every s_i is zero.
-    assert alpha_spectrum(cycle(5), 1.0).gamma_det == 0.0
+    for table in (c4, c5):
+        assert table.log_gamma.tolist() == [-math.inf]
+        assert table[0].gamma_det == 0.0
 
 
 def test_disconnected_spectrum_still_computed():
