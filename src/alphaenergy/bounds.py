@@ -22,7 +22,11 @@ sqrt(Zg/n), 1 - alpha, alpha^2 Zg + (1-alpha)^2 2m, 4 alpha m/n,
 2 alpha m/n^2, the star radius bound and n - 1), each computed once per call
 in the expression tree the forms would use inline, so sharing changes no
 bit. The same expressions run on arrays, one entry per (graph, alpha) row,
-or on the Python floats of one row.
+or on the Python floats of one row: their squares, square roots and maxima
+with 0 go through `_sq`, `_sqrt` and `_max0`, which take numpy on a column
+and Python's own arithmetic, with the same bits, on a float. Only the log
+forms' `np.log` stays numpy on a float (`math.log` differs from it in the
+last bit).
 
 `evaluate_many` evaluates a call's `spectra.SpectrumTable` into (15, R)
 `Verdicts`, the call's one verdict record, with one of two passes chosen by
@@ -101,7 +105,7 @@ def _terms(c: Columns) -> Terms:
     """`c` and its shared terms, each in the expression tree the closed
     forms wrote inline, so every value keeps its bits."""
     one_minus_alpha = 1.0 - c.alpha
-    return Terms(*c, 2.0 * c.m / c.n, np.sqrt(c.zagreb / c.n), one_minus_alpha,
+    return Terms(*c, 2.0 * c.m / c.n, _sqrt(c.zagreb / c.n), one_minus_alpha,
                  _sq(c.alpha) * c.zagreb + _sq(one_minus_alpha) * 2.0 * c.m,
                  4.0 * c.alpha * c.m / c.n, 2.0 * c.alpha * c.m / c.n ** 2,
                  _star_radius_bound(c), c.n - 1)
@@ -136,10 +140,32 @@ class Bound:
         self.target, self.claim, self.second_link = target, claim, second_link
 
 
+# The closed forms' square, square root and max with 0, on a column through
+# numpy and on a Python float through Python, with the same bits: both
+# squares are C pow (numpy's x ** 2 is x * x, which differs from pow in the
+# last bit for about 1 in 1,200), both square roots are correctly rounded,
+# and the max keeps numpy's NaN and -0.0. A float Python would raise on (a
+# square past 1e154, a negative square root) goes to numpy, which gives inf
+# or NaN.
+
+
 def _sq(x: np.ndarray) -> np.ndarray:
-    """x ** 2 through C pow, as Python squares a float; numpy's x ** 2 is
-    x * x, which differs from pow in the last bit for about 1 in 1,200."""
+    if type(x) is float and abs(x) < 1e154:
+        return x ** 2.0
     return np.float_power(x, 2)
+
+
+def _sqrt(x: np.ndarray) -> np.ndarray:
+    if type(x) is float and x >= 0.0:
+        return math.sqrt(x)
+    return np.sqrt(x)
+
+
+def _max0(x: np.ndarray) -> np.ndarray:
+    """np.maximum(x, 0.0): 0.0 for -0.0, and NaN stays NaN."""
+    if type(x) is float:
+        return 0.0 if x <= 0.0 else x
+    return np.maximum(x, 0.0)
 
 
 # -- hypotheses -------------------------------------------------------------
@@ -175,16 +201,16 @@ def _zagreb_side_condition(t: Terms) -> np.ndarray:
 
 def _koolen_alpha(t: Terms) -> np.ndarray:
     inner = t.two_s - _sq(t.one_minus_alpha) * t.avg * t.avg
-    return t.one_minus_alpha * t.avg + np.sqrt(t.n_minus_1 * np.maximum(inner, 0.0))
+    return t.one_minus_alpha * t.avg + _sqrt(t.n_minus_1 * _max0(inner))
 
 
 def _koolen_energy(t: Terms) -> np.ndarray:
-    return t.avg + np.sqrt(t.n_minus_1 * np.maximum(2.0 * t.m - t.avg * t.avg, 0.0))
+    return t.avg + _sqrt(t.n_minus_1 * _max0(2.0 * t.m - t.avg * t.avg))
 
 
 def _koolen_signless(t: Terms) -> np.ndarray:
     inner = 2.0 * t.m + t.zagreb - (4.0 * t.m * t.m / t.n) * (1.0 + 1.0 / t.n)
-    return t.avg + np.sqrt(t.n_minus_1 * np.maximum(inner, 0.0))
+    return t.avg + _sqrt(t.n_minus_1 * _max0(inner))
 
 
 def _log_zagreb(t: Terms) -> np.ndarray:
@@ -210,7 +236,7 @@ def _star_radius_bound(c: Columns) -> np.ndarray:
     """a(D+1) + sqrt(a^2 (D+1)^2 + 4D(1-2a)), D the maximum degree."""
     alpha, max_deg = c.alpha, c.max_degree
     disc = _sq(alpha) * (max_deg + 1) ** 2 + 4.0 * max_deg * (1.0 - 2.0 * alpha)
-    return alpha * (max_deg + 1) + np.sqrt(np.maximum(disc, 0.0))
+    return alpha * (max_deg + 1) + _sqrt(_max0(disc))
 
 
 # -- equality classes -----------------------------------------------------------
@@ -250,7 +276,7 @@ _COMMON_GUARDS = (_CONNECTED, _N_AT_LEAST_3, _ALPHA_BELOW_1)
 BOUNDS: tuple[Bound, ...] = (
     # Cauchy-Schwarz: sqrt(2S n).
     Bound("ub_mcclelland", "upper", (_CONNECTED,),
-          lambda t: np.sqrt(t.two_s * t.n)),
+          lambda t: _sqrt(t.two_s * t.n)),
     # (1-a)(2m/n) + sqrt((n-1)[2S - (1-a)^2 (2m/n)^2]).
     Bound("ub_koolen_alpha", "upper",
           (_CONNECTED, _N_AT_LEAST_3, ("requires alpha < 1", _alpha_below_1),
@@ -279,12 +305,11 @@ BOUNDS: tuple[Bound, ...] = (
     # Known to exceed the energy for alpha > 0 on some graphs; the verdict
     # records the violation rather than papering over it.
     Bound("lb_frobenius_asstated", "lower", _COMMON_GUARDS,
-          lambda t: np.sqrt(2.0 * np.maximum(
-              t.frob - 2.0 * _sq(t.alpha * t.m) / t.n, 0.0))),
+          lambda t: _sqrt(2.0 * _max0(t.frob - 2.0 * _sq(t.alpha * t.m) / t.n))),
     # sqrt(2S): what the Cauchy-Schwarz argument supports once the centered
     # eigenvalues are used throughout.
     Bound("lb_frobenius_repaired", "lower", _COMMON_GUARDS,
-          lambda t: np.sqrt(2.0 * t.two_s)),
+          lambda t: _sqrt(2.0 * t.two_s)),
     Bound("lb_average_degree", "lower", _COMMON_GUARDS,
           lambda t: 4.0 * t.one_minus_alpha * t.m / t.n, claim=_complete_claim),
     Bound("lb_zagreb", "lower", _COMMON_GUARDS,
@@ -304,7 +329,7 @@ BOUNDS: tuple[Bound, ...] = (
     # Chain rho_1 >= sqrt(Zg/n) >= 2m/n; holds requires both links.
     Bound("rho_lb_chain", "lower", (_CONNECTED,),
           lambda t: t.root_zn, target=_rho_1, claim=lambda g, alpha: g.is_regular,
-          second_link=lambda t, value: value >= t.avg - HOLDS_RTOL * (1.0 + np.abs(value))),
+          second_link=lambda t, value: value >= t.avg - HOLDS_RTOL * (1.0 + abs(value))),
 )
 
 BOUND_IDS = tuple(b.id for b in BOUNDS)
@@ -380,8 +405,9 @@ def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,
     `harness.analyze` ask for, is walked bound by bound on Python floats
     (`_row_pass`): on length-1 columns that dispatch, and in a fresh process
     the first use of each kernel, costs more than the arithmetic. Both run
-    under errstate, since `_sq`, `np.sqrt` and `np.maximum` still see numpy
-    scalars on the one-row path."""
+    under errstate: the column pass meets inf and NaN on the rows where a
+    bound is not applicable, and on one row the float helpers hand numpy
+    any NaN, inf or negative argument they get."""
     with np.errstate(all="ignore"):
         if len(spectra) == 1:
             verdicts = _row_pass(spectra, equality_tol)

@@ -120,7 +120,8 @@ def _spectrum_row(graph_id: str, sp: spectra.AlphaSpectrum) -> dict:
         "energy": r12(sp.energy),
         "eta": sp.eta,
         "two_s": r12(sp.two_s),
-        "gamma_det": r12(sp.gamma_det),
+        # null where |prod s_i| overflows a float64: JSON has no infinity.
+        "gamma_det": r12(sp.gamma_det) if math.isfinite(sp.gamma_det) else None,
         "theta": r12(sp.theta),
     }
 

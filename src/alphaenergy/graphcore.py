@@ -68,7 +68,8 @@ def upper_mask(n: int) -> np.ndarray:
     reads and writes its entries in row-major order, the order of
     `np.triu_indices(n, 1)`; its transpose picks the same pairs from a
     transposed matrix in graph6 order."""
-    mask = ~np.tri(n, dtype=bool)
+    r = np.arange(n)
+    mask = r[:, None] < r
     mask.setflags(write=False)
     return mask
 
@@ -147,7 +148,8 @@ class Graph:
 
     @cached_property
     def m(self) -> int:
-        return int(np.count_nonzero(self.adjacency)) // 2
+        """Half the degree sum."""
+        return sum(self.degree_sequence) // 2
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees, indexed by vertex, read-only."""
@@ -327,9 +329,15 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
 # with GRAPH6_HEADER, as networkx's writers do.
 
 
+_GRAPH6_BYTES = bytes(range(63, 127))  # the bytes a record may hold
+_MINUS_63 = bytes((byte - 63) % 256 for byte in range(256))  # a payload byte's six bits
+
+
 def parse_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 record (order at most 62), after one optional
-    leading GRAPH6_HEADER."""
+    leading GRAPH6_HEADER. The payload is checked as bytes: one `translate`
+    finds a byte outside 63..126, whose offset is looked up only then, and
+    the pad bits are the low bits of the last byte."""
     if isinstance(data, str):
         try:
             record = data.encode("ascii")
@@ -355,16 +363,15 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise MalformedGraph6Error(
             f"expected {nbytes} payload bytes for n={n}, got {len(body)}"
         )
-    vals = np.frombuffer(body, dtype=np.uint8)
-    out = (vals < 63) | (vals > 126)
-    if out.any():
-        bad = int(np.argmax(out))
+    if body.translate(None, _GRAPH6_BYTES):  # some byte outside 63..126
+        bad = next(i for i, byte in enumerate(body) if not 63 <= byte <= 126)
         raise MalformedGraph6Error(
             f"payload byte {body[bad]} at offset {bad + 1} outside 63..126"
         )
-    bits = np.unpackbits(vals - np.uint8(63)).reshape(-1, 8)[:, 2:].reshape(-1)
-    if bits[nbits:].any():
+    if nbits % 6 and (body[-1] - 63) & ((1 << (6 - nbits % 6)) - 1):
         raise MalformedGraph6Error("nonzero padding bits")
+    vals = np.frombuffer(body.translate(_MINUS_63), dtype=np.uint8)
+    bits = np.unpackbits(vals).reshape(-1, 8)[:, 2:].reshape(-1)
     a = np.zeros((n, n))
     a.T[upper_mask(n).T] = bits[:nbits]
     a += a.T

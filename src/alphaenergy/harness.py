@@ -68,8 +68,9 @@ def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
     with open(path, "rb") as fh:
         raw = fh.read()
     text = raw.decode("latin-1")
+    lines = text.splitlines()
     first = ""
-    for line in text.splitlines():
+    for line in lines:
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             first = stripped
@@ -83,7 +84,7 @@ def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
         return [(f"{path}:1", g)], []
     graphs: list[tuple[str, Graph]] = []
     skipped: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         record = line.strip()
         if not record or record.startswith("#"):
             continue
@@ -117,6 +118,12 @@ def summarize(v: bounds.Verdicts) -> dict[str, dict[str, int]]:
     return {bid: dict(zip(keys, col)) for bid, col in zip(BOUND_IDS, counts.T.tolist())}
 
 
+# Per bound, whether its violations count: every bound's under strict
+# accounting, all but the expected ones' otherwise.
+_COUNTED_STRICT = np.ones((len(BOUND_IDS), 1), dtype=bool)
+_COUNTED = np.array([[bid not in EXPECTED_VIOLATION_IDS] for bid in BOUND_IDS])
+
+
 def violations(v: bounds.Verdicts, strict: bool = False) -> list[tuple[str, float, str]]:
     """(graph_id, alpha, bound_id) triples where an applicable bound failed,
     row by row, each row's in BOUND_IDS order.
@@ -124,7 +131,7 @@ def violations(v: bounds.Verdicts, strict: bool = False) -> list[tuple[str, floa
     Violations of the documented always-violated lower bound are excluded
     unless `strict` is set.
     """
-    counted = np.array([[strict or bid not in EXPECTED_VIOLATION_IDS] for bid in BOUND_IDS])
+    counted = _COUNTED_STRICT if strict else _COUNTED
     rows, ids = ((v.reason == 0) & ~v.holds & counted).T.nonzero()
     alphas = v.spectra.alphas
     return [(v.graph_ids[r], alphas[r % len(alphas)], BOUND_IDS[i])
@@ -405,13 +412,14 @@ def reports_to_csv(v: bounds.Verdicts) -> str:
     return "".join(lines)
 
 
+_ID_WIDTH = max(len(bid) for bid in BOUND_IDS)
+_SUMMARY_HEAD = f"{'bound_id':<{_ID_WIDTH}}  applicable  holds  violations  equalities"
+# One `%` template per bound, filled from its `summarize` counts.
+_SUMMARY_ROWS = tuple(f"{bid:<{_ID_WIDTH}}  %(applicable)10d  %(holds)5d  %(violations)10d"
+                      "  %(equalities)10d" for bid in BOUND_IDS)
+
+
 def summary_lines(summary: dict[str, dict[str, int]]) -> list[str]:
-    width = max(len(bid) for bid in summary)
-    lines = [f"{'bound_id':<{width}}  applicable  holds  violations  equalities"]
-    for bid in BOUND_IDS:
-        row = summary[bid]
-        lines.append(
-            f"{bid:<{width}}  {row['applicable']:>10}  {row['holds']:>5}"
-            f"  {row['violations']:>10}  {row['equalities']:>10}"
-        )
-    return lines
+    """The summary table of `summarize`'s counts: a header, then one line
+    per bound in BOUND_IDS order."""
+    return [_SUMMARY_HEAD] + [row % summary[bid] for row, bid in zip(_SUMMARY_ROWS, BOUND_IDS)]

@@ -226,13 +226,13 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
             # deviation of the alpha-scaled degrees from their mean, the
             # shift. float_power squares through C pow, as Python does.
             two_s = (np.float_power(1.0 - al[rows], 2) * 2.0 * m[rows]
-                     + np.sum((diag - shift[:, None]) ** 2, axis=1))
+                     + ((diag - shift[:, None]) ** 2).sum(axis=1))
             with np.errstate(divide="ignore"):  # log 0 is -inf, as the test below gives
-                log_gamma = np.where(np.min(abs_s, axis=1) < SINGULAR_SHIFT_TOL, -np.inf,
-                                     np.sum(np.log(abs_s), axis=1))
-            out[:, rows] = (shift, np.sum(abs_s, axis=1), two_s, log_gamma,
+                log_gamma = np.where(abs_s.min(axis=1) < SINGULAR_SHIFT_TOL, -np.inf,
+                                     np.log(abs_s).sum(axis=1))
+            out[:, rows] = (shift, abs_s.sum(axis=1), two_s, log_gamma,
                             np.sqrt(zagreb[rows] / n) - shift, w[:, 0])
-            eta[rows] = np.sum(w >= (shift - SHIFT_TIE_TOL)[:, None], axis=1)
+            eta[rows] = (w >= (shift - SHIFT_TIE_TOL)[:, None]).sum(axis=1)
             rho.extend(w)
     if len(by_order) > 1:  # solve order to table order
         order = np.argsort([r + i for r, _, alphas in blocks for i in range(len(alphas))])

@@ -6,7 +6,8 @@ independently of LAPACK, from a cyclic Jacobi sweep; eigenvalue residuals
 from a singular value decomposition; characteristic polynomials from the
 Faddeev-LeVerrier recursion, determinants from cofactor expansion;
 connectivity from a union-find over the edge set; graph6 records decoded
-bit by bit as the format's description reads; CSV reports from
+bit by bit as the format's description reads, and their error messages
+from the decoder's earlier numpy reading of the payload; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
 one row at a time through `one_alpha.row_view`; the bounds' closed forms
 from Python floats, the `math` module and `np.log`, one row at a time; the
@@ -23,6 +24,7 @@ import math
 import numpy as np
 
 from alphaenergy.bounds import BOUND_IDS
+from alphaenergy.graphcore import MalformedGraph6Error
 from one_alpha import row_view
 
 
@@ -52,6 +54,51 @@ def graph6_decode(record: bytes) -> tuple[int, set[tuple[int, int]]]:
             k += 1
     assert len(bits) == (k + 5) // 6 * 6 and not any(bits[k:]), "bad length or padding"
     return n, edges
+
+
+def parse_graph6_reference(data: bytes | str) -> np.ndarray:
+    """The graph6 decoder as it read a record with numpy comparisons on the
+    payload array, kept as the reference for `parse_graph6`'s error
+    messages: the adjacency matrix of one record (order at most 62, after
+    one optional leading header), or the MalformedGraph6Error it raised."""
+    if isinstance(data, str):
+        try:
+            record = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise MalformedGraph6Error(f"non-ascii input: {exc}") from None
+    else:
+        record = bytes(data)
+    record = record.strip().removeprefix(b">>graph6<<")
+    if not record:
+        raise MalformedGraph6Error("empty record")
+    head = record[0]
+    if not 63 <= head <= 126:
+        raise MalformedGraph6Error(f"size byte {head} at offset 0 outside 63..126")
+    n = head - 63
+    if n > 62:
+        raise MalformedGraph6Error("multi-byte size headers (n > 62) not supported")
+    if n == 0:
+        raise MalformedGraph6Error("graph6 order 0 not representable here")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = record[1:]
+    if len(body) != nbytes:
+        raise MalformedGraph6Error(
+            f"expected {nbytes} payload bytes for n={n}, got {len(body)}"
+        )
+    vals = np.frombuffer(body, dtype=np.uint8)
+    out = (vals < 63) | (vals > 126)
+    if out.any():
+        bad = int(np.argmax(out))
+        raise MalformedGraph6Error(
+            f"payload byte {body[bad]} at offset {bad + 1} outside 63..126"
+        )
+    bits = np.unpackbits(vals - np.uint8(63)).reshape(-1, 8)[:, 2:].reshape(-1)
+    if bits[nbits:].any():
+        raise MalformedGraph6Error("nonzero padding bits")
+    a = np.zeros((n, n))
+    a.T[(~np.tri(n, dtype=bool)).T] = bits[:nbits]
+    return a + a.T
 
 
 def connected_by_union_find(g) -> bool:

@@ -714,6 +714,49 @@ def test_row_pass_edge_cases(g, alpha):
     _assert_row_pass_is_its_table_row(g, alpha, 0.25)
 
 
+# -- the float helpers ----------------------------------------------------------
+
+# Floats at the edges of each helper: signed zeros, subnormals, the smallest
+# normal, NaNs (a negative one and a signalling payload), infinities, and
+# magnitudes around 1.34e154, past which Python's ** raises OverflowError,
+# and two floats whose square through pow is not x * x.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, -math.nan,
+                np.uint64(0x7FF0000000000001).view(np.float64).item(), math.inf, -math.inf,
+                1.3e154, 1.35e154, -1.35e154, 1e300, -1e308, 1.7976931348623157e308, -2.5,
+                0.37796883434360806, 0.8885923720325766]
+
+
+def _float_bits(x) -> str:
+    return np.float64(x).tobytes().hex()
+
+
+def _assert_float_helpers_match_numpy(x):
+    # On a Python float, each helper gives the bits numpy gives on a column
+    # (long enough for its vector loops), and raises nothing where numpy
+    # gives inf or NaN: past 1.34e154 a square goes to numpy, and so does a
+    # negative square root or a NaN. errstate as in evaluate_many, since
+    # warnings are errors here.
+    column = np.full(37, x)
+    with np.errstate(all="ignore"):
+        for helper, numpy_form in ((B._sq, lambda c: np.float_power(c, 2)),
+                                   (B._sqrt, np.sqrt),
+                                   (B._max0, lambda c: np.maximum(c, 0.0))):
+            want = numpy_form(column)
+            assert _float_bits(helper(x)) == _float_bits(want[0]), (helper.__name__, x)
+            assert helper(column).tobytes() == want.tobytes()
+
+
+@given(st.one_of(st.floats(), st.floats(1e150, 1e160), st.floats(-1e160, -1e150)))
+@settings(max_examples=300)
+def test_float_helpers_match_numpy_bit_for_bit(x):
+    _assert_float_helpers_match_numpy(x)
+
+
+@pytest.mark.parametrize("x", _EDGE_FLOATS)
+def test_float_helpers_match_numpy_at_the_edges(x):
+    _assert_float_helpers_match_numpy(x)
+
+
 # -- the log determinant --------------------------------------------------------
 
 # The three log bounds' rows of a verdict table, at its first (graph, alpha).

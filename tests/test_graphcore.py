@@ -5,7 +5,7 @@ import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alphaenergy import graphcore
+from alphaenergy import graphcore, harness
 from alphaenergy.graphcore import (
     GRAPH6_HEADER,
     GenerationFailureError,
@@ -298,6 +298,119 @@ def test_graph6_header():
         parse_graph6(b">>graph6<<>>graph6<<Bg")
     with pytest.raises(MalformedGraph6Error, match="expected 1 payload bytes"):
         parse_graph6(b"Bg>>graph6<<")
+
+
+def _graph6_outcome(parse, data):
+    """The adjacency bytes `parse` reads from `data`, or the type and message
+    of the MalformedGraph6Error it raises."""
+    try:
+        a = parse(data)
+    except MalformedGraph6Error as exc:
+        return type(exc), str(exc)
+    return getattr(a, "adjacency", a).tobytes()
+
+
+@st.composite
+def _graph6_variants(draw):
+    """graph6 records of order 1..62, most of them malformed: a payload of
+    the wrong length, a byte outside 63..126 at some offset, nonzero pad
+    bits or a size byte outside 63..125, each with or without headers,
+    whitespace and stray bytes around it, as bytes or as text."""
+    n = draw(st.integers(1, 62))
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = bytearray(draw(st.binary(min_size=nbytes, max_size=nbytes)).translate(
+        bytes(63 + b % 64 for b in range(256))))
+    if nbits % 6:
+        body[-1] &= ~((1 << (6 - nbits % 6)) - 1)  # zero pad bits: a valid record
+    head = n + 63
+    kind = draw(st.sampled_from(["valid", "length", "byte", "pad", "size"]))
+    if kind == "length":
+        size = draw(st.integers(0, nbytes + 3).filter(lambda k: k != nbytes))
+        body = (body + b"~~~")[:size]
+    elif kind == "byte" and nbytes:
+        body[draw(st.integers(0, nbytes - 1))] = draw(
+            st.one_of(st.integers(0, 62), st.integers(127, 255)))
+    elif kind == "pad" and nbits % 6:
+        body[-1] |= draw(st.integers(1, (1 << (6 - nbits % 6)) - 1))
+    elif kind == "size":
+        head = draw(st.sampled_from([62, 126, 127, 0, 32, 255]))
+    record = (draw(st.sampled_from([b"", b">>graph6<<", b">>graph6<<>>graph6<<", b" \t",
+                                    b">>graph6", b"\n>>graph6<<"]))
+              + bytes([head]) + bytes(body)
+              + draw(st.sampled_from([b"", b"\n", b" \r\n", b">>graph6<<", b"\x00"])))
+    return record.decode("latin-1") if draw(st.booleans()) else record
+
+
+@given(_graph6_variants())
+@example(b"")
+@example(">>graph6<<")
+@example("B\u00e9")
+@example(b"}" + b"~" * 315 + b"_")
+@example(b"}" + b"~" * 315 + b"`")
+@settings(max_examples=400)
+def test_graph6_errors_read_as_the_reference_decoder_gives_them(data):
+    # The same adjacency, or the same exception type and message, as the
+    # decoder that checked the payload with numpy comparisons.
+    assert (_graph6_outcome(parse_graph6, data)
+            == _graph6_outcome(oracles.parse_graph6_reference, data))
+
+
+def test_graph6_bad_byte_at_every_offset():
+    # A byte outside 63..126 at each offset of an n = 62 record, the size
+    # byte included: the message names the byte and its offset as before.
+    record = serialize_graph6(erdos_renyi(62, 0.4, 3))
+    for offset in range(len(record)):
+        for bad in (0, 62, 127, 255):
+            data = record[:offset] + bytes([bad]) + record[offset + 1:]
+            got = _graph6_outcome(parse_graph6, data)
+            assert got == _graph6_outcome(oracles.parse_graph6_reference, data)
+            assert got[1].startswith("size byte" if offset == 0 else "payload byte"), got
+
+
+def test_load_corpus_skip_notes_on_a_mixed_file(tmp_path):
+    # Good and bad records in one file: the same graphs, and each skipped
+    # line's note with its line number and the decoder's message. A line
+    # loses one header and the decoder another, so a doubled header parses
+    # and keeps one in its id.
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_bytes(b"Bw\nC~~\n\nBC\n# comment\n>>graph6<<C~\nB\x20\n~???\n@\nA_\n"
+                       b"B\x7f\nI?LRCecq?\n>>graph6<<>>graph6<<Bw\nA`\n>>graph6<<>>graph6<<>>graph6<<@\n")
+    graphs, skipped = harness.load_corpus(str(corpus))
+    assert [gid for gid, _ in graphs] == ["Bw", "C~", "@", "A_", "I?LRCecq?", ">>graph6<<Bw"]
+    assert skipped == [f"{corpus}:{line}: {message}" for line, message in (
+        (2, "expected 1 payload bytes for n=4, got 2"),
+        (4, "nonzero padding bits"),
+        (7, "expected 1 payload bytes for n=3, got 0"),
+        (8, "multi-byte size headers (n > 62) not supported"),
+        (11, "payload byte 127 at offset 1 outside 63..126"),
+        (14, "nonzero padding bits"),
+        (15, "size byte 62 at offset 0 outside 63..126"),
+    )]
+
+
+@given(st.lists(_graph6_variants(), max_size=8))
+@settings(max_examples=100)
+def test_load_corpus_skip_notes_read_as_the_reference_decoder_gives_them(tmp_path_factory,
+                                                                       records):
+    # Each line after a first good record, read by load_corpus and by the
+    # reference decoder: the same graph ids and the same skip notes.
+    lines = ["Bw"] + [r.decode("latin-1") if isinstance(r, bytes) else r for r in records]
+    corpus = tmp_path_factory.mktemp("g6") / "corpus.g6"
+    corpus.write_bytes("\n".join(lines).encode("latin-1"))
+    ids, notes = [], []
+    for lineno, line in enumerate("\n".join(lines).splitlines(), start=1):
+        record = line.strip()
+        if not record or record.startswith("#"):
+            continue
+        record = record.removeprefix(GRAPH6_HEADER)
+        try:
+            oracles.parse_graph6_reference(record)
+            ids.append(record)
+        except MalformedGraph6Error as exc:
+            notes.append(f"{corpus}:{lineno}: {exc}")
+    graphs, skipped = harness.load_corpus(str(corpus))
+    assert ([gid for gid, _ in graphs], skipped) == (ids, notes)
 
 
 @st.composite

@@ -721,6 +721,24 @@ def test_cli_spectrum(capsys):
     assert row["energy"] == 3.0
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_cli_spectrum_writes_null_for_an_overflowing_gamma(tmp_path, capsys):
+    # A connected G(400, 1/2) at alpha = 0: |prod s_i| is about 1e313, past
+    # the float64 range, and is written as null; a finite one as a number.
+    g = graphcore.erdos_renyi(400, 0.5, 7, connected=True)
+    edges = tmp_path / "g400.txt"
+    edges.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    assert cli.main(["spectrum", "--input", str(edges), "--alpha", "0"]) == 0
+    assert cli.main(["spectrum", "C~", "--alpha", "0.5"]) == 0
+    out, err = capsys.readouterr()
+    big, k4 = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert err == "" and big["gamma_det"] is None and big["n"] == 400
+    assert k4["gamma_det"] == 0.1875  # K4 at alpha = 1/2: |(3 - 1.5)(1 - 1.5)^3|
+
+
 def test_cli_spectrum_alpha_out_of_range(capsys):
     assert cli.main(["spectrum", "C~", "--alpha", "1.5"]) == 1
     assert "alpha" in capsys.readouterr().err
