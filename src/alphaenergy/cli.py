@@ -62,8 +62,8 @@ def _input_graphs(args) -> list[tuple[str, graphcore.Graph]]:
         raise _CliError("give either a graph6 record or --input, not both")
     if getattr(args, "graph", None) is not None:
         try:
-            gid = args.graph.removeprefix(graphcore.GRAPH6_HEADER)
-            return [(gid, graphcore.parse_graph6(gid))]
+            return [(args.graph.removeprefix(graphcore.GRAPH6_HEADER),
+                     graphcore.parse_graph6(args.graph))]
         except graphcore.MalformedGraph6Error as exc:
             raise _CliError(f"bad graph6 record: {exc}") from None
     if not args.input:

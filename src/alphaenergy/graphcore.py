@@ -4,10 +4,15 @@ connectivity, and graph6 / edge-list codecs.
 Vertices are dense 0-based integers so graphs index directly into matrices.
 A `Graph` is its one read-only 0/1 adjacency matrix: the graph6 decoder and
 the G(n, p), regular and edge-deletion generators write that matrix
-directly, with no per-edge Python pass, and the edge set, edge count,
-degrees and connectivity are derived from it. Every pass over the vertex
-pairs u < v (graph6 encoding and decoding, the G(n, p) draw, the edge set)
-goes through one read-only strict upper-triangle mask per order,
+directly, and the edge set, edge count, degrees and connectivity are
+derived from it. The two random generators accept or reject a draw before
+its float matrix exists: a G(n, p) draw is one 0/1 byte per vertex pair,
+placed in a boolean matrix that the connectivity test reads, and a pairing
+is a list of stubs checked on Python ints for a loop or a repeated pair.
+Connectivity is one breadth-first search, `_reaches_all`, over Python-int
+bitsets read from one `np.packbits` of the matrix. Every pass over the
+vertex pairs u < v (graph6 encoding and decoding, the G(n, p) matrix, the
+edge set) goes through one read-only strict upper-triangle mask per order,
 `upper_mask(n)`, built once and cached for the last 64 orders used. The
 adjacency inertia solves it as it stands, and `spectra.spectrum_tables`
 builds every alpha*D + (1-alpha)*A from it. Random generators draw from
@@ -204,17 +209,29 @@ class Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff breadth-first expansion from vertex 0 reaches all n vertices:
-    each step adds every vertex with an adjacency row hitting the reached set."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    count = 1
-    while True:
-        seen |= g.adjacency @ seen > 0
-        grown = int(np.count_nonzero(seen))
-        if grown == count:
-            return count == g.n
-        count = grown
+    """True iff breadth-first search from vertex 0 reaches all n vertices."""
+    return _reaches_all(g.adjacency > 0.0)
+
+
+def _reaches_all(m: np.ndarray) -> bool:
+    """True iff breadth-first search from vertex 0 reaches every vertex of
+    the symmetric 0/1 matrix m. The reached set, each level and each row
+    are Python-int bitsets; a row is read from one `np.packbits` of m when
+    its vertex enters a level, and the search stops once every vertex is
+    reached."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    data, width, everyone = packed.tobytes(), packed.shape[1], (1 << len(m)) - 1
+    seen = front = 1
+    while front and seen != everyone:
+        reach = 0
+        while front:
+            low = front & -front
+            u = (low.bit_length() - 1) * width
+            reach |= int.from_bytes(data[u : u + width], "little")
+            front ^= low
+        front = reach & ~seen
+        seen |= front
+    return seen == everyone
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
@@ -266,18 +283,23 @@ def petersen() -> Graph:
 
 
 def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
-    """G(n, p) sample; with `connected=True`, redraws until connected."""
+    """G(n, p) sample; with `connected=True`, redraws until connected,
+    deciding each draw on its boolean matrix before the float matrix is
+    built, and records `connected` on the sample."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParametersError(f"erdos_renyi needs n >= 1 and p in [0,1], got ({n}, {p})")
     rng = pcg64.default_rng(seed)
     upper, pairs = upper_mask(n), n * (n - 1) // 2
     for _ in range(ER_MAX_DRAWS):
-        a = np.zeros((n, n))
-        a[upper] = rng.random(pairs) < p
-        a += a.T
-        g = Graph._from_adjacency(a)
-        if not connected or g.connected:
-            return g
+        a = np.zeros((n, n), dtype=bool)
+        a[upper] = np.frombuffer(pcg64.below(rng, p, pairs), dtype=bool)
+        a |= a.T
+        if connected and not _reaches_all(a):
+            continue
+        g = Graph._from_adjacency(a.astype(float))
+        if connected:
+            g.__dict__["connected"] = True
+        return g
     raise GenerationFailureError(
         f"no connected G({n}, {p}) sample in {ER_MAX_DRAWS} draws"
     )
@@ -303,16 +325,18 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
     if k == 0:
         return Graph(n)
     rng = pcg64.default_rng(seed)
-    stubs = np.repeat(np.arange(n), k)
+    stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(REGULAR_MAX_PAIRINGS):
-        perm = rng.permutation(stubs)
+        perm = pcg64.shuffled(rng, stubs)
         us, vs = perm[0::2], perm[1::2]
-        if np.any(us == vs):
+        if not all(map(operator.ne, us, vs)):  # a loop
+            continue
+        keys = [u * n + v if u < v else v * n + u for u, v in zip(us, vs)]  # flat, u < v
+        if len(set(keys)) < len(keys):  # a repeated pair
             continue
         a = np.zeros((n, n))
-        a[us, vs] = a[vs, us] = 1.0
-        if np.count_nonzero(a) != 2 * len(us):  # a repeated pair
-            continue
+        a.put(keys, 1.0)
+        a += a.T
         return Graph._from_adjacency(a)
     raise GenerationFailureError(
         f"no simple {k}-regular pairing on {n} vertices in {REGULAR_MAX_PAIRINGS} attempts"

@@ -61,9 +61,10 @@ def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
     """Read graphs from a file, auto-detected by its first payload line.
 
     A leading 'n m' integer pair means one edge-list graph; anything else is
-    treated as graph6, one record per line; a record's optional leading
-    `graphcore.GRAPH6_HEADER` is not part of its graph id. Returns (graphs,
-    skipped) where skipped holds human-readable parse-failure notes.
+    treated as graph6, one record per line, which `graphcore.parse_graph6`
+    reads as it stands; its optional leading `graphcore.GRAPH6_HEADER` is
+    not part of its graph id. Returns (graphs, skipped) where skipped holds
+    human-readable parse-failure notes.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -88,9 +89,9 @@ def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
         record = line.strip()
         if not record or record.startswith("#"):
             continue
-        record = record.removeprefix(graphcore.GRAPH6_HEADER)
         try:
-            graphs.append((record, graphcore.parse_graph6(record)))
+            graphs.append((record.removeprefix(graphcore.GRAPH6_HEADER),
+                           graphcore.parse_graph6(record)))
         except graphcore.MalformedGraph6Error as exc:
             skipped.append(f"{path}:{lineno}: {exc}")
     return graphs, skipped
@@ -255,22 +256,25 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_join(values: list[float]) -> str:
-    """The round12 values of `values` as json.dumps writes them, joined by
-    commas, formatted in one `%` call. A 12-digit string with a point and no
-    exponent is already that float's repr: no shorter decimal string parses
-    to the same float. Only when some string breaks that rule are the
-    strings checked one by one."""
-    text = ("%.12g," * len(values))[:-1] % tuple(values)  # fmt12 each
-    if "e" in text or text.count(".") != len(values):
-        return ",".join([p if "." in p and "e" not in p
-                         else (_JSON_NONFINITE.get(p) or repr(float(p)))
-                         for p in text.split(",")])
-    return text
+    """`_json_numbers(values)` joined by commas."""
+    return ",".join(_json_numbers(values))
 
 
 def _json_numbers(values: list[float]) -> list[str]:
-    """`_json_join(values)` as a list of strings."""
-    return _json_join(values).split(",") if values else []
+    """The round12 values of `values` as json.dumps writes them, formatted in
+    one `%` call and split once. A 12-digit string with a point and no
+    exponent is already that float's repr: no shorter decimal string parses
+    to the same float. Only when some string breaks that rule are the
+    strings checked one by one, each kept or replaced by the float's repr or
+    the non-finite name."""
+    if not values:
+        return []
+    text = ("%.12g," * len(values))[:-1] % tuple(values)  # fmt12 each
+    parts = text.split(",")
+    if "e" in text or text.count(".") != len(parts):
+        return [p if "." in p and "e" not in p else (_JSON_NONFINITE.get(p) or repr(float(p)))
+                for p in parts]
+    return parts
 
 
 def _csv_join(values: list[float]) -> str:

@@ -8,15 +8,16 @@ Algorithms for Random Number Generation", HMC-CS-2014-0905), and its
 `random`, `integers` and `permutation` algorithms on top.
 
 A value drawn here costs about 0.6-0.9 us against about 0.01 us in numpy:
-the loops of `random(size)` and `permutation` make the LCG step and the
-XSL-RR output inline. Importing `numpy.random` costs 9-14 ms, as much as
-about 16,000 values drawn here (the median of that ratio over 20 fresh
+the two array draws, `below` (a G(n, p) draw as 0/1 bytes) and `shuffled`
+(a pairing's stubs as a list), make the LCG step and the XSL-RR output
+inline and make no array. Importing `numpy.random` costs 9-14 ms, as much
+as about 16,000 values drawn here (the median of that ratio over 20 fresh
 interpreters, each timing 2,000 `random` values and 50 permutations of 40
 stubs, then the import; range 12,600-18,500). A small fuzz call makes a few
-hundred. So a process draws its first BUDGET values in Python.
-The request that would pass BUDGET and every later one go to numpy: a live
-generator hands over its exact PCG64 state, and `default_rng` returns
-numpy's generator. The stream is the same either way.
+hundred. So a process draws its first BUDGET values in Python. The request
+that would pass BUDGET and every later one go to numpy: a live generator
+hands over its exact PCG64 state, and `default_rng` returns numpy's
+generator. The stream is the same either way.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _seed_state(seed: int) -> tuple[int, int]:
 
 
 class Generator:
-    """numpy's `Generator(PCG64(seed))` for the draws the package makes.
+    """numpy's `Generator(PCG64(seed))` for the scalar draws the package
+    makes; `below` and `shuffled` make its array draws.
 
     `_half` is the upper half of a 64-bit output kept for the next 32-bit
     draw (numpy's `has_uint32`/`uinteger`); `_numpy` is the twin that takes
@@ -126,21 +128,11 @@ class Generator:
         self._half = x >> 32
         return x & _M32
 
-    def random(self, size: int | None = None):
-        """A float in [0, 1) from the top 53 bits of one 64-bit output, or a
-        float64 array of `size` of them."""
-        if self._over(1 if size is None else size):
-            return self._numpy.random(size)
-        if size is None:
-            return (self._next64() >> 11) * _TO_DOUBLE
-        # _next64 inlined: the LCG step, then XSL-RR's top 53 bits.
-        state, inc, out = self._state, self._inc, [0.0] * size
-        for i in range(size):
-            state = (state * _MULT + inc) & _M128
-            x, r = (state >> 64 ^ state) & _M64, state >> 122
-            out[i] = (((x >> r | x << (64 - r)) & _M64) >> 11) * _TO_DOUBLE
-        self._state = state
-        return np.array(out)
+    def random(self) -> float:
+        """A float in [0, 1) from the top 53 bits of one 64-bit output."""
+        if self._over(1):
+            return self._numpy.random()
+        return (self._next64() >> 11) * _TO_DOUBLE
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
@@ -163,28 +155,53 @@ class Generator:
             m = draw() * span
         return low + (m >> bits)
 
-    def permutation(self, x: np.ndarray) -> np.ndarray:
-        """A shuffled copy of the 1-d array x: Fisher-Yates from the top, each
-        index j in [0, i] a 32-bit draw masked to i's bit length, redrawn
-        while above i."""
-        if self._over(len(x)):
-            return self._numpy.permutation(x)
-        arr = x.tolist()
-        # _next32 inlined: a pending upper half first, else one LCG step and
-        # its XSL-RR output, whose upper half is kept pending.
-        state, inc, half = self._state, self._inc, self._half
-        for i in range(len(arr) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while True:
-                if half is None:
-                    state = (state * _MULT + inc) & _M128
-                    y, r = (state >> 64 ^ state) & _M64, state >> 122
-                    y = (y >> r | y << (64 - r)) & _M64
-                    j, half = y & mask, y >> 32
-                else:
-                    j, half = half & mask, None
-                if j <= i:
-                    break
-            arr[i], arr[j] = arr[j], arr[i]
-        self._state, self._half = state, half
-        return np.array(arr, dtype=x.dtype)
+
+def _numpy_twin(rng, k: int):
+    """None when this module draws k values for `rng`, a generator
+    `default_rng` gave; otherwise the numpy generator that draws them."""
+    if isinstance(rng, Generator):
+        return rng._numpy if rng._over(k) else None
+    return rng
+
+
+def below(rng, p: float, size: int) -> bytes:
+    """`(rng.random(size) < p).tobytes()`: whether each of `size` float draws
+    lies below p, as 0/1 bytes."""
+    twin = _numpy_twin(rng, size)
+    if twin is not None:
+        return (twin.random(size) < p).tobytes()
+    # _next64 inlined: the LCG step, then XSL-RR's top 53 bits.
+    state, inc, p, out = rng._state, rng._inc, float(p), bytearray(size)
+    for i in range(size):
+        state = (state * _MULT + inc) & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        out[i] = (((x >> r | x << (64 - r)) & _M64) >> 11) * _TO_DOUBLE < p
+    rng._state = state
+    return bytes(out)
+
+
+def shuffled(rng, items: list[int]) -> list[int]:
+    """`rng.permutation(items).tolist()`: a shuffled copy, Fisher-Yates from
+    the top, each index j in [0, i] a 32-bit draw masked to i's bit length,
+    redrawn while above i."""
+    twin = _numpy_twin(rng, len(items))
+    if twin is not None:
+        return twin.permutation(items).tolist()
+    # _next32 inlined: a pending upper half first, else one LCG step and its
+    # XSL-RR output, whose upper half is kept pending.
+    arr, state, inc, half = list(items), rng._state, rng._inc, rng._half
+    for i in range(len(arr) - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if half is None:
+                state = (state * _MULT + inc) & _M128
+                y, r = (state >> 64 ^ state) & _M64, state >> 122
+                y = (y >> r | y << (64 - r)) & _M64
+                j, half = y & mask, y >> 32
+            else:
+                j, half = half & mask, None
+            if j <= i:
+                break
+        arr[i], arr[j] = arr[j], arr[i]
+    rng._state, rng._half = state, half
+    return arr

@@ -5,7 +5,9 @@ built from edge lists, spectra come from LAPACK (numpy.linalg.eigvalsh) or,
 independently of LAPACK, from a cyclic Jacobi sweep; eigenvalue residuals
 from a singular value decomposition; characteristic polynomials from the
 Faddeev-LeVerrier recursion, determinants from cofactor expansion;
-connectivity from a union-find over the edge set; graph6 records decoded
+connectivity from a union-find over the edge set, or from the earlier
+matrix-vector expansion; the random generators as they drew with numpy
+arrays, from numpy's own generator; graph6 records decoded
 bit by bit as the format's description reads, and their error messages
 from the decoder's earlier numpy reading of the payload; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
@@ -118,6 +120,59 @@ def connected_by_union_find(g) -> bool:
             parent[ru] = rv
             components -= 1
     return components == 1
+
+
+def connected_by_matvec(a: np.ndarray) -> bool:
+    """The earlier connectivity test on a 0/1 matrix: breadth-first expansion
+    from vertex 0, each step adding every vertex with a row hitting the
+    reached set."""
+    seen = np.zeros(a.shape[0], dtype=bool)
+    seen[0] = True
+    count = 1
+    while True:
+        seen |= a @ seen > 0
+        grown = int(np.count_nonzero(seen))
+        if grown == count:
+            return count == a.shape[0]
+        count = grown
+
+
+def erdos_renyi_reference(n: int, p: float, rng, connected: bool,
+                          max_draws: int) -> np.ndarray | None:
+    """The G(n, p) generator as it drew with numpy arrays from the numpy
+    generator `rng`: the adjacency matrix of its first draw (its first
+    connected one if `connected`) within `max_draws` draws, else None."""
+    upper = ~np.tri(n, dtype=bool)
+    for _ in range(max_draws):
+        a = np.zeros((n, n))
+        a[upper] = rng.random(n * (n - 1) // 2) < p
+        a += a.T
+        if not connected or connected_by_matvec(a):
+            return a
+    return None
+
+
+def random_regular_reference(n: int, k: int, rng, max_pairings: int) -> np.ndarray | None:
+    """The pairing model as it drew with numpy arrays from the numpy generator
+    `rng`: the adjacency matrix of its first simple pairing within
+    `max_pairings`, else None; above k = (n-1)/2 the complement's."""
+    if k > (n - 1) // 2:
+        inner = random_regular_reference(n, n - 1 - k, rng, max_pairings)
+        return None if inner is None else 1.0 - inner - np.eye(n)
+    if k == 0:
+        return np.zeros((n, n))
+    stubs = np.repeat(np.arange(n), k)
+    for _ in range(max_pairings):
+        perm = rng.permutation(stubs)
+        us, vs = perm[0::2], perm[1::2]
+        if np.any(us == vs):
+            continue
+        a = np.zeros((n, n))
+        a[us, vs] = a[vs, us] = 1.0
+        if np.count_nonzero(a) != 2 * len(us):  # a repeated pair
+            continue
+        return a
+    return None
 
 
 def alpha_matrix(g, alpha: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alphaenergy import graphcore, harness
+from alphaenergy import graphcore, harness, pcg64
 from alphaenergy.graphcore import (
     GRAPH6_HEADER,
     GenerationFailureError,
@@ -148,10 +149,15 @@ def test_is_connected():
     two_k2 = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(two_k2)
     assert is_connected(Graph(1))
-    # Against a union-find over the edge set, on every order up to 62.
+    # Against a union-find over the edge set: every graph on up to 5
+    # vertices, and random graphs on every order up to 65, 129 and 1000.
     rng = np.random.default_rng(11)
-    graphs = [path(62), Graph(62), Graph(62, [(0, 61)])]
-    for n in range(1, 63):
+    graphs = [path(62), Graph(62), Graph(62, [(0, 61)]), path(1000), Graph(1000, [(0, 999)])]
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs += [Graph(n, [pair for i, pair in enumerate(pairs) if x >> i & 1])
+                   for x in range(1 << len(pairs))]
+    for n in [*range(1, 63), 63, 64, 65, 129, 1000]:
         for p in (0.5 / n, 1.0 / n, 2.0 / n, 0.3):
             graphs.append(erdos_renyi(n, min(p, 1.0), int(rng.integers(0, 2**63))))
         # Disjoint union of two connected graphs: one edge short of connected.
@@ -165,6 +171,55 @@ def test_is_connected():
     verdicts = [is_connected(g) for g in graphs]
     assert verdicts == [oracles.connected_by_union_find(g) for g in graphs]
     assert 0.2 < np.mean(verdicts) < 0.8
+
+
+_ORDER_AND_DEGREE = st.integers(1, 62).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1).filter(lambda k: n * k % 2 == 0)))
+
+
+@given(_ORDER_AND_DEGREE, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(0, 2**63 - 1), st.booleans(),
+       st.one_of(st.sampled_from([0, 10**9]), st.integers(0, 4000)))
+@example((62, 4), 0.05, 2**63 - 1, True, 10**9)  # sparse: draws and pairings run out
+@example((62, 61), 1.0, 0, True, 0)  # the complement of an edgeless pairing
+@example((10, 4), 0.5, 924414275, True, 10**9)
+@example((10, 4), 0.2, 924414275, True, 60)  # the budget runs out between two G(n, p) draws
+@example((10, 4), 0.0, 924414275, False, 100)  # and between two pairings
+@example((1, 0), 0.0, 0, True, 10**9)
+@settings(max_examples=200, deadline=None)
+def test_generators_match_their_numpy_references(nk, p, seed, connected, budget):
+    # Both generators against the numpy code they replaced, drawn from
+    # numpy's generator: the same adjacency bytes (or both out of draws),
+    # the same connectivity, and the same next value from the stream. Small
+    # draw budgets keep the failing draws cheap.
+    n, k = nk
+    made, real_rng = [], pcg64.default_rng
+
+    def recording_rng(s):
+        made.append(real_rng(s))
+        return made[-1]
+
+    with mock.patch.multiple(pcg64, BUDGET=budget, _requested=0, default_rng=recording_rng), \
+            mock.patch.multiple(graphcore, ER_MAX_DRAWS=4, REGULAR_MAX_PAIRINGS=8):
+        for make, reference in (
+            (lambda: erdos_renyi(n, p, seed, connected),
+             lambda rng: oracles.erdos_renyi_reference(n, p, rng, connected, 4)),
+            (lambda: random_regular(n, k, seed),
+             lambda rng: oracles.random_regular_reference(n, k, rng, 8)),
+        ):
+            made.clear()
+            try:
+                g = make()
+            except GenerationFailureError:
+                g = None
+            numpy_rng = np.random.default_rng(seed)
+            want = reference(numpy_rng)
+            assert (g is None) == (want is None)
+            if g is not None:
+                assert g.adjacency.tobytes() == want.tobytes()
+                assert g.connected == oracles.connected_by_matvec(want)
+            after = made[0] if made else np.random.default_rng(seed)  # k = 0 draws nothing
+            assert after.random() == numpy_rng.random()
 
 
 def test_delete_edge():
@@ -370,20 +425,21 @@ def test_graph6_bad_byte_at_every_offset():
 
 def test_load_corpus_skip_notes_on_a_mixed_file(tmp_path):
     # Good and bad records in one file: the same graphs, and each skipped
-    # line's note with its line number and the decoder's message. A line
-    # loses one header and the decoder another, so a doubled header parses
-    # and keeps one in its id.
+    # line's note with its line number and the decoder's message. The decoder
+    # reads each line as it stands, so a doubled header is refused as it is
+    # by parse_graph6 alone.
     corpus = tmp_path / "mixed.g6"
     corpus.write_bytes(b"Bw\nC~~\n\nBC\n# comment\n>>graph6<<C~\nB\x20\n~???\n@\nA_\n"
                        b"B\x7f\nI?LRCecq?\n>>graph6<<>>graph6<<Bw\nA`\n>>graph6<<>>graph6<<>>graph6<<@\n")
     graphs, skipped = harness.load_corpus(str(corpus))
-    assert [gid for gid, _ in graphs] == ["Bw", "C~", "@", "A_", "I?LRCecq?", ">>graph6<<Bw"]
+    assert [gid for gid, _ in graphs] == ["Bw", "C~", "@", "A_", "I?LRCecq?"]
     assert skipped == [f"{corpus}:{line}: {message}" for line, message in (
         (2, "expected 1 payload bytes for n=4, got 2"),
         (4, "nonzero padding bits"),
         (7, "expected 1 payload bytes for n=3, got 0"),
         (8, "multi-byte size headers (n > 62) not supported"),
         (11, "payload byte 127 at offset 1 outside 63..126"),
+        (13, "size byte 62 at offset 0 outside 63..126"),
         (14, "nonzero padding bits"),
         (15, "size byte 62 at offset 0 outside 63..126"),
     )]
@@ -403,10 +459,9 @@ def test_load_corpus_skip_notes_read_as_the_reference_decoder_gives_them(tmp_pat
         record = line.strip()
         if not record or record.startswith("#"):
             continue
-        record = record.removeprefix(GRAPH6_HEADER)
         try:
             oracles.parse_graph6_reference(record)
-            ids.append(record)
+            ids.append(record.removeprefix(GRAPH6_HEADER))
         except MalformedGraph6Error as exc:
             notes.append(f"{corpus}:{lineno}: {exc}")
     graphs, skipped = harness.load_corpus(str(corpus))

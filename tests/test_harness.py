@@ -186,11 +186,14 @@ def test_one_sweep_equals_its_one_graph_sweeps(alphas, monkeypatch):
 
 
 def test_fuzz_checks_each_graph_connectivity_once(monkeypatch):
+    # Counted at the one breadth-first search, which G(n, p) draws reach
+    # before their float matrix is built; the complement branch of
+    # random_regular does not search its inner graph.
     calls = []
-    real = graphcore.is_connected
-    monkeypatch.setattr(graphcore, "is_connected", lambda g: calls.append(g) or real(g))
+    real = graphcore._reaches_all
+    monkeypatch.setattr(graphcore, "_reaches_all", lambda m: calls.append(m) or real(m))
     run_fuzz(4, 10, 20, 42, [0.5])
-    assert len(calls) == 58  # accepted draws, rejected draws and edge-deleted graphs
+    assert len(calls) == 58  # accepted and rejected G(n, p) draws, regular graphs
     calls.clear()
     assert graphcore.erdos_renyi(10, 0.3, 5, connected=True).connected
     assert len(calls) == 1
@@ -502,6 +505,10 @@ def test_load_corpus_graph6_header(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["spectrum", ">>graph6<<C~", "--alpha", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["graph_id"] == "C~"
+    # A doubled header is refused as parse_graph6 alone refuses it.
+    assert cli.main(["spectrum", ">>graph6<<>>graph6<<Bw", "--alpha", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "size byte 62 at offset 0 outside 63..126" in err
 
 
 def test_load_corpus_edge_list(tmp_path):

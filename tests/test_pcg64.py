@@ -23,24 +23,40 @@ _SEEDS = st.one_of(
 # rejection loop runs more than once.
 _SPANS = st.one_of(st.integers(1, 59), st.sampled_from([2**32, 2**63, 3 * 2**30, 3 * 2**61]))
 _STUBS = st.tuples(st.integers(1, 40), st.integers(1, 5)).map(
-    lambda nk: np.repeat(np.arange(nk[0]), nk[1])
+    lambda nk: [v for v in range(nk[0]) for _ in range(nk[1])]
 )
-_FORTY_STUBS = np.repeat(np.arange(10), 4)
+_FORTY_STUBS = [v for v in range(10) for _ in range(4)]
 _DRAWS = st.lists(st.one_of(
     st.just(("random",)),
-    st.tuples(st.just("random"), st.integers(0, 50)),
+    st.tuples(st.just("below"), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+              st.integers(0, 50)),
     st.just(("uniform", 0.25, 0.75)),
     st.tuples(st.just("integers"), st.integers(0, 10), _SPANS).map(
         lambda t: ("integers", t[1], min(t[1] + t[2], 2**63))
     ),
     st.just(("integers", 0, 2**63)),
-    st.tuples(st.just("permutation"), _STUBS),
+    st.tuples(st.just("shuffled"), _STUBS),
 ), max_size=14)
 
 
 def _draw(gen, op):
-    value = getattr(gen, op[0])(*op[1:])
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    """One draw as the package makes it: `below` and `shuffled` through this
+    module, the scalar draws as methods of the generator."""
+    name, *args = op
+    if name in ("below", "shuffled"):
+        return getattr(pcg64, name)(gen, *args)
+    return getattr(gen, name)(*args)
+
+
+def _oracle_draw(oracle, op):
+    """The same draw from numpy's generator, written as numpy would."""
+    name, *args = op
+    if name == "below":
+        p, size = args
+        return (oracle.random(size) < p).tobytes()
+    if name == "shuffled":
+        return oracle.permutation(args[0]).tolist()
+    return getattr(oracle, name)(*args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -49,20 +65,20 @@ def _draw(gen, op):
 # than once.
 @example(12, [("integers", 0, 3 * 2**30)], 400)
 @example(10, [("integers", 0, 3 * 2**61)], 400)
-# The pairing model's permutation of 40 stubs (k = 4 at n = 10): entered with
-# a pending 32-bit half (seed 1), and leaving one that the next 32-bit draw
+# The pairing model's shuffle of 40 stubs (k = 4 at n = 10): entered with a
+# pending 32-bit half (seed 1), and leaving one that the next 32-bit draw
 # reads (seed 0).
-@example(1, [("integers", 0, 59), ("permutation", _FORTY_STUBS), ("integers", 0, 59)], 400)
-@example(0, [("permutation", _FORTY_STUBS), ("integers", 0, 59)], 400)
-@example(3, [("permutation", _FORTY_STUBS), ("permutation", _FORTY_STUBS)], 400)
-# random(size) in Python, then a random(size) that passes the budget.
-@example(5, [("random", 30), ("random", 30), ("random",)], 40)
+@example(1, [("integers", 0, 59), ("shuffled", _FORTY_STUBS), ("integers", 0, 59)], 400)
+@example(0, [("shuffled", _FORTY_STUBS), ("integers", 0, 59)], 400)
+@example(3, [("shuffled", _FORTY_STUBS), ("shuffled", _FORTY_STUBS)], 400)
+# A G(n, p) draw in Python, then one that passes the budget.
+@example(5, [("below", 0.5, 30), ("below", 0.5, 30), ("random",)], 40)
 def test_every_draw_matches_numpy_across_the_handover(seed, draws, budget):
     oracle = np.random.default_rng(seed)
     with mock.patch.multiple(pcg64, BUDGET=budget, _requested=0):
         gen = pcg64.Generator(seed)
         for op in draws:
-            assert _draw(gen, op) == _draw(oracle, op), (seed, op)
+            assert _draw(gen, op) == _oracle_draw(oracle, op), (seed, op)
 
 
 def test_a_pending_32_bit_half_crosses_the_handover():
@@ -73,12 +89,13 @@ def test_a_pending_32_bit_half_crosses_the_handover():
         assert gen._half is not None and gen._numpy is None
         assert gen.integers(0, 59) == oracle.integers(0, 59)
         assert gen._numpy is not None
-        assert gen.random(3).tolist() == oracle.random(3).tolist()
+        assert pcg64.below(gen, 0.5, 3) == (oracle.random(3) < 0.5).tobytes()
+        assert pcg64.shuffled(gen, _FORTY_STUBS) == oracle.permutation(_FORTY_STUBS).tolist()
 
 
 def test_default_rng_is_numpys_once_the_budget_is_spent():
     with mock.patch.multiple(pcg64, BUDGET=10, _requested=0):
-        pcg64.default_rng(3).random(9)
+        pcg64.below(pcg64.default_rng(3), 0.5, 9)
         assert isinstance(pcg64.default_rng(3), pcg64.Generator)
         pcg64.default_rng(3).random()  # the tenth value spends the budget
         assert isinstance(pcg64.default_rng(3), np.random.Generator)
