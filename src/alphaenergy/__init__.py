@@ -5,6 +5,7 @@ published upper/lower bounds and their stated equality classes.
 A `Graph` caches what depends on it alone. `run_sweep` and `run_fuzz` check
 corpora over whole alpha grids: each solves its call's (graph, alpha) rows
 as one `SpectrumTable` of columns, one stacked eigensolve per graph order,
+or one solve reduced on its own when the call is one graph at one alpha,
 and returns one `bounds.Verdicts` table per call, a row per (graph, alpha).
 That table is the call's one verdict record. `Verdicts.claims(r)` reads row
 r's stated-class claims from its graph and alpha, and solves nothing. An

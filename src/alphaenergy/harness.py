@@ -3,8 +3,9 @@ fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 
 `run_sweep` and `run_fuzz` solve a call's (graph, alpha) rows as one
 `spectra.SpectrumTable`, one stacked eigensolve per order (the fuzz call's
-edge-deleted graphs join the same stacks), then run the bound table once
-over the table's columns, and return that one `bounds.Verdicts` table: row r
+edge-deleted graphs join the same stacks; a sweep of one graph at one alpha
+solves and reduces its one row alone), then run the bound table once over
+the table, and return that one `bounds.Verdicts` table: row r
 is the report on graph `graph_ids[r]` at row r of `spectra`, and
 `Verdicts.claims(r)` reads that row's stated-class claims from its graph and
 alpha only when asked. `summarize`, `violations`, hunt-equality's

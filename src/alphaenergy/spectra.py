@@ -13,17 +13,24 @@ logarithm keeps Gamma's range: the product itself overflows a float64 on a
 dense graph of a few hundred vertices and can underflow while every |s_i|
 is far from zero.
 
-`spectrum_tables` is the one solve path. It takes (graphs, alphas) groups,
-one `SpectrumTable` each, with rows graph-major then alpha. It builds the
-alpha matrices of every row of one order into one plain (rows, n, n) stack,
-in chunks of whole graphs of at most `STACK_ENTRIES` matrix entries, and
-solves each chunk in one LAPACK call (`densela.eigendecompose`) for
+`spectrum_tables` takes (graphs, alphas) groups, one `SpectrumTable` each,
+with rows graph-major then alpha. It has two paths, which give the same
+bits; the row count picks one. Two or more rows take the stacked path: the
+alpha matrices of every row of one order go into one plain (rows, n, n)
+stack, in chunks of whole graphs of at most `STACK_ENTRIES` matrix entries,
+and each chunk is solved in one LAPACK call (`densela.eigendecompose`) for
 eigenvalues only. Every scalar is one reduction along the rows of that
 solve, so a call pays one eigensolve per order and chunk, whichever groups
-its rows come from. A row's reductions read that row alone, so they give the
-same bits however the rows are stacked; repeated runs with the same
-numpy/LAPACK build give bit-identical spectra, another build may differ in
-the last few digits.
+its rows come from. One row, one graph at one alpha as `bounds` and
+`spectrum` on a graph, `harness.analyze` and a one-graph sweep ask for,
+takes the one-row path (`_one_row`): it solves its one (1, n, n) stack and
+reduces it on Python floats, with numpy only for the sums whose bits depend
+on numpy's summation order and for the eta count. On one row, grouping,
+chunking and numpy's per-operation dispatch cost more than the arithmetic.
+A row's reductions read that row alone, so they give the same bits however
+the rows are stacked, or alone; repeated runs with the same numpy/LAPACK
+build give bit-identical spectra, another build may differ in the last few
+digits.
 
 A table hands the bound pass its `Columns`; an `AlphaSpectrum` record is
 built only for a row that is asked for by index (`graph_spectra` and
@@ -35,6 +42,7 @@ neighbours, adjacency inertia, complete/regular/star flags) is cached on the
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import cached_property
 
@@ -58,7 +66,7 @@ def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRangeError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+    return alpha + 0.0  # -0.0 is 0.0, in every matrix, scalar and report
 
 
 class AlphaSpectrum:
@@ -186,13 +194,17 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
     """One SpectrumTable per (graphs, alphas) group, every group's rows of
     one order solved together.
 
-    Rows are solved grouped by graph order, in chunks of whole graphs
-    (`_chunks`), and put in table order at the end. A chunk's stack is a
-    fresh float64 array holding its graphs' alpha matrices, each written by
-    `_fill`, and each scalar is one reduction along the rows of its solve.
+    A call of one graph at one alpha is `_one_row`. Otherwise rows are solved
+    grouped by graph order, in chunks of whole graphs (`_chunks`), and put in
+    table order at the end. A chunk's stack is a fresh float64 array holding
+    its graphs' alpha matrices, each written by `_fill`, and each scalar is
+    one reduction along the rows of its solve.
     """
     groups = [(tuple(graphs), tuple(_check_alpha(x) for x in alphas))
               for graphs, alphas in groups]
+    if len(groups) == 1 and len(groups[0][0]) == len(groups[0][1]) == 1:
+        (g,), (alpha,) = groups[0]
+        return (_one_row(g, alpha),)
     by_order: dict[int, list] = {}  # order -> [(first table row, graph, alphas)]
     total = 0
     for graphs, alphas in groups:
@@ -247,6 +259,32 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
                                     eta[cut], two_s[cut], log_gamma[cut], theta[cut], rho_1[cut]))
         first = cut.stop
     return tuple(tables)
+
+
+def _one_row(g: Graph, alpha: float) -> SpectrumTable:
+    """The table of one graph at one alpha, with the bits of its row in a
+    stacked solve. Its one (1, n, n) stack is built as `_fill` builds it.
+    numpy sums |s_i|, log|s_i| and (alpha*d_i - shift)^2, whose bits depend
+    on its summation order, and counts eta; the other scalars are Python
+    floats from the expressions the stacked path evaluates on columns, and
+    the singular-shift test is a Python `if`."""
+    n, m = g.n, float(g.m)
+    diag = alpha * g.degrees()
+    a = (1.0 - alpha) * g.adjacency
+    a.reshape(n * n)[::n + 1] = diag
+    rho, = densela.eigendecompose(a[None])
+    shift = 2.0 * alpha * m / n
+    abs_s = np.abs(rho - shift)
+    two_s = (1.0 - alpha) ** 2 * 2.0 * m + ((diag - shift) ** 2).sum()
+    log_gamma = -np.inf
+    if min(abs_s.tolist()) >= SINGULAR_SHIFT_TOL:
+        log_gamma = np.log(abs_s).sum()
+    out = np.array([[shift], [abs_s.sum()], [two_s], [log_gamma],
+                    [math.sqrt(g.zagreb / n) - shift], [rho[0]]])
+    eta = np.array([np.count_nonzero(rho >= shift - SHIFT_TIE_TOL)], dtype=np.int64)
+    out.setflags(write=False)
+    eta.setflags(write=False)
+    return SpectrumTable((g,), (alpha,), (rho,), *out[:2], eta, *out[2:])
 
 
 def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:

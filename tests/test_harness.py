@@ -764,6 +764,43 @@ def test_cli_bounds(capsys):
     assert lbf["holds"] is False
 
 
+@pytest.mark.parametrize("command", ["spectrum", "bounds"])
+def test_cli_one_alpha_line_is_its_line_among_many(command, capsys):
+    # A call at one alpha solves and reduces its one row alone; its line has
+    # the bytes of that alpha's line in a call at several alphas.
+    alphas = ("0", "0.5", "1")
+    big = g6(graphcore.erdos_renyi(62, 0.3, 5, connected=True))
+    for graph in ("@", g6(petersen()), big):
+        assert cli.main([command, graph, "--alpha", ",".join(alphas)]) == 0
+        lines = capsys.readouterr().out.splitlines(True)
+        assert len(lines) == len(alphas)
+        for alpha, line in zip(alphas, lines):
+            assert cli.main([command, graph, "--alpha", alpha]) == 0
+            assert capsys.readouterr().out == line, (graph, alpha)
+
+
+def test_cli_negative_zero_alpha_is_zero(tmp_path, capsys):
+    # -0 is alpha 0: every command writes the bytes it writes at 0, and no
+    # -0.0 (the alpha, the shift or a zero eigenvalue) reaches a report.
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("D?{\nC~\n")
+    outputs = {}
+    for zero in ("0", "-0"):
+        for argv in (["bounds", "D?{", "--alpha", zero],
+                     ["spectrum", "D?{", "--alpha", zero],
+                     ["spectrum", "D?{", f"--alpha={zero},0.5"],
+                     ["sweep", "--input", str(corpus), "--format", "csv", "--alpha", zero],
+                     ["fuzz", "--n-min", "4", "--n-max", "5", "--trials", "3", "--seed", "3",
+                      "--out", str(tmp_path / f"fuzz{zero}.json"), "--alpha", zero]):
+            assert cli.main(argv) == 0
+            outputs.setdefault(zero, []).append(capsys.readouterr())
+        outputs[zero].append((tmp_path / f"fuzz{zero}.json").read_text())
+    assert outputs["-0"] == outputs["0"]
+    bounds_out, spectrum_out = outputs["0"][0].out, outputs["0"][1].out
+    assert '"alpha":0.0,' in bounds_out and '"alpha":0.0,' in spectrum_out
+    assert "-0.0" not in bounds_out + spectrum_out
+
+
 def test_cli_sweep_exit_codes(tmp_path, capsys):
     corpus = tmp_path / "c.g6"
     corpus.write_text("C~\nBg\n")

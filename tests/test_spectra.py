@@ -11,7 +11,7 @@ from alphaenergy.graphcore import (
 )
 from alphaenergy.harness import DEFAULT_ALPHA_GRID
 from alphaenergy.spectra import AlphaOutOfRangeError, graph_spectra, spectrum_tables
-from one_alpha import alpha_spectrum, solved_stacks
+from one_alpha import alpha_spectrum, row_table, solved_stacks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,9 +52,9 @@ def test_alpha_matrix_signless_identity():
 
 
 @st.composite
-def _parsed_graphs(draw):
-    """Any edge set on 1..62 vertices, read through the graph6 parser."""
-    n = draw(st.integers(1, 62))
+def _parsed_graphs(draw, n_max=62):
+    """Any edge set on 1..n_max vertices, read through the graph6 parser."""
+    n = draw(st.integers(1, n_max))
     nbits = n * (n - 1) // 2
     bits = draw(st.integers(0, 2**nbits - 1))
     if draw(st.booleans()):
@@ -91,8 +91,12 @@ def test_alpha_out_of_range():
         graph_spectra(complete(3), [0.5, 1.5])
     with pytest.raises(AlphaOutOfRangeError):
         graph_spectra(complete(3), [float("nan")])
-    # An int alpha is stored as a Python float.
+    # An int alpha is stored as a Python float, and -0.0 as 0.0.
     assert [type(sp.alpha) for sp in graph_spectra(complete(3), [0, 1])] == [float, float]
+    for alphas in ([-0.0], [-0.0, 0.5]):
+        sp = graph_spectra(star(3), alphas)[0]
+        assert math.copysign(1.0, sp.alpha) == math.copysign(1.0, sp.shift) == 1.0
+        assert sp.rho.tobytes() == graph_spectra(star(3), [0.0])[0].rho.tobytes()
 
 
 def test_k4_half_spectrum_fixture():
@@ -308,6 +312,35 @@ def test_stacked_spectra_bit_identical(name, alphas):
         adj = sps[alphas.index(0.0)].rho
         pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
         assert g.adjacency_inertia == (pos, g.n - pos - neg, neg)
+
+
+ROW_COLUMNS = ("shift", "energy", "eta", "two_s", "log_gamma", "theta", "rho_1")
+
+
+@given(_parsed_graphs(12), st.integers(0, 20).map(lambda a: a / 20) | st.just(1.0))
+@example(Graph(1), 0.5)
+@example(Graph(5), 0.5)
+@example(Graph(4, [(0, 1), (2, 3)]), 0.25)
+@example(star(3), 0.0)  # a singular shift: the two zero eigenvalues
+@example(STACK_GRAPHS["er62"], 0.5)
+@settings(max_examples=80, deadline=None)
+def test_one_row_table_is_its_stacked_row(g, alpha):
+    # One graph at one alpha is solved and reduced on its own; every column
+    # has the bits of the same row in a stacked solve with a second alpha.
+    one, = spectrum_tables(([g], [alpha]))
+    stacked, = spectrum_tables(([g], [alpha, 1.0 - alpha]))
+    row = row_table(stacked, 0)
+    for name in ROW_COLUMNS:
+        got, want = getattr(one, name), getattr(row, name)
+        assert (got.dtype, got.shape, got.flags.writeable) == (want.dtype, (1,), False), name
+        assert got.tobytes() == want.tobytes(), name
+    assert len(one.rho) == 1 and one.rho[0].tobytes() == row.rho[0].tobytes()
+    assert one.graphs == (g,) and one.alphas == (alpha,)
+    # Its one solve takes one (1, n, n) stack, the alpha matrix.
+    stack, = solved_stacks(g, [alpha])
+    assert stack.shape == (1, g.n, g.n)
+    assert stack.tobytes() == solved_stacks(g, [alpha, 1.0 - alpha])[0][:1].tobytes()
+    assert np.array_equal(stack[0], oracles.alpha_matrix(g, alpha))
 
 
 def test_graph_invariants():
