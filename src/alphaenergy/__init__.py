@@ -7,11 +7,12 @@ corpora over whole alpha grids: each solves its call's (graph, alpha) rows
 as one `SpectrumTable` of columns, one stacked eigensolve per graph order,
 or one solve reduced on its own when the call is one graph at one alpha,
 and returns one `bounds.Verdicts` table per call, a row per (graph, alpha).
-That table is the call's one verdict record. `Verdicts.claims(r)` reads row
-r's stated-class claims from its graph and alpha, and solves nothing. An
-`AlphaSpectrum` record is built only for a row asked for by index, as
-`certify` reads one. `analyze` returns the one-row table of one graph at one
-alpha with its claims and certificate, and `equality_hits` reads one bound's
+That table is the call's one verdict record, and a row is its index r into
+it: graph r // k at alpha r % k, k the call's alpha count, with one graph id
+per graph. `Verdicts.claims(r)` reads row r's stated-class claims from its
+graph and alpha, and solves nothing; `certify` reads a row's graph and
+eigenvalues. `analyze` returns the one-row table of one graph at one alpha
+with its claims and certificate, and `equality_hits` reads one bound's
 equality cases from a table, each with its certificate."""
 
 from .densela import NoConvergenceError, eigendecompose
@@ -38,9 +39,7 @@ from .graphcore import (
 )
 from .spectra import (
     AlphaOutOfRangeError,
-    AlphaSpectrum,
     SpectrumTable,
-    graph_spectra,
     spectrum_tables,
 )
 from .bounds import (

@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphcore import Graph
-from .spectra import AlphaSpectrum, Columns, SpectrumTable
+from .spectra import Columns, SpectrumTable
 
 HOLDS_RTOL = 1e-9
 EQUALITY_RTOL = 1e-7
@@ -70,18 +70,18 @@ ExtremalCertificate = namedtuple(
     "is_complete is_regular is_star distinct_alpha_eigenvalue_count adjacency_inertia")
 
 
-def certify(sp: AlphaSpectrum) -> ExtremalCertificate:
-    """Structural certificate of one row: completeness, regularity, star
-    shape, the count of distinct alpha-eigenvalues (clusters chained by
-    consecutive gaps of at most DISTINCT_EIG_TOL) and the adjacency inertia,
-    which `sp.graph` solves once per graph, on its first certificate."""
-    g = sp.graph
+def certify(g: Graph, rho: np.ndarray) -> ExtremalCertificate:
+    """Structural certificate of one row, graph `g` with alpha-eigenvalues
+    `rho` (descending): completeness, regularity, star shape, the count of
+    distinct alpha-eigenvalues (clusters chained by consecutive gaps of at
+    most DISTINCT_EIG_TOL) and the adjacency inertia, which `g` solves once,
+    on its first certificate."""
     return ExtremalCertificate(
         is_complete=g.is_complete,
         is_regular=g.is_regular,
         is_star=g.is_star,
         distinct_alpha_eigenvalue_count=1 + int(np.count_nonzero(
-            sp.rho[:-1] - sp.rho[1:] > DISTINCT_EIG_TOL)),
+            rho[:-1] - rho[1:] > DISTINCT_EIG_TOL)),
         adjacency_inertia=g.adjacency_inertia,
     )
 
@@ -352,14 +352,16 @@ _LINKED = tuple((i, b.second_link) for i, b in enumerate(BOUNDS) if b.second_lin
 
 
 class Verdicts:
-    """Every bound on R (graph, alpha) rows. Row r is the graph
-    `graph_ids[r]` at row r of `spectra`; the verdicts are (15, R) arrays,
-    rows of BOUNDS in BOUND_IDS order. `gap` is value - target for upper
-    bounds and target - value for lower ones; holds means gap >= -HOLDS_RTOL *
-    (1 + |value|) and the bound's `second_link`. Where a bound is not
-    applicable its value, target and gap are NaN and holds and equality are
-    False. The fourth verdict, the stated-class claim, is read per row from
-    the row's graph and alpha by `claims(r)`."""
+    """Every bound on R (graph, alpha) rows. Row r is row r of `spectra`:
+    graph `spectra.graphs[r // k]`, named `graph_ids[r // k]`, at
+    `spectra.alphas[r % k]`, k = len(spectra.alphas). `graph_ids` holds one
+    id per graph, as `spectra.graphs` holds one graph each. The verdicts are
+    (15, R) arrays, rows of BOUNDS in BOUND_IDS order. `gap` is value -
+    target for upper bounds and target - value for lower ones; holds means
+    gap >= -HOLDS_RTOL * (1 + |value|) and the bound's `second_link`. Where
+    a bound is not applicable its value, target and gap are NaN and holds
+    and equality are False. The fourth verdict, the stated-class claim, is
+    read per row from the row's graph and alpha by `claims(r)`."""
 
     __slots__ = ("graph_ids", "spectra", "reason", "value", "target", "gap", "holds",
                  "equality")
@@ -396,7 +398,8 @@ def _equality(gap, target, tol: float):
 
 def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,
                   equality_tol: float = EQUALITY_RTOL) -> Verdicts:
-    """Every bound on every row of `spectra`, row r named `graph_ids[r]`.
+    """Every bound on every row of `spectra`, `graph_ids` naming its graphs,
+    one id per graph: row r's graph is `graph_ids[r // len(spectra.alphas)]`.
 
     Two passes read the one table and give the same bits; the row count
     picks one. A table of two or more rows is evaluated over its columns

@@ -25,6 +25,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import densela, graphcore, harness, spectra
 
@@ -105,32 +107,43 @@ def _verdict_tail(v, bad: list[tuple[str, float, str]], closing: str = "") -> in
     return EXIT_VIOLATIONS if bad else EXIT_OK
 
 
-def _spectrum_row(graph_id: str, sp: spectra.AlphaSpectrum) -> dict:
+def _spectrum_row(graph_id: str, table: spectra.SpectrumTable, r: int) -> dict:
+    """Row r of `table` as `spectrum` writes it. The centered eigenvalues
+    s_i and Gamma = |prod s_i| are formed here and nowhere else."""
     r12 = harness.round12
+    k = len(table.alphas)
+    g, rho, shift = table.graphs[r // k], table.rho[r], float(table.shift[r])
+    s = rho - shift
+    gamma_det = 0.0  # at a singular shift; inf where the product overflows
+    if table.log_gamma[r] > -math.inf:
+        with np.errstate(over="ignore"):
+            gamma_det = abs(float(np.prod(s)))
     return {
         "graph_id": graph_id,
-        "alpha": r12(sp.alpha),
-        "n": sp.n,
-        "m": sp.m,
-        "zagreb": sp.zagreb,
-        "connected": sp.connected,
-        "spectrum": [r12(float(x)) for x in sp.rho],
-        "shift": r12(sp.shift),
-        "centered": [r12(float(x)) for x in sp.s],
-        "energy": r12(sp.energy),
-        "eta": sp.eta,
-        "two_s": r12(sp.two_s),
+        "alpha": r12(table.alphas[r % k]),
+        "n": g.n,
+        "m": g.m,
+        "zagreb": g.zagreb,
+        "connected": g.connected,
+        "spectrum": [r12(x) for x in rho.tolist()],
+        "shift": r12(shift),
+        "centered": [r12(x) for x in s.tolist()],
+        "energy": r12(float(table.energy[r])),
+        "eta": int(table.eta[r]),
+        "two_s": r12(float(table.two_s[r])),
         # null where |prod s_i| overflows a float64: JSON has no infinity.
-        "gamma_det": r12(sp.gamma_det) if math.isfinite(sp.gamma_det) else None,
-        "theta": r12(sp.theta),
+        "gamma_det": r12(gamma_det) if math.isfinite(gamma_det) else None,
+        "theta": r12(float(table.theta[r])),
     }
 
 
 def _cmd_spectrum(args) -> int:
     alphas = _parse_alphas(args.alpha, (0.0,))
-    for graph_id, g in _input_graphs(args):
-        for sp in spectra.graph_spectra(g, alphas):
-            print(json.dumps(_spectrum_row(graph_id, sp), separators=(",", ":")))
+    corpus = _input_graphs(args)
+    table, = spectra.spectrum_tables(([g for _, g in corpus], alphas))
+    k = len(table.alphas)
+    for r in range(len(table)):
+        print(json.dumps(_spectrum_row(corpus[r // k][0], table, r), separators=(",", ":")))
     return EXIT_OK
 
 

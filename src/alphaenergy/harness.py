@@ -5,12 +5,14 @@ fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 `spectra.SpectrumTable`, one stacked eigensolve per order (the fuzz call's
 edge-deleted graphs join the same stacks; a sweep of one graph at one alpha
 solves and reduces its one row alone), then run the bound table once over
-the table, and return that one `bounds.Verdicts` table: row r
-is the report on graph `graph_ids[r]` at row r of `spectra`, and
-`Verdicts.claims(r)` reads that row's stated-class claims from its graph and
+the table, and return that one `bounds.Verdicts` table. A row is its index
+r into the table: graph `spectra.graphs[r // k]`, named `graph_ids[r // k]`
+(one id per graph), at `spectra.alphas[r % k]`, k the call's alpha count.
+`Verdicts.claims(r)` reads row r's stated-class claims from its graph and
 alpha only when asked. `summarize`, `violations`, hunt-equality's
-`equality_hits` and both writers read columns; `equality_hits` and `analyze`
-also certify the rows they report.
+`equality_hits` and both writers read columns at row indices;
+`equality_hits` and `analyze` also certify the rows they report, from the
+row's graph and eigenvalues.
 The CSV writer formats each float once to 12 significant digits with
 `fmt12`; the JSON writer writes the `round12` value, the float that string
 parses to, as `json.dumps` would. So the two formats carry identical numeric
@@ -52,7 +54,7 @@ def analyze(graph_id: str, g: Graph, alpha: float,
     """Every bound verdict for one graph at one alpha: the one-row table, its
     claims and its certificate, as hunt-equality writes it."""
     v = run_sweep([(graph_id, g)], [alpha], equality_tol)
-    return v, v.claims(0), bounds.certify(v.spectra[0])
+    return v, v.claims(0), bounds.certify(g, v.spectra.rho[0])
 
 
 # -- corpus ingestion ------------------------------------------------------
@@ -108,8 +110,7 @@ def run_sweep(corpus: list[tuple[str, Graph]], alphas: list[float],
     if not corpus:
         raise ValueError("empty corpus")
     table, = spectra.spectrum_tables(([g for _, g in corpus], alphas))
-    return bounds.evaluate_many([gid for gid, _ in corpus for _ in table.alphas], table,
-                                equality_tol)
+    return bounds.evaluate_many([gid for gid, _ in corpus], table, equality_tol)
 
 
 def summarize(v: bounds.Verdicts) -> dict[str, dict[str, int]]:
@@ -136,7 +137,8 @@ def violations(v: bounds.Verdicts, strict: bool = False) -> list[tuple[str, floa
     counted = _COUNTED_STRICT if strict else _COUNTED
     rows, ids = ((v.reason == 0) & ~v.holds & counted).T.nonzero()
     alphas = v.spectra.alphas
-    return [(v.graph_ids[r], alphas[r % len(alphas)], BOUND_IDS[i])
+    k = len(alphas)
+    return [(v.graph_ids[r // k], alphas[r % k], BOUND_IDS[i])
             for r, i in zip(rows.tolist(), ids.tolist())]
 
 
@@ -208,8 +210,7 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         any_lifted = np.logical_or.reduceat(lifted, starts).tolist()
         mono = tuple((gids[trial], table.alphas[i], "edge_deletion_monotonicity")
                      for (trial, i), bad in zip(pairs, any_lifted) if bad)
-    return bounds.evaluate_many([gid for gid in gids for _ in range(k)], table,
-                                equality_tol), mono
+    return bounds.evaluate_many(gids, table, equality_tol), mono
 
 
 # -- equality hunting ---------------------------------------------------------
@@ -222,14 +223,16 @@ def equality_hits(v: bounds.Verdicts, bound_id: str) -> list[dict]:
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound_id {bound_id!r}")
     i = BOUND_IDS.index(bound_id)
+    t = v.spectra
+    k = len(t.alphas)
     hits = []
     for r in np.flatnonzero(v.equality[i]).tolist():
-        sp = v.spectra[r]
-        cert = bounds.certify(sp)
-        matched = bounds.BOUNDS[i].claim(sp.graph, sp.alpha)
+        g, alpha = t.graphs[r // k], t.alphas[r % k]
+        cert = bounds.certify(g, t.rho[r])
+        matched = bounds.BOUNDS[i].claim(g, alpha)
         hits.append({
-            "graph_id": v.graph_ids[r],
-            "alpha": round12(sp.alpha),
+            "graph_id": v.graph_ids[r // k],
+            "alpha": round12(alpha),
             "bound_id": bound_id,
             "value": round12(v.value[i, r]),
             "energy": round12(v.target[i, r]),
@@ -254,11 +257,6 @@ def round12(x: float) -> float:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_join(values: list[float]) -> str:
-    """`_json_numbers(values)` joined by commas."""
-    return ",".join(_json_numbers(values))
 
 
 def _json_numbers(values: list[float]) -> list[str]:
@@ -372,21 +370,18 @@ def reports_to_json(v: bounds.Verdicts) -> str:
     """One JSON object per row of `v`, one row per line, built directly with
     the bytes `json.dumps` writes for the same dict with compact separators:
     numbers are `round12` values and the graph id is `json.dumps`-escaped.
-    A graph's integers and id field are formatted once per graph, each alpha
+    A graph's id field and integers are formatted once per graph, each alpha
     once per call."""
     t = v.spectra
     alphas = [f',"alpha":{a},' for a in _json_numbers(list(t.alphas))]
-    rows = zip(v.graph_ids, t.rho, _json_numbers(t.energy.tolist()), t.eta.tolist(),
+    rows = zip(t.rho, _json_numbers(t.energy.tolist()), t.eta.tolist(),
                _bound_texts(v, _JSON_CELLS, ",", _json_numbers))
     lines = []
-    for g in t.graphs:
-        ints, gid = f'"n":{g.n},"m":{g.m},"zagreb":{g.zagreb}', None
+    for gid, g in zip(v.graph_ids, t.graphs):
+        head = f'{{"graph_id":{json.dumps(gid)},"n":{g.n},"m":{g.m},"zagreb":{g.zagreb}'
         # alphas first: zip stops after the graph's last row, drawing no more.
-        for alpha, (row_id, rho, energy, eta, body) in zip(alphas, rows):
-            if row_id != gid:
-                gid = row_id
-                head = f'{{"graph_id":{json.dumps(row_id)},{ints}'
-            lines.append(f'{head}{alpha}"spectrum":[{_json_join(rho.tolist())}],'
+        for alpha, (rho, energy, eta, body) in zip(alphas, rows):
+            lines.append(f'{head}{alpha}"spectrum":[{",".join(_json_numbers(rho.tolist()))}],'
                          f'"energy":{energy},"eta":{eta},"bounds":[{body}]}}\n')
     return "".join(lines)
 
@@ -402,16 +397,12 @@ def reports_to_csv(v: bounds.Verdicts) -> str:
     """
     t = v.spectra
     alphas = [f",{fmt12(a)}," for a in t.alphas]
-    rows = zip(v.graph_ids, t.rho, t.energy.tolist(), t.eta.tolist(),
-               _bound_texts(v, _CSV_CELLS, ""))
+    rows = zip(t.rho, t.energy.tolist(), t.eta.tolist(), _bound_texts(v, _CSV_CELLS, ""))
     lines = [",".join(CSV_COLUMNS) + "\n"]
-    for g in t.graphs:
-        ints, gid = f",{g.n},{g.m},{g.zagreb}", None
+    for gid, g in zip(v.graph_ids, t.graphs):
+        head = f"{gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid)},{g.n},{g.m},{g.zagreb}"
         # alphas first: zip stops after the graph's last row, drawing no more.
-        for alpha, (row_id, rho, energy, eta, body) in zip(alphas, rows):
-            if row_id != gid:
-                gid = row_id
-                head = (row_id if _GRAPH6_ID.fullmatch(row_id) else _csv_field(row_id)) + ints
+        for alpha, (rho, energy, eta, body) in zip(alphas, rows):
             lines.append(body.replace(
                 _LEAD, f"{head}{alpha}{_csv_join(rho.tolist())},{energy:.12g},{eta},"))
     return "".join(lines)

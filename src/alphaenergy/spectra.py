@@ -32,9 +32,10 @@ the rows are stacked, or alone; repeated runs with the same numpy/LAPACK
 build give bit-identical spectra, another build may differ in the last few
 digits.
 
-A table hands the bound pass its `Columns`; an `AlphaSpectrum` record is
-built only for a row that is asked for by index (`graph_spectra` and
-certificates), and only there is Gamma itself formed. What depends on the
+A row is its index into its table and has no other representation: its
+consumers read the table's arrays at that index. The bound pass reads the
+table's `Columns`; certificates read a row's eigenvalues; only `spectrum`'s
+writer forms the centered eigenvalues and Gamma itself. What depends on the
 graph alone (adjacency matrix, degrees, Zagreb index, connectivity, common
 neighbours, adjacency inertia, complete/regular/star flags) is cached on the
 `Graph` itself.
@@ -69,43 +70,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha + 0.0  # -0.0 is 0.0, in every matrix, scalar and report
 
 
-class AlphaSpectrum:
-    """Spectrum of alpha*D + (1-alpha)*A plus every derived scalar."""
-
-    __slots__ = ("alpha", "graph", "rho", "shift", "s", "energy", "eta", "two_s", "gamma_det",
-                 "theta")
-
-    def __init__(self, alpha: float, graph: Graph, rho: np.ndarray, shift: float,
-                 s: np.ndarray, energy: float, eta: int, two_s: float, gamma_det: float,
-                 theta: float):
-        self.alpha = alpha
-        self.graph = graph
-        self.rho = rho              # eigenvalues, descending
-        self.shift = shift          # 2*alpha*m/n, the eigenvalue mean
-        self.s = s                  # rho - shift; sums to zero
-        self.energy = energy        # sum |s_i|
-        self.eta = eta              # count of rho_i >= shift (tolerance SHIFT_TIE_TOL)
-        self.two_s = two_s          # sum s_i^2, via the degree closed form
-        self.gamma_det = gamma_det  # |prod s_i|: 0 at a singular shift, inf on overflow
-        self.theta = theta          # sqrt(Zg/n) - shift
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def m(self) -> int:
-        return self.graph.m
-
-    @property
-    def zagreb(self) -> int:
-        return self.graph.zagreb
-
-    @property
-    def connected(self) -> bool:
-        return self.graph.connected
-
-
 # The scalars the bound table reads, one entry per (graph, alpha) row: float64
 # (exact for the integers), but `eta` is the int64 count and `connected` is
 # boolean.
@@ -115,12 +79,12 @@ Columns = namedtuple("Columns", "n m zagreb max_degree alpha shift energy eta tw
 
 class SpectrumTable:
     """Every graph in `graphs` at every alpha in `alphas`, as columns: row r
-    is graph `graphs[r // k]` at `alphas[r % k]`, k = len(alphas). `rho[r]`
-    is row r's eigenvalues, descending; `shift`, `energy`, `eta` (int64),
-    `two_s`, `log_gamma` (-inf at a singular shift), `theta` and `rho_1`
-    are read-only arrays with one entry per row. `table[r]` builds row r's
-    AlphaSpectrum. (A plain class: a dataclass would cost its import a
-    generated `__init__`.)"""
+    is graph `graphs[r // k]` at `alphas[r % k]`, k = len(alphas), and is
+    index r into every array. `rho[r]` is row r's eigenvalues, descending;
+    `shift` (2*alpha*m/n, the eigenvalue mean), `energy`, `eta` (int64),
+    `two_s`, `log_gamma` (-inf at a singular shift), `theta` (sqrt(Zg/n) -
+    shift) and `rho_1` are read-only arrays with one entry per row. (A
+    plain class: a dataclass would cost its import a generated `__init__`.)"""
 
     def __init__(self, graphs: tuple[Graph, ...], alphas: tuple[float, ...],
                  rho: tuple[np.ndarray, ...], shift, energy, eta, two_s, log_gamma, theta,
@@ -131,23 +95,6 @@ class SpectrumTable:
 
     def __len__(self) -> int:
         return len(self.rho)
-
-    def __getitem__(self, r: int) -> AlphaSpectrum:
-        r = range(len(self.rho))[r]
-        k = len(self.alphas)
-        rho, shift = self.rho[r], float(self.shift[r])
-        s = rho - shift
-        s.setflags(write=False)
-        gamma_det = 0.0
-        if self.log_gamma[r] > -np.inf:
-            with np.errstate(over="ignore"):
-                gamma_det = abs(float(np.prod(s)))
-        return AlphaSpectrum(self.alphas[r % k], self.graphs[r // k], rho, shift, s,
-                             float(self.energy[r]), int(self.eta[r]), float(self.two_s[r]),
-                             gamma_det, float(self.theta[r]))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.rho)))
 
     @cached_property
     def columns(self) -> Columns:
@@ -286,9 +233,3 @@ def _one_row(g: Graph, alpha: float) -> SpectrumTable:
     eta.setflags(write=False)
     return SpectrumTable((g,), (alpha,), (rho,), *out[:2], eta, *out[2:])
 
-
-def graph_spectra(g: Graph, alphas) -> tuple[AlphaSpectrum, ...]:
-    """One AlphaSpectrum per alpha, in order, all holding `g`: the rows of
-    `g`'s one-graph SpectrumTable."""
-    table, = spectrum_tables(((g,), alphas))
-    return tuple(table)

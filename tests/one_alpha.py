@@ -1,7 +1,8 @@
 """One-alpha shorthands for tests: the package's batch entry points applied
-to a single (graph, alpha) row, a row of a spectrum table as a table of its
-own, a row of a verdict table as one record per bound, a row's verdicts in
-bitwise form, and the alpha matrices a solve takes."""
+to a single (graph, alpha) row, the one-row table of a graph at one alpha, a
+row of a spectrum table as a table of its own, a row of a verdict table as
+one record per bound, a row's verdicts in bitwise form, and the alpha
+matrices a solve takes."""
 
 from collections import namedtuple
 
@@ -9,7 +10,7 @@ import pytest
 
 from alphaenergy import densela
 from alphaenergy.bounds import BOUNDS, EQUALITY_RTOL, evaluate_many
-from alphaenergy.spectra import SpectrumTable, graph_spectra, spectrum_tables
+from alphaenergy.spectra import SpectrumTable, spectrum_tables
 
 # One bound's verdict on one row, read from a `bounds.Verdicts` table:
 # `energy` is the table's target, the constrained quantity.
@@ -17,9 +18,11 @@ Evaluation = namedtuple("Evaluation", "bound_id kind applicable reason value ene
                                       "equality equality_claim_matched")
 
 
-def alpha_spectrum(g, alpha: float):
-    """The AlphaSpectrum of `g` at one alpha."""
-    return graph_spectra(g, [alpha])[0]
+def alpha_spectrum(g, alpha: float) -> SpectrumTable:
+    """The one-row SpectrumTable of `g` at one alpha: its row is index 0 of
+    each column."""
+    table, = spectrum_tables(([g], [alpha]))
+    return table
 
 
 def row_table(table: SpectrumTable, r: int) -> SpectrumTable:

@@ -316,10 +316,14 @@ def reports_to_csv_reference(v) -> str:
         "graph_id", "n", "m", "zagreb", "alpha", "spectrum", "energy", "eta",
         "id", "kind", "applicable", "reason", "value", "holds", "gap", "equality",
     ))]
-    for r, (graph_id, sp) in enumerate(zip(v.graph_ids, v.spectra)):
+    t = v.spectra
+    k = len(t.alphas)
+    for r in range(len(t)):
+        g = t.graphs[r // k]
         prefix = [
-            graph_id, sp.n, sp.m, sp.zagreb, cell(sp.alpha),
-            ";".join(cell(x) for x in sp.rho.tolist()), cell(sp.energy), sp.eta,
+            v.graph_ids[r // k], g.n, g.m, g.zagreb, cell(t.alphas[r % k]),
+            ";".join(cell(x) for x in t.rho[r].tolist()), cell(float(t.energy[r])),
+            int(t.eta[r]),
         ]
         for ev in row_view(v, r):
             lines.append(row(prefix + [
@@ -341,16 +345,19 @@ def reports_to_json_reference(v) -> str:
         return None if x is None else float(f"{x:.12g}")
 
     lines = []
-    for r, (graph_id, sp) in enumerate(zip(v.graph_ids, v.spectra)):
+    t = v.spectra
+    k = len(t.alphas)
+    for r in range(len(t)):
+        g = t.graphs[r // k]
         lines.append(json.dumps({
-            "graph_id": graph_id,
-            "n": sp.n,
-            "m": sp.m,
-            "zagreb": sp.zagreb,
-            "alpha": r12(sp.alpha),
-            "spectrum": [r12(x) for x in sp.rho.tolist()],
-            "energy": r12(sp.energy),
-            "eta": sp.eta,
+            "graph_id": v.graph_ids[r // k],
+            "n": g.n,
+            "m": g.m,
+            "zagreb": g.zagreb,
+            "alpha": r12(t.alphas[r % k]),
+            "spectrum": [r12(x) for x in t.rho[r].tolist()],
+            "energy": r12(float(t.energy[r])),
+            "eta": int(t.eta[r]),
             "bounds": [
                 {
                     "id": ev.bound_id,

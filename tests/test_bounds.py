@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -8,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from alphaenergy import bounds as B
+from alphaenergy import cli
 from alphaenergy.bounds import BOUND_IDS, certify
 from alphaenergy.graphcore import (
     Graph, complete, cycle, erdos_renyi, parse_graph6, path, petersen, random_regular,
     serialize_graph6, star,
 )
-from alphaenergy.spectra import AlphaSpectrum, spectrum_tables
+from alphaenergy.spectra import spectrum_tables
 from alphaenergy.harness import DEFAULT_ALPHA_GRID, fmt12, load_corpus, run_sweep
 from one_alpha import alpha_spectrum, evaluate_all, evaluation_bits, row_table, row_view
 
@@ -30,15 +32,20 @@ DISCONNECTED = Graph(4, [(0, 1), (2, 3)])
 # -- certificates -----------------------------------------------------------
 
 
+def _certify(g, alpha):
+    """The certificate of `g` at one alpha, from its one-row table."""
+    return certify(g, alpha_spectrum(g, alpha).rho[0])
+
+
 def test_certify_complete():
-    cert = certify(alpha_spectrum(complete(4), 0.5))
+    cert = _certify(complete(4), 0.5)
     assert cert.is_complete and cert.is_regular and not cert.is_star
     assert cert.distinct_alpha_eigenvalue_count == 2
     assert cert.adjacency_inertia == (1, 0, 3)
 
 
 def test_certify_petersen():
-    cert = certify(alpha_spectrum(petersen(), 0.0))
+    cert = _certify(petersen(), 0.0)
     assert cert.is_regular and not cert.is_complete
     assert cert.distinct_alpha_eigenvalue_count == 3
     # Adjacency spectrum {3, 1^5, (-2)^4}: six positive, four negative.
@@ -46,7 +53,7 @@ def test_certify_petersen():
 
 
 def test_certify_star():
-    cert = certify(alpha_spectrum(star(3), 0.0))
+    cert = _certify(star(3), 0.0)
     assert cert.is_star and not cert.is_regular
     assert cert.adjacency_inertia == (1, 2, 1)
 
@@ -54,18 +61,17 @@ def test_certify_star():
 def test_certify_reads_inertia_from_graph_record():
     # certify reads the inertia the Graph cached; it solves nothing itself.
     g = petersen()
-    sp = alpha_spectrum(g, 0.5)
-    assert sp.graph is g
-    assert certify(sp).adjacency_inertia == (6, 0, 4)
+    rho = alpha_spectrum(g, 0.5).rho[0]
+    assert certify(g, rho).adjacency_inertia == (6, 0, 4)
     g.__dict__["adjacency_inertia"] = (7, 2, 1)  # mark the cached field
-    assert certify(sp).adjacency_inertia == (7, 2, 1)
-    assert certify(alpha_spectrum(g, 0.9)).adjacency_inertia == (7, 2, 1)
-    assert certify(alpha_spectrum(petersen(), 0.5)).adjacency_inertia == (6, 0, 4)
+    assert certify(g, rho).adjacency_inertia == (7, 2, 1)
+    assert _certify(g, 0.9).adjacency_inertia == (7, 2, 1)
+    assert _certify(petersen(), 0.5).adjacency_inertia == (6, 0, 4)
 
 
 def test_certificate_invariants(er_corpus_small):
     for g in er_corpus_small[:20]:
-        cert = certify(alpha_spectrum(g, 0.3))
+        cert = _certify(g, 0.3)
         if cert.is_complete:
             assert cert.is_regular
         assert sum(cert.adjacency_inertia) == g.n
@@ -78,9 +84,7 @@ def test_certificate_chains_its_clusters():
     g = complete(3)
 
     def count(rho):
-        rho = np.array(rho)
-        return certify(AlphaSpectrum(0.0, g, rho, 0.0, rho, 0.0, 0, 0.0, 0.0, 0.0)
-                       ).distinct_alpha_eigenvalue_count
+        return certify(g, np.array(rho)).distinct_alpha_eigenvalue_count
 
     assert count([2.0, 2.0 - step, 2.0 - 2 * step]) == 1
     assert count([2.0, 2.0 - step, 2.0 - 2 * step, -1.0]) == 2
@@ -560,7 +564,7 @@ def test_atlas7_equality_hits_frozen(atlas_verdicts):
     got = []
     for r in np.flatnonzero(hit.any(axis=0)).tolist():
         alpha, claims = v.spectra.alphas[r % len(v.spectra.alphas)], v.claims(r)
-        got += [f"{v.graph_ids[r]} {fmt12(alpha)} {BOUND_IDS[i]} {claim_text[claims[i]]}"
+        got += [f"{v.graph_ids[r // len(v.spectra.alphas)]} {fmt12(alpha)} {BOUND_IDS[i]} {claim_text[claims[i]]}"
                 for i in np.flatnonzero(hit[:, r]).tolist()]
     frozen = [
         line for line in (DATA / "atlas7_equality.txt").read_text().splitlines()
@@ -596,8 +600,9 @@ def test_columnar_verdicts_bit_identical_to_one_row(graphs, alphas):
     # verdicts, claims included, of evaluating that row alone.
     v = run_sweep([(str(i), g) for i, g in enumerate(graphs)], alphas)
     assert len(v.spectra) == len(graphs) * len(alphas)
-    for r, sp in enumerate(v.spectra):
-        alone = evaluate_all(sp.graph, sp.alpha)
+    t, k = v.spectra, len(alphas)
+    for r in range(len(t)):
+        alone = evaluate_all(t.graphs[r // k], t.alphas[r % k])
         assert evaluation_bits(row_view(v, r)) == evaluation_bits(alone)
 
 
@@ -622,8 +627,8 @@ def test_squares_keep_the_bits_of_python_floats():
     assert len(alphas) == 8
     for alpha in alphas:
         sp = alpha_spectrum(g, alpha)
-        dev = alpha * sp.graph.degrees().astype(np.float64) - sp.shift
-        assert sp.two_s.hex() == ((1.0 - alpha) ** 2 * 2.0 * m + float(np.sum(dev ** 2))).hex()
+        dev = alpha * g.degrees().astype(np.float64) - sp.shift[0]
+        assert float(sp.two_s[0]).hex() == ((1.0 - alpha) ** 2 * 2.0 * m + float(np.sum(dev ** 2))).hex()
         assert ev("lb_frobenius_asstated", g, alpha).value.hex() == asstated(alpha, pow2).hex()
 
 
@@ -640,7 +645,7 @@ def _assert_closed_form_bits(v):
         for i in np.flatnonzero(ok).tolist():
             want = forms[BOUND_IDS[i]]()
             assert (value[i].hex(), target[i].hex()) == (want[0].hex(), want[1].hex()), (
-                v.graph_ids[r], c.alpha[r], BOUND_IDS[i])
+                v.graph_ids[r // len(v.spectra.alphas)], c.alpha[r], BOUND_IDS[i])
 
 
 def test_values_and_targets_keep_the_scalar_bits_on_the_atlas(atlas_verdicts):
@@ -667,7 +672,7 @@ def _assert_row_pass_is_its_table_row(g, alpha, other, equality_tol=B.EQUALITY_R
     # evaluates; its first row alone is a one-row table with the same bits,
     # which the one-row pass evaluates without building the table's Columns.
     table, = spectrum_tables(([g], [alpha, other]))
-    whole = B.evaluate_many(["g", "g"], table, equality_tol)
+    whole = B.evaluate_many(["g"], table, equality_tol)
     alone = row_table(table, 0)
     one = B.evaluate_many(["g"], alone, equality_tol)
     assert "columns" not in vars(alone)
@@ -766,12 +771,12 @@ _LOG_BOUNDS = ([BOUND_IDS.index(bid) for bid in ("ub_log_zagreb", "ub_log_degree
 def test_log_bounds_where_the_shifted_determinant_overflows():
     # A dense n = 400 graph at alpha = 0: Gamma = |prod s_i| is about 1e313,
     # past the float64 range, while log Gamma is a plain number. The log
-    # bounds apply and give finite values, with no overflow warning; the
-    # spectrum record still reports Gamma as inf.
+    # bounds apply and give finite values, with no overflow warning, and
+    # log Gamma lies past the log of the largest float64.
     v = _assert_row_pass_is_its_table_row(erdos_renyi(400, 0.5, 7, connected=True), 0.0, 0.5)
     assert v.reason[_LOG_BOUNDS].tolist() == [0, 0, 0] and v.holds[_LOG_BOUNDS].all()
     assert np.isfinite(v.value[_LOG_BOUNDS]).all() and np.isfinite(v.gap[_LOG_BOUNDS]).all()
-    assert v.spectra[0].gamma_det == math.inf
+    assert v.spectra.log_gamma[0] > math.log(np.finfo(np.float64).max)
 
 
 # A connected 3-regular graph on 62 vertices (graph6). At alpha = 1/2 every
@@ -786,11 +791,12 @@ _TINY_GAMMA = (
 )
 
 
-def test_log_bounds_where_the_shifted_determinant_is_tiny():
+def test_log_bounds_where_the_shifted_determinant_is_tiny(capsys):
     g = parse_graph6(_TINY_GAMMA)
     assert (g.n, g.m, g.connected, g.is_regular) == (62, 93, True, True)
     v = _assert_row_pass_is_its_table_row(g, 0.5, 0.9)
-    sp = v.spectra[0]
-    assert np.min(np.abs(sp.s)) > 0.02 and 0.0 < sp.gamma_det < 1e-15
+    assert cli.main(["spectrum", _TINY_GAMMA, "--alpha", "0.5"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert min(map(abs, row["centered"])) > 0.02 and 0.0 < row["gamma_det"] < 1e-15
     assert v.reason[_LOG_BOUNDS].tolist() == [0, 0, 0] and v.holds[_LOG_BOUNDS].all()
     assert (v.gap[_LOG_BOUNDS] > 10.0).all()

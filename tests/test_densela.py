@@ -95,7 +95,7 @@ def test_weyl_inequalities():
 
 def shifted_abs_det(m, shift):
     """|det(m - shift*I)| as the product of shifted eigenvalues, the form
-    AlphaSpectrum.gamma_det takes."""
+    the `spectrum` subcommand's gamma_det takes."""
     return abs(float(np.prod(eigendecompose(m) - shift)))
 
 

@@ -45,9 +45,9 @@ def _count_certify(monkeypatch) -> list:
     calls = []
     real = bounds.certify
 
-    def counting(sp):
-        calls.append(sp.alpha)
-        return real(sp)
+    def counting(g, rho):
+        calls.append(g)
+        return real(g, rho)
 
     monkeypatch.setattr(bounds, "certify", counting)
     return calls
@@ -56,7 +56,7 @@ def _count_certify(monkeypatch) -> list:
 def test_analyze_certifies_once(monkeypatch):
     calls = _count_certify(monkeypatch)
     analyze("C~", K4, 0.5)
-    assert calls == [0.5]
+    assert len(calls) == 1 and calls[0] is K4
 
 
 def test_sweep_writers_and_summaries_never_certify(monkeypatch):
@@ -93,11 +93,10 @@ def test_sweep_solves_each_graph_at_most_twice(monkeypatch):
 
 def test_claims_solve_nothing(monkeypatch):
     # A row's claims come from its graph and alpha: over a whole sweep they
-    # solve no matrix and build no row record.
+    # solve no matrix.
     corpus = [(g6(g), g) for g in (K4, star(3), cycle(5), petersen(), complete(3))]
     v = run_sweep(corpus, list(DEFAULT_ALPHA_GRID) + [1.0])
     calls = _count_eigvalsh(monkeypatch)
-    monkeypatch.setattr(spectra.SpectrumTable, "__getitem__", None)
     claims = [v.claims(r) for r in range(len(v.spectra))]
     assert calls == [] and len(claims) == 5 * 12
     assert claims == oracles.claims_reference(v)
@@ -210,7 +209,7 @@ def test_analyze_is_the_one_alpha_case_of_the_sweep():
             assert evaluation_bits(row_view(alone, 0)) == evaluation_bits(row_view(swept, r))
             assert claims == swept.claims(r)
             single = run_sweep([(g6(g), g)], [alpha])
-            assert single.spectra[0].rho.tobytes() == swept.spectra[r].rho.tobytes()
+            assert single.spectra.rho[0].tobytes() == swept.spectra.rho[r].tobytes()
             assert reports_to_json(single) == lines[r] + "\n"
 
 
@@ -221,18 +220,20 @@ def test_analyze_report_invariants():
     assert claims == tuple(e.equality_claim_matched for e in evaluations)
     v = run_sweep([("C~", K4)], [0.5])
     assert row_view(v, 0) == evaluations
-    sp = v.spectra[0]
-    assert v.graph_ids == ("C~",) and sp.alpha == 0.5
-    assert len(sp.rho) == sp.n == 4
-    assert sp.m == 6 and sp.zagreb == 36
-    assert sp.energy == pytest.approx(3.0, abs=1e-10)
-    assert sp.eta == 1
+    t = v.spectra
+    assert v.graph_ids == ("C~",) and t.graphs == (K4,) and t.alphas == (0.5,)
+    assert len(t.rho[0]) == K4.n == 4
+    assert K4.m == 6 and K4.zagreb == 36
+    assert t.energy[0] == pytest.approx(3.0, abs=1e-10)
+    assert t.eta.tolist() == [1]
 
 
 def test_sweep_row_order_and_empty_corpus():
     corpus = [("C~", K4), ("Cs", star(3))]
     v = run_sweep(corpus, [0.0, 0.5])
-    assert [(gid, sp.alpha) for gid, sp in zip(v.graph_ids, v.spectra)] == [
+    t = v.spectra
+    assert v.graph_ids == ("C~", "Cs") and t.graphs == (K4, corpus[1][1])
+    assert [(v.graph_ids[r // 2], t.alphas[r % 2]) for r in range(len(t))] == [
         ("C~", 0.0), ("C~", 0.5), ("Cs", 0.0), ("Cs", 0.5),
     ]
     with pytest.raises(ValueError):
@@ -311,7 +312,8 @@ def _summary_and_violations_by_row(v, strict):
     keys = ("applicable", "holds", "violations", "equalities")
     summary = {bid: dict.fromkeys(keys, 0) for bid in BOUND_IDS}
     bad = []
-    for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra)):
+    k = len(v.spectra.alphas)
+    for r in range(len(v.spectra)):
         for e in row_view(v, r):
             counts = summary[e.bound_id]
             counts["applicable"] += e.applicable
@@ -320,7 +322,7 @@ def _summary_and_violations_by_row(v, strict):
             if e.applicable and not e.holds:
                 counts["violations"] += 1
                 if strict or e.bound_id not in harness.EXPECTED_VIOLATION_IDS:
-                    bad.append((gid, sp.alpha, e.bound_id))
+                    bad.append((v.graph_ids[r // k], v.spectra.alphas[r % k], e.bound_id))
     return summary, bad
 
 
@@ -419,7 +421,6 @@ def test_bulk_number_formats_match_the_per_float_ones(xs):
     # One % call per list gives json.dumps(round12(x)) for JSON and fmt12(x)
     # for CSV, for every x.
     assert harness._json_numbers(xs) == [json.dumps(round12(x)) for x in xs]
-    assert harness._json_join(xs) == ",".join(json.dumps(round12(x)) for x in xs)
     assert harness._csv_join(xs).split(";") == [fmt12(x) for x in xs]
 
 
@@ -473,7 +474,8 @@ def test_csv_awkward_ids_read_back(tmp_path):
     rows = list(csv.reader(io.StringIO(reports_to_csv(v), newline="")))
     assert rows[0] == list(harness.CSV_COLUMNS)
     assert all(len(row) == len(harness.CSV_COLUMNS) for row in rows)
-    assert [row[0] for row in rows[1:]] == [gid for gid in v.graph_ids for _ in BOUND_IDS]
+    assert [row[0] for row in rows[1:]] == [gid for gid in v.graph_ids
+                                            for _ in v.spectra.alphas for _ in BOUND_IDS]
 
 
 def test_reports_byte_identical_across_runs():
@@ -570,7 +572,7 @@ def _monotonicity_by_pair(v, table, after) -> list:
             before = table.rho[j * k + table.alphas.index(alpha)].tolist()
             smaller = after.rho[j * len(after.alphas) + a].tolist()
             if any(x > y + 1e-9 for x, y in zip(smaller, before)):
-                bad.append((v.graph_ids[j * k], alpha, "edge_deletion_monotonicity"))
+                bad.append((v.graph_ids[j], alpha, "edge_deletion_monotonicity"))
     return bad
 
 
@@ -584,8 +586,7 @@ def test_fuzz_reports_each_monotonicity_violation_in_pair_order(monkeypatch):
     expected = _monotonicity_by_pair(v, table, after)
     assert list(mono) == expected
     checked = [a for a in DEFAULT_ALPHA_GRID if 0.5 <= a < 1.0]
-    assert expected == [(v.graph_ids[j * len(DEFAULT_ALPHA_GRID)], alpha,
-                         "edge_deletion_monotonicity")
+    assert expected == [(v.graph_ids[j], alpha, "edge_deletion_monotonicity")
                         for j in range(30) for a, alpha in enumerate(checked)
                         if (j + a) % 3 == 0]
 
@@ -662,14 +663,16 @@ def _hits_by_row(v):
     """Per bound id, `equality_hits` rebuilt from each row's verdict records
     and certificate."""
     hits = {bid: [] for bid in BOUND_IDS}
-    for r, (gid, sp) in enumerate(zip(v.graph_ids, v.spectra)):
+    t = v.spectra
+    k = len(t.alphas)
+    for r in range(len(t)):
         for e in row_view(v, r):
             if not e.equality:
                 continue
-            cert = bounds.certify(sp)
+            cert = bounds.certify(t.graphs[r // k], t.rho[r])
             hits[e.bound_id].append({
-                "graph_id": gid,
-                "alpha": round12(sp.alpha),
+                "graph_id": v.graph_ids[r // k],
+                "alpha": round12(t.alphas[r % k]),
                 "bound_id": e.bound_id,
                 "value": round12(e.value),
                 "energy": round12(e.energy),
@@ -777,6 +780,26 @@ def test_cli_one_alpha_line_is_its_line_among_many(command, capsys):
         for alpha, line in zip(alphas, lines):
             assert cli.main([command, graph, "--alpha", alpha]) == 0
             assert capsys.readouterr().out == line, (graph, alpha)
+
+
+def test_cli_spectrum_corpus_is_its_one_graph_calls(tmp_path, capsys):
+    # A corpus of five orders is solved as one table: its lines come graph
+    # by graph, then alpha by alpha, and each has the bytes of the line a
+    # one-graph call at that one alpha writes.
+    records = ["@", g6(Graph(4, [(0, 1), (2, 3)])), g6(graphcore.path(3)), g6(petersen()),
+               g6(graphcore.erdos_renyi(62, 0.3, 11, connected=True))]
+    alphas = ("0", "0.5", "1")
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text("".join(f"{record}\n" for record in records))
+    assert cli.main(["spectrum", "--input", str(corpus), "--alpha", ",".join(alphas)]) == 0
+    lines = capsys.readouterr().out.splitlines(True)
+    assert [(row["graph_id"], row["alpha"]) for row in map(json.loads, lines)] == [
+        (record, float(alpha)) for record in records for alpha in alphas]
+    assert [json.loads(lines[3 * i])["n"] for i in range(5)] == [1, 4, 3, 10, 62]
+    for i, record in enumerate(records):
+        for j, alpha in enumerate(alphas):
+            assert cli.main(["spectrum", record, "--alpha", alpha]) == 0
+            assert capsys.readouterr().out == lines[3 * i + j], (record, alpha)
 
 
 def test_cli_negative_zero_alpha_is_zero(tmp_path, capsys):

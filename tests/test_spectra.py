@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from alphaenergy import densela, graphcore, harness
+from alphaenergy import cli, densela, graphcore, harness
 from alphaenergy.graphcore import (
-    INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, star,
+    INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, serialize_graph6,
+    star,
 )
 from alphaenergy.harness import DEFAULT_ALPHA_GRID
-from alphaenergy.spectra import AlphaOutOfRangeError, graph_spectra, spectrum_tables
+from alphaenergy.spectra import AlphaOutOfRangeError, spectrum_tables
 from one_alpha import alpha_spectrum, row_table, solved_stacks
 
 SQRT3 = math.sqrt(3.0)
@@ -88,74 +90,83 @@ def test_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRangeError):
         alpha_matrices(complete(3), [-0.1])
     with pytest.raises(AlphaOutOfRangeError, match=r"alpha must lie in \[0, 1\], got 1.5"):
-        graph_spectra(complete(3), [0.5, 1.5])
+        spectrum_tables(([complete(3)], [0.5, 1.5]))
     with pytest.raises(AlphaOutOfRangeError):
-        graph_spectra(complete(3), [float("nan")])
+        spectrum_tables(([complete(3)], [float("nan")]))
     # An int alpha is stored as a Python float, and -0.0 as 0.0.
-    assert [type(sp.alpha) for sp in graph_spectra(complete(3), [0, 1])] == [float, float]
+    table, = spectrum_tables(([complete(3)], [0, 1]))
+    assert [type(alpha) for alpha in table.alphas] == [float, float]
     for alphas in ([-0.0], [-0.0, 0.5]):
-        sp = graph_spectra(star(3), alphas)[0]
-        assert math.copysign(1.0, sp.alpha) == math.copysign(1.0, sp.shift) == 1.0
-        assert sp.rho.tobytes() == graph_spectra(star(3), [0.0])[0].rho.tobytes()
+        table, = spectrum_tables(([star(3)], alphas))
+        assert math.copysign(1.0, table.alphas[0]) == math.copysign(1.0, table.shift[0]) == 1.0
+        assert table.rho[0].tobytes() == alpha_spectrum(star(3), 0.0).rho[0].tobytes()
 
 
-def test_k4_half_spectrum_fixture():
+def _spectrum_lines(capsys, *argv) -> list[dict]:
+    """The rows `spectrum` writes for `argv`, one dict per line."""
+    assert cli.main(["spectrum", *argv]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_k4_half_spectrum_fixture(capsys):
     sp = alpha_spectrum(complete(4), 0.5)
-    assert np.allclose(sp.rho, [3.0, 1.0, 1.0, 1.0], atol=1e-12)
-    assert sp.shift == pytest.approx(1.5)
-    assert sp.energy == pytest.approx(3.0, abs=1e-12)
-    assert sp.eta == 1
-    assert sp.two_s == pytest.approx(3.0, abs=1e-12)
-    assert sp.gamma_det == pytest.approx(0.1875, abs=1e-12)
-    assert sp.theta == pytest.approx(1.5, abs=1e-12)
-    assert sp.zagreb == 36
-    assert sp.connected
+    assert np.allclose(sp.rho[0], [3.0, 1.0, 1.0, 1.0], atol=1e-12)
+    assert sp.shift[0] == pytest.approx(1.5)
+    assert sp.energy[0] == pytest.approx(3.0, abs=1e-12)
+    assert sp.eta[0] == 1
+    assert sp.two_s[0] == pytest.approx(3.0, abs=1e-12)
+    assert sp.theta[0] == pytest.approx(1.5, abs=1e-12)
     # Gamma = |det(A_alpha - shift*I)| against cofactor expansion, at alpha = 1/2
-    # and at alpha = 0 where it is |det A(K4)| = 3; the table's column is its log.
+    # and at alpha = 0 where it is |det A(K4)| = 3: `spectrum` writes Gamma,
+    # the table's column is its log.
     table, = spectrum_tables(([complete(4)], [0.5, 0.0]))
-    for sp, log_gamma, gamma in zip(table, table.log_gamma.tolist(), (0.1875, 3.0)):
-        shifted = oracles.alpha_matrix(complete(4), sp.alpha) - sp.shift * np.eye(4)
-        assert sp.gamma_det == pytest.approx(gamma, abs=1e-10)
-        assert sp.gamma_det == pytest.approx(abs(oracles.det_cofactor(shifted)), abs=1e-10)
+    rows = _spectrum_lines(capsys, "C~", "--alpha", "0.5,0")
+    assert rows[0]["gamma_det"] == 0.1875 and rows[0]["zagreb"] == 36 and rows[0]["connected"]
+    for row, log_gamma, gamma in zip(rows, table.log_gamma.tolist(), (0.1875, 3.0)):
+        shifted = oracles.alpha_matrix(complete(4), row["alpha"]) - row["shift"] * np.eye(4)
+        assert row["gamma_det"] == pytest.approx(gamma, abs=1e-10)
+        assert row["gamma_det"] == pytest.approx(abs(oracles.det_cofactor(shifted)), abs=1e-10)
         assert log_gamma == pytest.approx(math.log(gamma), abs=1e-10)
 
 
 def test_regular_alpha_one_energy_zero():
     for g in (complete(5), cycle(6), petersen()):
-        assert alpha_spectrum(g, 1.0).energy == pytest.approx(0.0, abs=1e-12)
+        assert alpha_spectrum(g, 1.0).energy[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_star_alpha_zero_spectrum():
     sp = alpha_spectrum(star(3), 0.0)
-    assert np.allclose(sp.rho, [SQRT3, 0.0, 0.0, -SQRT3], atol=1e-10)
-    assert sp.energy == pytest.approx(2 * SQRT3, abs=1e-10)
+    assert np.allclose(sp.rho[0], [SQRT3, 0.0, 0.0, -SQRT3], atol=1e-10)
+    assert sp.energy[0] == pytest.approx(2 * SQRT3, abs=1e-10)
 
 
 def test_star_alpha_half_spectrum():
     # Closed form for stars: alpha repeated n-2 times plus the quadratic pair.
     sp = alpha_spectrum(star(3), 0.5)
-    assert np.allclose(sp.rho, [2.0, 0.5, 0.5, 0.0], atol=1e-10)
-    assert sp.eta == 1
-    assert sp.energy == pytest.approx(2.5, abs=1e-10)
+    assert np.allclose(sp.rho[0], [2.0, 0.5, 0.5, 0.0], atol=1e-10)
+    assert sp.eta[0] == 1
+    assert sp.energy[0] == pytest.approx(2.5, abs=1e-10)
 
 
 def test_zagreb_values():
-    assert graph_spectra(complete(4), [0.5])[0].zagreb == 36
-    assert graph_spectra(star(3), [0.5])[0].zagreb == 12
-    assert graph_spectra(Graph(3), [0.5])[0].zagreb == 0
+    for g, zagreb in ((complete(4), 36), (star(3), 12), (Graph(3), 0)):
+        assert g.zagreb == zagreb
+        assert alpha_spectrum(g, 0.5).columns.zagreb.tolist() == [zagreb]
 
 
-def test_two_s_values():
-    k4_half, = graph_spectra(complete(4), [0.5])
-    star_0, star_half = graph_spectra(star(3), [0.0, 0.5])
-    for sp, expect in ((k4_half, 3.0), (star_0, 6.0), (star_half, 2.25)):
-        assert sp.two_s == pytest.approx(expect, abs=1e-12)
-        assert float(np.sum(sp.s**2)) == pytest.approx(sp.two_s, abs=1e-12)
+def test_two_s_values(capsys):
+    # 2S against the sum of the squared centered eigenvalues `spectrum` writes.
+    rows = (_spectrum_lines(capsys, "C~", "--alpha", "0.5")
+            + _spectrum_lines(capsys, "Cs", "--alpha", "0,0.5"))
+    assert [row["n"] for row in rows] == [4, 4, 4] and rows[1]["zagreb"] == 12
+    for row, expect in zip(rows, (3.0, 6.0, 2.25)):
+        assert row["two_s"] == pytest.approx(expect, abs=1e-12)
+        assert math.fsum(x * x for x in row["centered"]) == pytest.approx(expect, abs=1e-10)
 
 
 def _partial_sum_energy(g, alpha):
     sp = alpha_spectrum(g, alpha)
-    return oracles.energy_via_partial_sums(sp.rho, sp.shift)
+    return oracles.energy_via_partial_sums(sp.rho[0], sp.shift[0])
 
 
 def test_partial_sum_energy_fixtures():
@@ -168,48 +179,48 @@ def test_spectrum_invariants_on_corpus(er_corpus_small):
     for g in er_corpus_small[:40]:
         for alpha in (0.0, 0.3, 0.5, 0.8, 1.0):
             sp = alpha_spectrum(g, alpha)
+            rho, energy, two_s = sp.rho[0], float(sp.energy[0]), float(sp.two_s[0])
+            s = rho - sp.shift[0]
             target = 2 * alpha * g.m
-            assert abs(float(sp.rho.sum()) - target) <= 1e-9 * (1 + target)
-            sq = float(np.sum(sp.rho**2))
-            expect_sq = alpha**2 * sp.zagreb + (1 - alpha) ** 2 * 2 * g.m
+            assert abs(float(rho.sum()) - target) <= 1e-9 * (1 + target)
+            sq = float(np.sum(rho**2))
+            expect_sq = alpha**2 * g.zagreb + (1 - alpha) ** 2 * 2 * g.m
             assert abs(sq - expect_sq) <= 1e-9 * (1 + sq)
-            assert abs(float(sp.s.sum())) <= 1e-9 * g.n
-            s2 = float(np.sum(sp.s**2))
-            assert abs(s2 - sp.two_s) <= 1e-9 * (1 + sp.two_s)
-            assert sp.energy == float(np.abs(sp.s).sum())
-            assert 1 <= sp.eta <= g.n
-            assert oracles.energy_via_partial_sums(sp.rho, sp.shift) == pytest.approx(
-                sp.energy, abs=1e-9 * (1 + sp.energy)
+            assert abs(float(s.sum())) <= 1e-9 * g.n
+            s2 = float(np.sum(s**2))
+            assert abs(s2 - two_s) <= 1e-9 * (1 + two_s)
+            assert energy == float(np.abs(s).sum())
+            assert 1 <= sp.eta[0] <= g.n
+            assert oracles.energy_via_partial_sums(rho, sp.shift[0]) == pytest.approx(
+                energy, abs=1e-9 * (1 + energy)
             )
 
 
 def test_alpha_zero_matches_plain_energy(er_corpus_small):
     for g in er_corpus_small[:30]:
         sp = alpha_spectrum(g, 0.0)
-        assert sp.energy == pytest.approx(oracles.energy(g, 0.0), abs=1e-9)
+        assert sp.energy[0] == pytest.approx(oracles.energy(g, 0.0), abs=1e-9)
 
 
 def test_alpha_half_matches_signless_energy(er_corpus_small):
     for g in er_corpus_small[:30]:
         sp = alpha_spectrum(g, 0.5)
-        assert 2.0 * sp.energy == pytest.approx(oracles.signless_energy(g), abs=1e-9)
+        assert 2.0 * sp.energy[0] == pytest.approx(oracles.signless_energy(g), abs=1e-9)
 
 
 def test_radius_average_degree_equality_iff_regular():
-    sp = alpha_spectrum(star(3), 0.3)
-    assert sp.rho[0] > 2 * sp.m / sp.n + 1e-6
+    g = star(3)
+    assert alpha_spectrum(g, 0.3).rho_1[0] > 2 * g.m / g.n + 1e-6
     for g in (cycle(7), complete(5)):
         for alpha in (0.0, 0.5, 0.9):
-            sp = alpha_spectrum(g, alpha)
-            assert sp.rho[0] == pytest.approx(2 * sp.m / sp.n, abs=1e-9)
+            assert alpha_spectrum(g, alpha).rho_1[0] == pytest.approx(2 * g.m / g.n, abs=1e-9)
 
 
 def test_radius_zagreb_chain(er_corpus):
     for g in er_corpus:
-        sp = alpha_spectrum(g, 0.4)
-        root = math.sqrt(sp.zagreb / sp.n)
-        assert sp.rho[0] >= root - 1e-9
-        assert root >= 2 * sp.m / sp.n - 1e-12
+        root = math.sqrt(g.zagreb / g.n)
+        assert alpha_spectrum(g, 0.4).rho_1[0] >= root - 1e-9
+        assert root >= 2 * g.m / g.n - 1e-12
 
 
 def test_regular_energy_factorization():
@@ -220,7 +231,7 @@ def test_regular_energy_factorization():
         base = oracles.energy(g, 0.0)
         previous = None
         for alpha in DEFAULT_ALPHA_GRID:
-            got = alpha_spectrum(g, alpha).energy
+            got = alpha_spectrum(g, alpha).energy[0]
             assert abs(got - (1 - alpha) * base) <= 1e-9
             if previous is not None:
                 assert got <= previous + 1e-9
@@ -236,8 +247,8 @@ def test_edge_deletion_monotonicity_small_fuzz():
         edge = sorted(g.edges)[int(rng.integers(0, g.m))]
         smaller = delete_edge(g, *edge)
         for alpha in (0.5, 0.75, 0.9):
-            before = alpha_spectrum(g, alpha).rho
-            after = alpha_spectrum(smaller, alpha).rho
+            before = alpha_spectrum(g, alpha).rho[0]
+            after = alpha_spectrum(smaller, alpha).rho[0]
             assert np.all(after <= before + 1e-9)
 
 
@@ -257,29 +268,32 @@ def test_edge_perturbation_spectrum():
         assert np.allclose(eigs, expected, atol=1e-9)
 
 
-def test_gamma_singular_shift_clamped():
-    # A singular shift is log Gamma = -inf in the table and Gamma = 0 in the
-    # record, with no divide-by-zero warning (warnings are errors here).
+def test_gamma_singular_shift_clamped(capsys):
+    # A singular shift is log Gamma = -inf in the table and Gamma = 0 in
+    # `spectrum`'s output, with no divide-by-zero warning (warnings are
+    # errors here).
     c4, c5 = spectrum_tables(([cycle(4)], [0.5]), ([cycle(5)], [1.0]))
-    assert np.allclose(c4[0].rho, [2.0, 1.0, 1.0, 0.0], atol=1e-10)
+    assert np.allclose(c4.rho[0], [2.0, 1.0, 1.0, 0.0], atol=1e-10)
     # Regular graph at alpha = 1: A_alpha = k*I, so every s_i is zero.
     for table in (c4, c5):
         assert table.log_gamma.tolist() == [-math.inf]
-        assert table[0].gamma_det == 0.0
+    rows = (_spectrum_lines(capsys, serialize_graph6(cycle(4)).decode(), "--alpha", "0.5")
+            + _spectrum_lines(capsys, serialize_graph6(cycle(5)).decode(), "--alpha", "1"))
+    assert [row["gamma_det"] for row in rows] == [0.0, 0.0]
+    assert rows[1]["centered"] == [0.0] * 5
 
 
 def test_disconnected_spectrum_still_computed():
     g = Graph(4, [(0, 1), (2, 3)])
     sp = alpha_spectrum(g, 0.5)
-    assert not sp.connected
-    assert sp.energy > 0
-    assert len(sp.rho) == 4
+    assert not sp.columns.connected[0]
+    assert sp.energy[0] > 0
+    assert len(sp.rho[0]) == 4
 
 
 def test_eta_counts_shift_ties():
     # Regular graph at alpha = 1: every eigenvalue equals the shift.
-    sp = alpha_spectrum(cycle(5), 1.0)
-    assert sp.eta == 5
+    assert alpha_spectrum(cycle(5), 1.0).eta.tolist() == [5]
 
 
 STACK_GRAPHS = {
@@ -301,15 +315,14 @@ def _one_solve(a: np.ndarray) -> np.ndarray:
 def test_stacked_spectra_bit_identical(name, alphas):
     # One stacked solve per graph gives the bits of one LAPACK call per alpha.
     g = STACK_GRAPHS[name]
-    sps = graph_spectra(g, alphas)
-    assert [sp.alpha for sp in sps] == list(alphas)
-    for sp in sps:
-        assert sp.rho.tobytes() == _one_solve(alpha_matrix(g, sp.alpha)).tobytes()
-        assert sp.graph is g
+    table, = spectrum_tables(([g], alphas))
+    assert table.graphs == (g,) and table.alphas == alphas
+    for alpha, rho in zip(alphas, table.rho, strict=True):
+        assert rho.tobytes() == _one_solve(alpha_matrix(g, alpha)).tobytes()
     if 0.0 in alphas:
         # The alpha = 0 slice is the adjacency spectrum: same inertia as the
         # Graph's own adjacency solve.
-        adj = sps[alphas.index(0.0)].rho
+        adj = table.rho[alphas.index(0.0)]
         pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
         assert g.adjacency_inertia == (pos, g.n - pos - neg, neg)
 
@@ -351,7 +364,9 @@ def test_graph_invariants():
     assert g.is_star and not g.is_regular and not g.is_complete
     assert g.adjacency_inertia == (1, 2, 1)  # spectrum sqrt(3), 0, 0, -sqrt(3)
     sp = alpha_spectrum(g, 0.3)
-    assert sp.graph is g and (sp.n, sp.m, sp.zagreb, sp.connected) == (4, 3, 12, True)
+    c = sp.columns
+    assert sp.graphs == (g,)
+    assert (c.n[0], c.m[0], c.zagreb[0], c.connected[0]) == (4, 3, 12, True)
     g = Graph(4, [(0, 1), (2, 3)])
     assert g.is_regular and not g.connected and not g.is_star
     assert g.adjacency_inertia == (2, 0, 2)
@@ -381,5 +396,6 @@ def test_adjacency_solved_once_per_graph(monkeypatch):
     harness.run_sweep([("P", petersen())], [0.5, 0.9])
     assert calls == [(2, 10, 10)]
     # No alpha at all: no spectrum, and nothing solved.
-    assert graph_spectra(g, []) == ()
+    table, = spectrum_tables(([g], []))
+    assert len(table) == 0
     assert calls == [(2, 10, 10)]
