@@ -8,28 +8,29 @@ directly, and the edge set, edge count, degrees and connectivity are
 derived from it. The two random generators accept or reject a draw before
 its float matrix exists: a G(n, p) draw is one 0/1 byte per vertex pair,
 placed in a boolean matrix that the connectivity test reads, and a pairing
-is a list of stubs checked on Python ints for a loop or a repeated pair.
-Connectivity is one breadth-first search, `_reaches_all`, over Python-int
-bitsets read from one `np.packbits` of the matrix. Every pass over the
-vertex pairs u < v (graph6 encoding and decoding, the G(n, p) matrix, the
-edge set) goes through one read-only strict upper-triangle mask per order,
-`upper_mask(n)`, built once and cached for the last 64 orders used. The
-adjacency inertia solves it as it stands, and `spectra.spectrum_tables`
-builds every alpha*D + (1-alpha)*A from it. Random generators draw from
-`pcg64.default_rng(seed)`, the stream of numpy's seeded PCG64 generator,
-identical for identical seeds on every platform; a small call draws it
-without importing `numpy.random`.
+is abandoned at its first loop or repeated pair. Connectivity is one
+breadth-first search, `_reaches_all`, over Python-int bitsets read from one
+`np.packbits` of the matrix. Every pass over the vertex pairs u < v (graph6
+encoding and decoding, the G(n, p) matrix, the edge set) goes through one
+read-only strict upper-triangle mask per order, `upper_mask(n)`, built once
+and cached for the last 64 orders used. The adjacency inertia solves it as
+it stands, and `spectra.spectrum_tables` builds every alpha*D + (1-alpha)*A
+from it. Random generators draw from `seeded_rng(seed)`, the standard
+library's Mersenne Twister, through its `random()` and `getrandbits()` only,
+whose output for an integer seed CPython keeps the same across versions and
+platforms; so identical seeds give identical graphs.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from . import densela, pcg64
+from . import densela
 
 GRAPH6_MAX_ORDER = 62
 GRAPH6_HEADER = ">>graph6<<"  # optional record prefix of the graph6 format
@@ -282,17 +283,41 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
+def seeded_rng(seed: int) -> random.Random:
+    """`random.Random(seed)` for a non-negative integer seed (anything
+    `operator.index` takes); InvalidParametersError for any other seed,
+    which `random.Random` would hash or fold onto a valid one."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidParametersError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidParametersError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """A uniform integer in [0, n), n >= 1: `getrandbits` of n - 1's bit
+    length, redrawn while it is n or more."""
+    bits = (n - 1).bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
-    """G(n, p) sample; with `connected=True`, redraws until connected,
+    """G(n, p) sample, each pair u < v in row-major order an edge when one
+    `random()` lies below p; with `connected=True`, redraws until connected,
     deciding each draw on its boolean matrix before the float matrix is
     built, and records `connected` on the sample."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParametersError(f"erdos_renyi needs n >= 1 and p in [0,1], got ({n}, {p})")
-    rng = pcg64.default_rng(seed)
-    upper, pairs = upper_mask(n), n * (n - 1) // 2
+    draw = seeded_rng(seed).random
+    upper, pairs = upper_mask(n), range(n * (n - 1) // 2)
     for _ in range(ER_MAX_DRAWS):
         a = np.zeros((n, n), dtype=bool)
-        a[upper] = np.frombuffer(pcg64.below(rng, p, pairs), dtype=bool)
+        a[upper] = np.frombuffer(bytes([draw() < p for _ in pairs]), dtype=bool)
         a |= a.T
         if connected and not _reaches_all(a):
             continue
@@ -306,13 +331,21 @@ def erdos_renyi(n: int, p: float, seed: int, connected: bool = False) -> Graph:
 
 
 def random_regular(n: int, k: int, seed: int) -> Graph:
-    """k-regular graph by the pairing model, rejecting non-simple matchings.
+    """k-regular graph by the pairing model, rejecting non-simple pairings.
 
-    For k above (n-1)/2 the (n-1-k)-regular complement is paired instead and
-    the result complemented; the conditioned distribution is the same. A
+    A pairing pairs the last free stub with a uniformly drawn other free
+    stub (`randbelow`) until none is free, so every perfect matching of the
+    n*k stubs is equally likely, and each simple k-regular graph on the
+    labelled vertices arises from (k!)^n of them: an accepted pairing is a
+    uniform such graph. A pairing is abandoned at its first
+    loop or repeated pair, where the whole pairing would be rejected. For k
+    above (n-1)/2 the (n-1-k)-regular complement is paired instead and the
+    result complemented; the conditioned distribution is the same. A
     pairing is simple with probability about exp(-(k*k - 1)/4), so the
-    REGULAR_MAX_PAIRINGS budget holds for k <= 5 but runs out from about
-    k = 6 or 7 (as a GenerationFailureError).
+    REGULAR_MAX_PAIRINGS budget holds for k <= 5 but runs out from k = 6,
+    as a GenerationFailureError after 0.1-0.2 s. Over seeds 0-99 that
+    happened at n = 20 for 41 % of the calls at k = 6, 97 % at k = 7 and
+    all at k = 8, and at n = 62 for 5 %, 96 % and all.
     """
     if not 0 <= k < n:
         raise InvalidParametersError(f"random_regular needs 0 <= k < n, got ({n}, {k})")
@@ -322,22 +355,22 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
         # n(n-1-k) inherits evenness from nk, so the recursion is valid.
         inner = random_regular(n, n - 1 - k, seed)
         return Graph._from_adjacency(1.0 - inner.adjacency - np.eye(n))
+    rng = seeded_rng(seed)
     if k == 0:
         return Graph(n)
-    rng = pcg64.default_rng(seed)
     stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(REGULAR_MAX_PAIRINGS):
-        perm = pcg64.shuffled(rng, stubs)
-        us, vs = perm[0::2], perm[1::2]
-        if not all(map(operator.ne, us, vs)):  # a loop
-            continue
-        keys = [u * n + v if u < v else v * n + u for u, v in zip(us, vs)]  # flat, u < v
-        if len(set(keys)) < len(keys):  # a repeated pair
-            continue
-        a = np.zeros((n, n))
-        a.put(keys, 1.0)
-        a += a.T
-        return Graph._from_adjacency(a)
+        free, a = stubs.copy(), bytearray(n * n)
+        while free:
+            u = free.pop()
+            v = free.pop(randbelow(rng, len(free)))
+            uv = u * n + v
+            if u == v or a[uv]:  # a loop or a repeated pair
+                break
+            a[uv] = a[v * n + u] = 1
+        else:
+            return Graph._from_adjacency(np.frombuffer(a, dtype=np.uint8).reshape(n, n)
+                                         .astype(float))
     raise GenerationFailureError(
         f"no simple {k}-regular pairing on {n} vertices in {REGULAR_MAX_PAIRINGS} attempts"
     )

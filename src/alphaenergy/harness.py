@@ -12,7 +12,10 @@ r into the table: graph `spectra.graphs[r // k]`, named `graph_ids[r // k]`
 alpha only when asked. `summarize`, `violations`, hunt-equality's
 `equality_hits` and both writers read columns at row indices;
 `equality_hits` and `analyze` also certify the rows they report, from the
-row's graph and eigenvalues.
+row's graph and eigenvalues. `run_fuzz` draws every graph's order, model,
+degree or edge probability, per-graph seed and deleted edge from one
+`graphcore.seeded_rng(seed)`, uniform integers through
+`graphcore.randbelow`, so a seed gives the same graphs in every process.
 The CSV writer formats each float once to 12 significant digits with
 `fmt12`; the JSON writer writes the `round12` value, the float that string
 parses to, as `json.dumps` would. So the two formats carry identical numeric
@@ -32,7 +35,7 @@ import re
 
 import numpy as np
 
-from . import bounds, graphcore, pcg64, spectra
+from . import bounds, graphcore, spectra
 from .bounds import BOUND_IDS
 from .graphcore import Graph
 
@@ -148,21 +151,19 @@ def violations(v: bounds.Verdicts, strict: bool = False) -> list[tuple[str, floa
 def _random_connected_graph(rng, n_min: int, n_max: int, trial: int) -> Graph:
     # Every fourth graph comes from the pairing model (k <= 4 keeps the
     # rejection rate low); the rest are connectivity-retried G(n, p) draws.
-    n = int(rng.integers(n_min, n_max + 1))
+    n = n_min + graphcore.randbelow(rng, n_max - n_min + 1)
     if trial % 4 == 3 and n >= 4:
         for _ in range(50):
-            k = int(rng.integers(2, min(5, n)))
+            k = 2 + graphcore.randbelow(rng, min(5, n) - 2)
             if (n * k) % 2 != 0:
                 k = k - 1 if k > 2 else k + 1
             if not 2 <= k < n:
                 continue
-            g = graphcore.random_regular(n, k, int(rng.integers(0, 2**63)))
+            g = graphcore.random_regular(n, k, rng.getrandbits(63))
             if g.connected:
                 return g
-    p = float(rng.uniform(0.25, 0.75))
-    return graphcore.erdos_renyi(
-        n, p, int(rng.integers(0, 2**63)), connected=True
-    )
+    p = 0.25 + 0.5 * rng.random()
+    return graphcore.erdos_renyi(n, p, rng.getrandbits(63), connected=True)
 
 
 def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
@@ -180,9 +181,7 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         raise ValueError(f"n range must satisfy 3 <= n_min <= n_max <= 62, got [{n_min}, {n_max}]")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = pcg64.default_rng(seed)
+    rng = graphcore.seeded_rng(seed)
     checked = [i for i, a in enumerate(alphas) if 0.5 <= float(a) < 1.0]
     graphs: list[Graph] = []
     smaller: list[tuple[int, Graph]] = []  # (trial, its edge-deleted graph)
@@ -191,7 +190,7 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
         graphs.append(g)
         if g.m == 0:
             continue
-        edge = int(rng.integers(0, g.m))
+        edge = graphcore.randbelow(rng, g.m)
         if checked:
             u, v = np.nonzero(graphcore.upper_mask(g.n) & (g.adjacency > 0.0))
             smaller.append((trial, graphcore.delete_edge(g, int(u[edge]), int(v[edge]))))

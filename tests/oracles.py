@@ -6,8 +6,8 @@ independently of LAPACK, from a cyclic Jacobi sweep; eigenvalue residuals
 from a singular value decomposition; characteristic polynomials from the
 Faddeev-LeVerrier recursion, determinants from cofactor expansion;
 connectivity from a union-find over the edge set, or from the earlier
-matrix-vector expansion; the random generators as they drew with numpy
-arrays, from numpy's own generator; graph6 records decoded
+matrix-vector expansion; the random generators drawn one vertex pair or
+one stub at a time from `random.Random`; graph6 records decoded
 bit by bit as the format's description reads, and their error messages
 from the decoder's earlier numpy reading of the payload; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import random
 
 import numpy as np
 
@@ -137,41 +138,62 @@ def connected_by_matvec(a: np.ndarray) -> bool:
         count = grown
 
 
-def erdos_renyi_reference(n: int, p: float, rng, connected: bool,
+def uniform_below(rng: random.Random, n: int) -> int:
+    """A uniform integer in [0, n): `getrandbits` of the fewest bits whose
+    range covers n values, drawn again until it is below n."""
+    bits = 0
+    while 1 << bits < n:
+        bits += 1
+    while True:
+        r = rng.getrandbits(bits)
+        if r < n:
+            return r
+
+
+def erdos_renyi_reference(n: int, p: float, rng: random.Random, connected: bool,
                           max_draws: int) -> np.ndarray | None:
-    """The G(n, p) generator as it drew with numpy arrays from the numpy
-    generator `rng`: the adjacency matrix of its first draw (its first
-    connected one if `connected`) within `max_draws` draws, else None."""
-    upper = ~np.tri(n, dtype=bool)
+    """The G(n, p) generator drawn from `rng` one pair at a time: each pair
+    u < v, u then v ascending, an edge when `rng.random()` is below p. The
+    adjacency matrix of its first draw (its first connected one if
+    `connected`) within `max_draws` draws, else None."""
     for _ in range(max_draws):
         a = np.zeros((n, n))
-        a[upper] = rng.random(n * (n - 1) // 2) < p
-        a += a.T
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    a[u, v] = a[v, u] = 1.0
         if not connected or connected_by_matvec(a):
             return a
     return None
 
 
-def random_regular_reference(n: int, k: int, rng, max_pairings: int) -> np.ndarray | None:
-    """The pairing model as it drew with numpy arrays from the numpy generator
-    `rng`: the adjacency matrix of its first simple pairing within
-    `max_pairings`, else None; above k = (n-1)/2 the complement's."""
+def random_regular_reference(n: int, k: int, rng: random.Random,
+                             max_pairings: int) -> np.ndarray | None:
+    """The pairing model drawn from `rng` one stub at a time: the stubs of
+    vertices 0..n-1, k each, in a list; the last is paired with the one at
+    index `uniform_below(rng, len(rest))` of the rest, both leave the list,
+    and a pairing stops at its first loop or repeated pair. The adjacency
+    matrix of its first whole pairing within `max_pairings`, else None;
+    above k = (n-1)/2 the complement's."""
     if k > (n - 1) // 2:
         inner = random_regular_reference(n, n - 1 - k, rng, max_pairings)
         return None if inner is None else 1.0 - inner - np.eye(n)
     if k == 0:
         return np.zeros((n, n))
-    stubs = np.repeat(np.arange(n), k)
     for _ in range(max_pairings):
-        perm = rng.permutation(stubs)
-        us, vs = perm[0::2], perm[1::2]
-        if np.any(us == vs):
-            continue
-        a = np.zeros((n, n))
-        a[us, vs] = a[vs, us] = 1.0
-        if np.count_nonzero(a) != 2 * len(us):  # a repeated pair
-            continue
-        return a
+        free = [v for v in range(n) for _ in range(k)]
+        pairs = set()
+        while free:
+            u = free.pop()
+            v = free.pop(uniform_below(rng, len(free)))
+            if u == v or frozenset((u, v)) in pairs:
+                break
+            pairs.add(frozenset((u, v)))
+        else:
+            a = np.zeros((n, n))
+            for u, v in pairs:
+                a[u, v] = a[v, u] = 1.0
+            return a
     return None
 
 

@@ -1,4 +1,7 @@
+import collections
 import hashlib
+import itertools
+import random
 from unittest import mock
 
 import numpy as np
@@ -6,7 +9,7 @@ import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alphaenergy import graphcore, harness, pcg64
+from alphaenergy import graphcore, harness
 from alphaenergy.graphcore import (
     GRAPH6_HEADER,
     GenerationFailureError,
@@ -178,29 +181,27 @@ _ORDER_AND_DEGREE = st.integers(1, 62).flatmap(
 
 
 @given(_ORDER_AND_DEGREE, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-       st.integers(0, 2**63 - 1), st.booleans(),
-       st.one_of(st.sampled_from([0, 10**9]), st.integers(0, 4000)))
-@example((62, 4), 0.05, 2**63 - 1, True, 10**9)  # sparse: draws and pairings run out
-@example((62, 61), 1.0, 0, True, 0)  # the complement of an edgeless pairing
-@example((10, 4), 0.5, 924414275, True, 10**9)
-@example((10, 4), 0.2, 924414275, True, 60)  # the budget runs out between two G(n, p) draws
-@example((10, 4), 0.0, 924414275, False, 100)  # and between two pairings
-@example((1, 0), 0.0, 0, True, 10**9)
+       st.one_of(st.integers(0, 2**63 - 1), st.sampled_from([2**64, 2**128 + 1])),
+       st.booleans())
+@example((62, 4), 0.05, 2**63 - 1, True)  # sparse: draws and pairings run out
+@example((62, 61), 1.0, 0, True)  # the complement of an edgeless pairing
+@example((10, 4), 0.5, 924414275, True)
+@example((1, 0), 0.0, 0, True)
 @settings(max_examples=200, deadline=None)
-def test_generators_match_their_numpy_references(nk, p, seed, connected, budget):
-    # Both generators against the numpy code they replaced, drawn from
-    # numpy's generator: the same adjacency bytes (or both out of draws),
-    # the same connectivity, and the same next value from the stream. Small
-    # draw budgets keep the failing draws cheap.
+def test_generators_match_their_references(nk, p, seed, connected):
+    # Both generators against their one-pair-at-a-time references on
+    # `random.Random(seed)`: the same adjacency bytes (or both out of
+    # draws), the same connectivity, and the same next value from the
+    # stream. Small draw budgets keep the failing draws cheap.
     n, k = nk
-    made, real_rng = [], pcg64.default_rng
+    made, real_rng = [], graphcore.seeded_rng
 
     def recording_rng(s):
         made.append(real_rng(s))
         return made[-1]
 
-    with mock.patch.multiple(pcg64, BUDGET=budget, _requested=0, default_rng=recording_rng), \
-            mock.patch.multiple(graphcore, ER_MAX_DRAWS=4, REGULAR_MAX_PAIRINGS=8):
+    with mock.patch.multiple(graphcore, seeded_rng=recording_rng, ER_MAX_DRAWS=4,
+                             REGULAR_MAX_PAIRINGS=8):
         for make, reference in (
             (lambda: erdos_renyi(n, p, seed, connected),
              lambda rng: oracles.erdos_renyi_reference(n, p, rng, connected, 4)),
@@ -212,14 +213,13 @@ def test_generators_match_their_numpy_references(nk, p, seed, connected, budget)
                 g = make()
             except GenerationFailureError:
                 g = None
-            numpy_rng = np.random.default_rng(seed)
-            want = reference(numpy_rng)
+            rng = random.Random(seed)
+            want = reference(rng)
             assert (g is None) == (want is None)
             if g is not None:
                 assert g.adjacency.tobytes() == want.tobytes()
                 assert g.connected == oracles.connected_by_matvec(want)
-            after = made[0] if made else np.random.default_rng(seed)  # k = 0 draws nothing
-            assert after.random() == numpy_rng.random()
+            assert len(made) == 1 and made[0].random() == rng.random()
 
 
 def test_delete_edge():
@@ -546,11 +546,11 @@ def test_erdos_renyi_determinism_and_connectivity():
     b = erdos_renyi(12, 0.4, 99)
     assert a.edges == b.edges
     # Frozen outputs: a seed keeps its graph across rewrites of the generator.
-    assert serialize_graph6(a) == b"KITQcxWCQDiD"
+    assert serialize_graph6(a) == b"KToE]KBWhmeG"
     big = erdos_renyi(62, 0.1, 0, connected=True)
     assert big.m == 201 and is_connected(big)
     assert hashlib.sha256(serialize_graph6(big)).hexdigest() == (
-        "8b113b98bfde4fee2053a5306466a6fdd6e7abc186a4aff57dd36b3c387ccd63")
+        "12881e1c9409cea7b09f3a462663a65424fd2be515edfc8c872b1100c1f1e034")
     for seed in range(5):
         g = erdos_renyi(8, 0.3, seed, connected=True)
         assert is_connected(g)
@@ -567,10 +567,99 @@ def test_random_regular():
     a = random_regular(8, 4, 7)
     assert a.edges == random_regular(8, 4, 7).edges
     # Frozen outputs of the complement branch (k > (n-1)/2) and the pairing.
-    assert a.degree_sequence == (4,) * 8 and serialize_graph6(a) == b"GrUdYw"
-    assert serialize_graph6(random_regular(10, 3, 1)) == b"ISPK@dIL?"
+    assert a.degree_sequence == (4,) * 8 and serialize_graph6(a) == b"GryPYk"
+    assert serialize_graph6(random_regular(10, 3, 1)) == b"IdGIGgbq?"
     assert random_regular(5, 0, 0).m == 0
     with pytest.raises(InvalidParametersError):
         random_regular(5, 3, 0)  # n*k odd
     with pytest.raises(InvalidParametersError):
         random_regular(4, 4, 0)  # k >= n
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63), 2.5, 3.0, "3", None])
+def test_generators_take_only_non_negative_integer_seeds(seed):
+    # random.Random would fold -1 onto 1 and hash 2.5 or '3' into a seed.
+    for call in (lambda: erdos_renyi(5, 0.5, seed),
+                 lambda: random_regular(6, 2, seed),
+                 lambda: random_regular(6, 4, seed),  # the complement branch
+                 lambda: random_regular(6, 0, seed)):  # draws nothing
+        with pytest.raises(InvalidParametersError, match="seed"):
+            call()
+
+
+def test_generators_take_integer_like_seeds():
+    assert erdos_renyi(9, 0.5, np.int64(5)) == erdos_renyi(9, 0.5, 5)
+    assert random_regular(9, 4, np.uint8(5)) == random_regular(9, 4, 5)
+    assert random_regular(9, 4, 2**200) != random_regular(9, 4, 2**200 + 1)
+
+
+def _labelled_regular(n: int, k: int) -> list[frozenset]:
+    """Every k-regular graph on the vertices 0..n-1, as its edge set: each
+    vertex in turn joined to enough later vertices of spare degree."""
+    found = []
+
+    def extend(v, degree, edges):
+        if v == n:
+            found.append(frozenset(edges))
+            return
+        spare = [w for w in range(v + 1, n) if degree[w] < k]
+        for ws in itertools.combinations(spare, k - degree[v]):
+            for w in ws:
+                degree[w] += 1
+            extend(v + 1, degree, edges + [(v, w) for w in ws])
+            for w in ws:
+                degree[w] -= 1
+
+    extend(0, [0] * n, [])
+    return found
+
+
+def _chi_square(counts: dict, expected: dict) -> float:
+    return sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
+
+
+def test_random_regular_is_uniform_on_labelled_two_regular_graphs():
+    # The 70 labelled 2-regular graphs on 6 vertices (60 hexagons and 10
+    # pairs of triangles), each drawn with probability 1/70: all reached
+    # from 6,000 seeds, and the chi-square statistic below 111.06, the
+    # 0.999 quantile at 69 degrees of freedom.
+    graphs = _labelled_regular(6, 2)
+    assert len(graphs) == 70
+    counts = collections.Counter(random_regular(6, 2, seed).edges for seed in range(6000))
+    assert set(counts) == set(graphs)
+    assert _chi_square(counts, {g: 6000 / 70 for g in graphs}) < 111.06
+
+
+def test_random_regular_is_uniform_on_labelled_cubic_graphs_of_order_8():
+    # The 19,355 labelled cubic graphs on 8 vertices fall into 6 isomorphism
+    # classes, which their adjacency spectra tell apart; a uniform draw
+    # lands in a class with probability its labelled count / 19,355. Over
+    # 4,000 seeds the chi-square statistic on the classes is below 20.52,
+    # the 0.999 quantile at 5 degrees of freedom.
+    graphs = _labelled_regular(8, 3)
+    assert len(graphs) == 19355
+    stack = np.zeros((len(graphs), 8, 8))
+    for i, edges in enumerate(graphs):
+        for u, v in edges:
+            stack[i, u, v] = stack[i, v, u] = 1.0
+    spectra = [tuple(row) for row in np.round(np.linalg.eigvalsh(stack), 6).tolist()]
+    sizes = collections.Counter(spectra)
+    assert sorted(sizes.values()) == [35, 840, 2520, 2520, 3360, 10080]
+    spectrum_of = dict(zip(graphs, spectra))
+    counts = collections.Counter(spectrum_of[random_regular(8, 3, seed).edges]
+                                 for seed in range(4000))
+    expected = {s: 4000 * size / len(graphs) for s, size in sizes.items()}
+    assert _chi_square(counts, expected) < 20.52
+
+
+def test_erdos_renyi_edge_frequencies_are_binomial():
+    # Over 2,000 seeds each of the 28 pairs of G(8, 0.3) is an edge a
+    # Binomial(2000, 0.3) number of times, and the edges in all a
+    # Binomial(56000, 0.3) number: each within 4.5 standard deviations of
+    # its mean.
+    seeds, pairs, p = 2000, 28, 0.3
+    counts = sum(erdos_renyi(8, p, seed).adjacency for seed in range(seeds))
+    per_pair = counts[np.triu_indices(8, 1)]
+    assert np.abs(per_pair - seeds * p).max() < 4.5 * (seeds * p * (1 - p)) ** 0.5
+    total = seeds * pairs
+    assert abs(per_pair.sum() - total * p) < 4.5 * (total * p * (1 - p)) ** 0.5

@@ -192,7 +192,7 @@ def test_fuzz_checks_each_graph_connectivity_once(monkeypatch):
     real = graphcore._reaches_all
     monkeypatch.setattr(graphcore, "_reaches_all", lambda m: calls.append(m) or real(m))
     run_fuzz(4, 10, 20, 42, [0.5])
-    assert len(calls) == 58  # accepted and rejected G(n, p) draws, regular graphs
+    assert len(calls) == 29  # accepted and rejected G(n, p) draws, regular graphs
     calls.clear()
     assert graphcore.erdos_renyi(10, 0.3, 5, connected=True).connected
     assert len(calls) == 1
@@ -613,8 +613,8 @@ def test_fuzz_deletes_the_drawn_edge(monkeypatch):
     monkeypatch.setattr(graphcore, "delete_edge", recording)
     run_fuzz(4, 12, 8, 5, [0.5])
     assert deleted == [
-        ("IMpz~~zWw", 5, 7), ("HWe@`XS", 1, 2), ("HiddpEW", 1, 5), ("D~{", 2, 3),
-        ("EFCg", 1, 3), ("Kn|||Nwm]ZE~", 4, 6), ("GwDVVC", 6, 7), ("HoL]`^o", 1, 5),
+        ("GF\\oz{", 5, 7), ("C|", 0, 2), ("Cu", 0, 2), ("FK_i_", 2, 5),
+        ("FPoU?", 0, 6), ("Eztg", 0, 4), ("DXo", 0, 4), ("EL`G", 0, 3),
     ]
     assert all(type(u) is int and type(v) is int for _, u, v in deleted)
 
@@ -893,9 +893,9 @@ def test_cli_fuzz_violations_follow_the_summary_on_stderr(capsys):
     table = harness.summary_lines(summarize(run_fuzz(4, 10, 50, 3, list(DEFAULT_ALPHA_GRID))[0]))
     assert lines[:len(table)] == table
     bad = lines[len(table):-1]
-    assert len(bad) == 285
+    assert len(bad) == 270
     assert all(line.startswith("violation\t") for line in bad)
-    assert lines[-1] == ("50 graphs, 550 reports, 285 unexpected bound violations, "
+    assert lines[-1] == ("50 graphs, 550 reports, 270 unexpected bound violations, "
                          "0 monotonicity violations")
 
 
@@ -1139,3 +1139,41 @@ def test_cli_closed_stdout_is_an_error_not_a_traceback(argv, unbuffered):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Broken pipe" in proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+_FUZZ_CALLS = (
+    ("7", "7", "4", "12345"),
+    ("10", "10", "4", "2712"),
+    ("4", "10", "200", "42"),  # criterion 5
+)
+
+
+def _fresh_fuzz_calls(out: Path) -> list[str]:
+    """Run each of _FUZZ_CALLS in turn in one fresh interpreter, writing
+    report i to out/i.json; whether numpy.random is imported, first after
+    the package import, then after each call."""
+    lines = ["import sys", "import alphaenergy", "from alphaenergy import cli",
+             "print('numpy.random' in sys.modules)"]
+    for i, (n_min, n_max, trials, seed) in enumerate(_FUZZ_CALLS):
+        argv = ["fuzz", "--n-min", n_min, "--n-max", n_max, "--trials", trials,
+                "--seed", seed, "--out", str(out / f"{i}.json")]
+        lines += [f"assert cli.main({argv!r}) == 0", "print('numpy.random' in sys.modules)"]
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_small_fuzz_call_leaves_numpy_random_unimported(tmp_path):
+    # Every draw comes from the standard library's generator, so no fuzz
+    # call imports numpy.random, and a seed gives the same reports in two
+    # processes.
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    assert _fresh_fuzz_calls(first) == ["False"] * (1 + len(_FUZZ_CALLS))
+    assert _fresh_fuzz_calls(second) == ["False"] * (1 + len(_FUZZ_CALLS))
+    for i, (_, _, trials, _) in enumerate(_FUZZ_CALLS):
+        report = (first / f"{i}.json").read_bytes()
+        assert report.count(b"\n") == int(trials) * len(DEFAULT_ALPHA_GRID)
+        assert report == (second / f"{i}.json").read_bytes()
