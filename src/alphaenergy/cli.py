@@ -107,43 +107,43 @@ def _verdict_tail(v, bad: list[tuple[str, float, str]], closing: str = "") -> in
     return EXIT_VIOLATIONS if bad else EXIT_OK
 
 
-def _spectrum_row(graph_id: str, table: spectra.SpectrumTable, r: int) -> dict:
-    """Row r of `table` as `spectrum` writes it. The centered eigenvalues
-    s_i and Gamma = |prod s_i| are formed here and nowhere else."""
-    r12 = harness.round12
-    k = len(table.alphas)
-    g, rho, shift = table.graphs[r // k], table.rho[r], float(table.shift[r])
-    s = rho - shift
-    gamma_det = 0.0  # at a singular shift; inf where the product overflows
-    if table.log_gamma[r] > -math.inf:
-        with np.errstate(over="ignore"):
-            gamma_det = abs(float(np.prod(s)))
-    return {
-        "graph_id": graph_id,
-        "alpha": r12(table.alphas[r % k]),
-        "n": g.n,
-        "m": g.m,
-        "zagreb": g.zagreb,
-        "connected": g.connected,
-        "spectrum": [r12(x) for x in rho.tolist()],
-        "shift": r12(shift),
-        "centered": [r12(x) for x in s.tolist()],
-        "energy": r12(float(table.energy[r])),
-        "eta": int(table.eta[r]),
-        "two_s": r12(float(table.two_s[r])),
-        # null where |prod s_i| overflows a float64: JSON has no infinity.
-        "gamma_det": r12(gamma_det) if math.isfinite(gamma_det) else None,
-        "theta": r12(float(table.theta[r])),
-    }
+def _spectrum_text(graph_ids: list[str], table: spectra.SpectrumTable) -> str:
+    """`spectrum`'s output: one JSON object per row of `table`, one row per
+    line, with the bytes `json.dumps` writes for the same dict with compact
+    separators and every float through `harness.round12`. A row's floats are
+    formatted in one `harness._json_numbers` call, a graph's fields once per
+    graph and each alpha once per call. The centered eigenvalues s_i and
+    Gamma = |prod s_i| are formed here and nowhere else: Gamma is 0.0 at a
+    singular shift, and null where the product overflows a float64, since
+    JSON has no infinity."""
+    alphas = harness._json_numbers(list(table.alphas))
+    rows = zip(table.rho, table.shift.tolist(), table.energy.tolist(), table.eta.tolist(),
+               table.two_s.tolist(), table.log_gamma.tolist(), table.theta.tolist())
+    lines = []
+    with np.errstate(over="ignore"):
+        for gid, g in zip(graph_ids, table.graphs):
+            n, head = g.n, f'{{"graph_id":{json.dumps(gid)},"alpha":'
+            fields = (f',"n":{n},"m":{g.m},"zagreb":{g.zagreb},'
+                      f'"connected":{"true" if g.connected else "false"},"spectrum":[')
+            # alphas first: zip stops after the graph's last row, drawing no more.
+            for alpha, (rho, shift, energy, eta, two_s, log_gamma, theta) in zip(alphas, rows):
+                s = rho - shift
+                gamma = abs(float(np.prod(s))) if log_gamma > -math.inf else 0.0
+                x = harness._json_numbers(
+                    rho.tolist() + [shift] + s.tolist() + [energy, two_s, gamma, theta])
+                lines.append(
+                    f'{head}{alpha}{fields}{",".join(x[:n])}],"shift":{x[n]},'
+                    f'"centered":[{",".join(x[n + 1:-4])}],"energy":{x[-4]},"eta":{eta},'
+                    f'"two_s":{x[-3]},"gamma_det":{x[-2] if math.isfinite(gamma) else "null"},'
+                    f'"theta":{x[-1]}}}\n')
+    return "".join(lines)
 
 
 def _cmd_spectrum(args) -> int:
     alphas = _parse_alphas(args.alpha, (0.0,))
     corpus = _input_graphs(args)
     table, = spectra.spectrum_tables(([g for _, g in corpus], alphas))
-    k = len(table.alphas)
-    for r in range(len(table)):
-        print(json.dumps(_spectrum_row(corpus[r // k][0], table, r), separators=(",", ":")))
+    sys.stdout.write(_spectrum_text([gid for gid, _ in corpus], table))
     return EXIT_OK
 
 

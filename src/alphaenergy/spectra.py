@@ -16,21 +16,22 @@ is far from zero.
 `spectrum_tables` takes (graphs, alphas) groups, one `SpectrumTable` each,
 with rows graph-major then alpha. It has two paths, which give the same
 bits; the row count picks one. Two or more rows take the stacked path: the
-alpha matrices of every row of one order go into one plain (rows, n, n)
-stack, in chunks of whole graphs of at most `STACK_ENTRIES` matrix entries,
-and each chunk is solved in one LAPACK call (`densela.eigendecompose`) for
-eigenvalues only. Every scalar is one reduction along the rows of that
-solve, so a call pays one eigensolve per order and chunk, whichever groups
-its rows come from. One row, one graph at one alpha as `bounds` and
-`spectrum` on a graph, `harness.analyze` and a one-graph sweep ask for,
-takes the one-row path (`_one_row`): it solves its one (1, n, n) stack and
-reduces it on Python floats, with numpy only for the sums whose bits depend
-on numpy's summation order and for the eta count. On one row, grouping,
-chunking and numpy's per-operation dispatch cost more than the arithmetic.
-A row's reductions read that row alone, so they give the same bits however
-the rows are stacked, or alone; repeated runs with the same numpy/LAPACK
-build give bit-identical spectra, another build may differ in the last few
-digits.
+rows of one order are solved in chunks of whole graphs of at most
+`STACK_ENTRIES` matrix entries. A chunk stands alone: it builds its plain
+(rows, n, n) stack in one broadcast, solves it in one LAPACK call
+(`densela.eigendecompose`) for eigenvalues only, reduces every scalar along
+the rows of that solve and writes each row at its table index, so its rows
+are final once it is solved. A call pays one eigensolve per order and
+chunk, whichever groups its rows come from. One row, one graph at one alpha
+as `bounds` and `spectrum` on a graph, `harness.analyze` and a one-graph
+sweep ask for, takes the one-row path (`_one_row`): it solves its one
+(1, n, n) stack and reduces it on Python floats, with numpy only for the
+sums whose bits depend on numpy's summation order and for the eta count. On
+one row, grouping, chunking and numpy's per-operation dispatch cost more
+than the arithmetic. A row's reductions read that row alone, so they give
+the same bits however the rows are stacked, or alone; repeated runs with
+the same numpy/LAPACK build give bit-identical spectra, another build may
+differ in the last few digits.
 
 A row is its index into its table and has no other representation: its
 consumers read the table's arrays at that index. The bound pass reads the
@@ -111,18 +112,6 @@ class SpectrumTable:
                        self.theta, self.rho_1, connected != 0.0)
 
 
-def _fill(out: np.ndarray, diag: np.ndarray, g: Graph, al: np.ndarray) -> None:
-    """Write alpha*D + (1-alpha)*A for each alpha in `al` into the (k, n, n)
-    `out`, and its diagonal, the alpha-scaled degrees, into the (k, n)
-    `diag`. (1-alpha)*A with alpha*d on the diagonal has, entry for entry,
-    the bits of alpha*D + (1-alpha)*A: A's diagonal and D's off-diagonal
-    entries are zero, and adding +0.0 changes no bit of a non-negative
-    product."""
-    np.multiply((1.0 - al)[:, None, None], g.adjacency, out=out)
-    np.multiply(al[:, None], g.degrees(), out=diag)
-    out.reshape(len(al), g.n * g.n)[:, ::g.n + 1] = diag
-
-
 def _chunks(n: int, blocks: list):
     """`blocks` of order n, (first row, graph, alphas) each, in runs of at
     most STACK_ENTRIES matrix entries; a block is never split."""
@@ -142,10 +131,14 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
     one order solved together.
 
     A call of one graph at one alpha is `_one_row`. Otherwise rows are solved
-    grouped by graph order, in chunks of whole graphs (`_chunks`), and put in
-    table order at the end. A chunk's stack is a fresh float64 array holding
-    its graphs' alpha matrices, each written by `_fill`, and each scalar is
-    one reduction along the rows of its solve.
+    grouped by graph order, in chunks of whole graphs (`_chunks`), each chunk
+    on its own. Its stack is one array of its graphs' adjacency matrices, a
+    copy per alpha, scaled in place by 1 - alpha, with the alpha-scaled
+    degrees written over the diagonal: entry for entry the bits of
+    alpha*D + (1-alpha)*A, since A's diagonal and D's off-diagonal entries
+    are zero and adding +0.0 changes no bit of a non-negative product. Each
+    scalar is one reduction along the rows of the chunk's solve, written at
+    the rows' table indices.
     """
     groups = [(tuple(graphs), tuple(_check_alpha(x) for x in alphas))
               for graphs, alphas in groups]
@@ -160,42 +153,37 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
         for g in graphs:
             by_order.setdefault(g.n, []).append((total, g, alphas))
             total += len(alphas)
-    blocks = [block for same_order in by_order.values() for block in same_order]
-    # alpha, m and the Zagreb index of each row, in solve order.
-    al, m, zagreb = np.array([(a, g.m, g.zagreb) for _, g, alphas in blocks for a in alphas],
-                             dtype=np.float64).reshape(total, 3).T
-    rho: list[np.ndarray] = []
+    rho = [None] * total  # each row's eigenvalues
     out = np.empty((6, total))  # shift, energy, two_s, log_gamma, theta, rho_1
     eta = np.empty(total, dtype=np.int64)
     for n, same_order in by_order.items():
         for chunk in _chunks(n, same_order):
-            size = sum(len(alphas) for _, _, alphas in chunk)
-            rows = slice(len(rho), len(rho) + size)
-            stack, diag = np.empty((size, n, n)), np.empty((size, n))
-            i = 0
-            for _, g, alphas in chunk:
-                j = i + len(alphas)
-                _fill(stack[i:j], diag[i:j], g, al[rows][i:j])
-                i = j
+            at = np.array([r + i for r, _, alphas in chunk for i in range(len(alphas))])
+            # alpha, m and the Zagreb index of each row.
+            al, m, zagreb = np.array([(a, g.m, g.zagreb) for _, g, alphas in chunk
+                                      for a in alphas], dtype=np.float64).T
+            stack = np.array([g.adjacency for _, g, alphas in chunk for _ in alphas])
+            # Row sums of 0/1 entries are the degrees, exact in any order.
+            diag = al[:, None] * (stack @ np.ones(n))
+            stack *= (1.0 - al)[:, None, None]
+            stack.reshape(len(at), n * n)[:, ::n + 1] = diag
             w = densela.eigendecompose(stack)
-            shift = 2.0 * al[rows] * m[rows] / n
+            shift = 2.0 * al * m / n
             s = w - shift[:, None]
             abs_s = np.abs(s)
             # 2S by the degree closed form: (1-alpha)^2 * 2m plus the squared
             # deviation of the alpha-scaled degrees from their mean, the
             # shift. float_power squares through C pow, as Python does.
-            two_s = (np.float_power(1.0 - al[rows], 2) * 2.0 * m[rows]
+            two_s = (np.float_power(1.0 - al, 2) * 2.0 * m
                      + ((diag - shift[:, None]) ** 2).sum(axis=1))
             with np.errstate(divide="ignore"):  # log 0 is -inf, as the test below gives
                 log_gamma = np.where(abs_s.min(axis=1) < SINGULAR_SHIFT_TOL, -np.inf,
                                      np.log(abs_s).sum(axis=1))
-            out[:, rows] = (shift, abs_s.sum(axis=1), two_s, log_gamma,
-                            np.sqrt(zagreb[rows] / n) - shift, w[:, 0])
-            eta[rows] = (w >= (shift - SHIFT_TIE_TOL)[:, None]).sum(axis=1)
-            rho.extend(w)
-    if len(by_order) > 1:  # solve order to table order
-        order = np.argsort([r + i for r, _, alphas in blocks for i in range(len(alphas))])
-        out, eta, rho = out[:, order], eta[order], [rho[j] for j in order.tolist()]
+            out[:, at] = (shift, abs_s.sum(axis=1), two_s, log_gamma,
+                          np.sqrt(zagreb / n) - shift, w[:, 0])
+            eta[at] = (w >= (shift - SHIFT_TIE_TOL)[:, None]).sum(axis=1)
+            for r, row in zip(at.tolist(), w):
+                rho[r] = row
     out.setflags(write=False)
     eta.setflags(write=False)
     shift, energy, two_s, log_gamma, theta, rho_1 = out
@@ -210,7 +198,7 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
 
 def _one_row(g: Graph, alpha: float) -> SpectrumTable:
     """The table of one graph at one alpha, with the bits of its row in a
-    stacked solve. Its one (1, n, n) stack is built as `_fill` builds it.
+    stacked solve. Its one (1, n, n) stack has the bits of a chunk's.
     numpy sums |s_i|, log|s_i| and (alpha*d_i - shift)^2, whose bits depend
     on its summation order, and counts eta; the other scalars are Python
     floats from the expressions the stacked path evaluates on columns, and

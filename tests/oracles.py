@@ -11,7 +11,8 @@ one stub at a time from `random.Random`; graph6 records decoded
 bit by bit as the format's description reads, and their error messages
 from the decoder's earlier numpy reading of the payload; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
-one row at a time through `one_alpha.row_view`; the bounds' closed forms
+one row at a time through `one_alpha.row_view`, and `spectrum`'s rows from
+`json.dumps` of one dict per row; the bounds' closed forms
 from Python floats, the `math` module and `np.log`, one row at a time; the
 stated equality classes from the eigenvalues `alpha_eigs` gives.
 """
@@ -395,6 +396,47 @@ def reports_to_json_reference(v) -> str:
             ],
         }, separators=(",", ":")))
     return "\n".join(lines) + "\n"
+
+
+def spectrum_row_reference(graph_id: str, table, r: int) -> dict:
+    """Row r of the spectrum table `table` as `spectrum` writes it, as a
+    dict with every float rounded to 12 significant digits and parsed back:
+    Gamma = |prod s_i| is 0.0 at a singular shift and None where the product
+    overflows a float64."""
+    def r12(x):
+        return float(f"{x:.12g}")
+
+    k = len(table.alphas)
+    g, rho, shift = table.graphs[r // k], table.rho[r], float(table.shift[r])
+    s = rho - shift
+    gamma_det = 0.0  # at a singular shift; inf where the product overflows
+    if table.log_gamma[r] > -math.inf:
+        with np.errstate(over="ignore"):
+            gamma_det = abs(float(np.prod(s)))
+    return {
+        "graph_id": graph_id,
+        "alpha": r12(table.alphas[r % k]),
+        "n": g.n,
+        "m": g.m,
+        "zagreb": g.zagreb,
+        "connected": g.connected,
+        "spectrum": [r12(x) for x in rho.tolist()],
+        "shift": r12(shift),
+        "centered": [r12(x) for x in s.tolist()],
+        "energy": r12(float(table.energy[r])),
+        "eta": int(table.eta[r]),
+        "two_s": r12(float(table.two_s[r])),
+        "gamma_det": r12(gamma_det) if math.isfinite(gamma_det) else None,
+        "theta": r12(float(table.theta[r])),
+    }
+
+
+def spectrum_text_reference(graph_ids, table) -> str:
+    """`spectrum`'s output for `table`, one `json.dumps` of
+    `spectrum_row_reference` per row, compact separators."""
+    k = len(table.alphas)
+    return "".join(json.dumps(spectrum_row_reference(graph_ids[r // k], table, r),
+                              separators=(",", ":")) + "\n" for r in range(len(table)))
 
 
 def bound_closed_forms(n: float, m: float, zagreb: float, max_degree: float, alpha: float,

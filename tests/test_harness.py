@@ -749,6 +749,28 @@ def test_cli_spectrum_writes_null_for_an_overflowing_gamma(tmp_path, capsys):
     assert k4["gamma_det"] == 0.1875  # K4 at alpha = 1/2: |(3 - 1.5)(1 - 1.5)^3|
 
 
+def test_spectrum_writer_matches_its_reference():
+    # `spectrum` formats a row's floats in one call and writes the row as one
+    # f-string; the reference dumps one dict per row. Seeded atlas graphs,
+    # K1 and Petersen (Gamma 0.0 at a singular shift) and a connected
+    # G(400, 1/2) edge list, whose Gamma overflows a float64 at alpha = 0
+    # (null) and is past 1e240 at 1/2 and 1.
+    corpus, _ = load_corpus(str(ATLAS))
+    picks = np.random.default_rng(29).choice(len(corpus), 60, replace=False).tolist()
+    g = graphcore.erdos_renyi(400, 0.5, 7, connected=True)
+    big = graphcore.parse_edge_list(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n"
+                                                              for u, v in sorted(g.edges)))
+    corpus = ([corpus[i] for i in picks] + [("@", Graph(1)), (g6(petersen()), petersen()),
+                                            ("g400.txt:1", big)])
+    ids = [gid for gid, _ in corpus]
+    table, = spectra.spectrum_tables(([g for _, g in corpus], [0.0, 0.5, 1.0]))
+    lines = cli._spectrum_text(ids, table).splitlines(True)
+    assert lines == oracles.spectrum_text_reference(ids, table).splitlines(True)
+    gammas = [json.loads(line)["gamma_det"] for line in lines]
+    assert gammas[-3] is None and min(gammas[-2:]) > 1e240
+    assert gammas[-9:-6] == [0.0] * 3 and gammas[-4] == 0.0  # K1; Petersen at alpha = 1
+
+
 def test_cli_spectrum_alpha_out_of_range(capsys):
     assert cli.main(["spectrum", "C~", "--alpha", "1.5"]) == 1
     assert "alpha" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from alphaenergy import cli, densela, graphcore, harness
+from alphaenergy import cli, densela, graphcore, harness, spectra
 from alphaenergy.graphcore import (
     INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, serialize_graph6,
     star,
@@ -354,6 +354,37 @@ def test_one_row_table_is_its_stacked_row(g, alpha):
     assert stack.shape == (1, g.n, g.n)
     assert stack.tobytes() == solved_stacks(g, [alpha, 1.0 - alpha])[0][:1].tobytes()
     assert np.array_equal(stack[0], oracles.alpha_matrix(g, alpha))
+
+
+def test_two_alpha_groups_sharing_chunks_are_each_group_alone(monkeypatch):
+    # A fuzz call's shape: graphs of interleaved orders at 11 alphas and
+    # their edge-deleted graphs at 6, solved in the same stacks. With a cap
+    # of about two graphs' rows per stack, chunk boundaries fall inside each
+    # order and some chunk holds rows of both groups; every row keeps the
+    # bits of its group solved alone, in table order.
+    orders = (5, 7, 6, 7, 5, 6, 7, 5, 7, 6, 6, 5)
+    graphs = [graphcore.erdos_renyi(n, 0.5, seed, connected=True)
+              for seed, n in enumerate(orders)]
+    smaller = [delete_edge(g, *min(g.edges)) for g in graphs]
+    groups = ((graphs, DEFAULT_ALPHA_GRID), (smaller, DEFAULT_ALPHA_GRID[5:]))
+    alone = [spectrum_tables(group)[0] for group in groups]
+    stacks = []
+    solve = densela.eigendecompose
+    monkeypatch.setattr(densela, "eigendecompose", lambda a: stacks.append(a.shape) or solve(a))
+    monkeypatch.setattr(spectra, "STACK_ENTRIES", 20 * 7 * 7)
+    shared = spectrum_tables(*groups)
+    assert len(stacks) > 2 * len(set(orders))
+    assert all(np.prod(shape) <= spectra.STACK_ENTRIES for shape in stacks)
+    assert any(rows % 11 and rows % 6 for rows, _, _ in stacks)  # a chunk of both groups
+    for got, want in zip(shared, alone, strict=True):
+        assert got.graphs == want.graphs and got.alphas == want.alphas
+        assert len(got.rho) == len(want.rho)
+        for a, b in zip(got.rho, want.rho):
+            assert a.tobytes() == b.tobytes()
+        for name in ROW_COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name, col in zip(spectra.Columns._fields, want.columns):
+            assert getattr(got.columns, name).tobytes() == col.tobytes(), name
 
 
 def test_graph_invariants():
