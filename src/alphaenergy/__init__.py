@@ -5,13 +5,12 @@ published upper/lower bounds and their stated equality classes.
 A `Graph` caches what depends on it alone. `run_sweep` and `run_fuzz` check
 corpora over whole alpha grids: each solves its call's (graph, alpha) rows
 as one `SpectrumTable` of columns, one stacked eigensolve per graph order
-and chunk, each chunk writing its rows in table order, or one solve reduced
-on its own when the call is one graph at one alpha, and returns one
-`bounds.Verdicts` table per call, a row per (graph, alpha). That table is
-the call's one verdict record, and a row is its index r into it: graph
-r // k at alpha r % k, k the call's alpha count, with one graph id per
-graph. `Verdicts.claims(r)` reads row r's stated-class claims from its graph
-and alpha, and solves nothing; `certify` reads a row's graph and
+and chunk, or one solve reduced on its own for one graph at one alpha, and
+returns one `bounds.Verdicts` table per call, a row per (graph, alpha).
+That table is the call's one verdict record, and a row is its index r into
+it: graph r // k at alpha r % k, k the call's alpha count, with one graph id
+per graph. `Verdicts.claims(r)` reads row r's stated-class claims from its
+graph and alpha, and solves nothing; `certify` reads a row's graph and
 eigenvalues. `analyze` returns the one-row table of one graph at one alpha
 with its claims and certificate, and `equality_hits` reads one bound's
 equality cases from a table, each with its certificate."""

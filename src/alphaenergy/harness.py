@@ -2,10 +2,9 @@
 fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
 
 `run_sweep` and `run_fuzz` solve a call's (graph, alpha) rows as one
-`spectra.SpectrumTable`, one stacked eigensolve per order and chunk, each
-chunk writing its rows at their table indices (the fuzz call's edge-deleted
-graphs join the same stacks; a sweep of one graph at one alpha solves and
-reduces its one row alone), then run the bound table once over
+`spectra.SpectrumTable`, one stacked eigensolve per order and chunk (the
+fuzz call's edge-deleted graphs share them; a sweep of one graph at one alpha
+solves and reduces its one row alone), then run the bound table once over
 the table, and return that one `bounds.Verdicts` table. A row is its index
 r into the table: graph `spectra.graphs[r // k]`, named `graph_ids[r // k]`
 (one id per graph), at `spectra.alphas[r % k]`, k the call's alpha count.

@@ -12,9 +12,9 @@ bit by bit as the format's description reads, and their error messages
 from the decoder's earlier numpy reading of the payload; CSV reports from
 `csv.writer` and JSON reports from `json.dumps`, reading a verdict table
 one row at a time through `one_alpha.row_view`, and `spectrum`'s rows from
-`json.dumps` of one dict per row; the bounds' closed forms
-from Python floats, the `math` module and `np.log`, one row at a time; the
-stated equality classes from the eigenvalues `alpha_eigs` gives.
+`json.dumps` of one dict per row; the bounds' closed forms from Python
+floats, the `math` module and `np.log`, one row at a time; the stated
+equality classes from the eigenvalues `alpha_eigs` gives.
 """
 
 from __future__ import annotations
