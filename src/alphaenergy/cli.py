@@ -1,10 +1,12 @@
-"""Command-line interface.
+"""Command-line interface: the option table, the argv reader, the argparse
+fallback, one handler per subcommand, exit codes, and file and stdout I/O.
 
 Subcommands: spectrum (eigenvalues + scalars), bounds (all verdicts for one
 graph), sweep (corpus x alpha grid to CSV/JSON), fuzz (randomized soundness
 sweep plus edge-deletion monotonicity), hunt-equality (one bound's equality
-cases, read from the sweep's verdict table). `sweep` and `fuzz` write the
-summary table, then one `violation` line per counted violation, to stderr.
+cases, read from the sweep's verdict table). `harness` names every graph a
+call reads and builds every string it writes, down to the verdict tail that
+`sweep` and `fuzz` write to stderr; a handler only writes those strings.
 
 Every subcommand's options are declared once, in `_COMMANDS`. A well-formed
 call is read straight from that table by `_read_argv`; argparse, built from
@@ -20,12 +22,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import densela, graphcore, harness, spectra
@@ -64,8 +63,7 @@ def _input_graphs(args) -> list[tuple[str, graphcore.Graph]]:
         raise _CliError("give either a graph6 record or --input, not both")
     if getattr(args, "graph", None) is not None:
         try:
-            return [(args.graph.removeprefix(graphcore.GRAPH6_HEADER),
-                     graphcore.parse_graph6(args.graph))]
+            return [harness.read_record(args.graph)]
         except graphcore.MalformedGraph6Error as exc:
             raise _CliError(f"bad graph6 record: {exc}") from None
     if not args.input:
@@ -92,58 +90,11 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_text(v, fmt: str) -> str:
-    return (harness.reports_to_csv if fmt == "csv" else harness.reports_to_json)(v)
-
-
-def _verdict_tail(v, bad: list[tuple[str, float, str]], closing: str = "") -> int:
-    """Write the summary table of `v`, one line per counted violation in
-    `bad`, then `closing`, to stderr in one write; EXIT_VIOLATIONS if any
-    violation line was written."""
-    lines = harness.summary_lines(harness.summarize(v))
-    lines += [f"violation\t{graph_id}\t{harness.fmt12(alpha)}\t{bid}"
-              for graph_id, alpha, bid in bad]
-    sys.stderr.write("\n".join(lines) + "\n" + closing)
-    return EXIT_VIOLATIONS if bad else EXIT_OK
-
-
-def _spectrum_text(graph_ids: list[str], table: spectra.SpectrumTable) -> str:
-    """`spectrum`'s output: one JSON object per row of `table`, one row per
-    line, with the bytes `json.dumps` writes for the same dict with compact
-    separators and every float through `harness.round12`. A row's floats are
-    formatted in one `harness._json_numbers` call, a graph's fields once per
-    graph and each alpha once per call. The centered eigenvalues s_i and
-    Gamma = |prod s_i| are formed here and nowhere else: Gamma is 0.0 at a
-    singular shift, and null where the product overflows a float64, since
-    JSON has no infinity."""
-    alphas = harness._json_numbers(list(table.alphas))
-    rows = zip(table.rho, table.shift.tolist(), table.energy.tolist(), table.eta.tolist(),
-               table.two_s.tolist(), table.log_gamma.tolist(), table.theta.tolist())
-    lines = []
-    with np.errstate(over="ignore"):
-        for gid, g in zip(graph_ids, table.graphs):
-            n, head = g.n, f'{{"graph_id":{json.dumps(gid)},"alpha":'
-            fields = (f',"n":{n},"m":{g.m},"zagreb":{g.zagreb},'
-                      f'"connected":{"true" if g.connected else "false"},"spectrum":[')
-            # alphas first: zip stops after the graph's last row, drawing no more.
-            for alpha, (rho, shift, energy, eta, two_s, log_gamma, theta) in zip(alphas, rows):
-                s = rho - shift
-                gamma = abs(float(np.prod(s))) if log_gamma > -math.inf else 0.0
-                x = harness._json_numbers(
-                    rho.tolist() + [shift] + s.tolist() + [energy, two_s, gamma, theta])
-                lines.append(
-                    f'{head}{alpha}{fields}{",".join(x[:n])}],"shift":{x[n]},'
-                    f'"centered":[{",".join(x[n + 1:-4])}],"energy":{x[-4]},"eta":{eta},'
-                    f'"two_s":{x[-3]},"gamma_det":{x[-2] if math.isfinite(gamma) else "null"},'
-                    f'"theta":{x[-1]}}}\n')
-    return "".join(lines)
-
-
 def _cmd_spectrum(args) -> int:
     alphas = _parse_alphas(args.alpha, (0.0,))
     corpus = _input_graphs(args)
     table, = spectra.spectrum_tables(([g for _, g in corpus], alphas))
-    sys.stdout.write(_spectrum_text([gid for gid, _ in corpus], table))
+    sys.stdout.write(harness.spectrum_to_json([gid for gid, _ in corpus], table))
     return EXIT_OK
 
 
@@ -158,8 +109,10 @@ def _cmd_sweep(args) -> int:
     alphas = _parse_alphas(args.alpha, harness.DEFAULT_ALPHA_GRID)
     corpus = _input_graphs(args)
     v = harness.run_sweep(corpus, alphas, args.tolerance)
-    _write_output(_report_text(v, args.format), args.out)
-    return _verdict_tail(v, harness.violations(v, strict=args.strict))
+    _write_output(harness.reports_text(v, args.format), args.out)
+    bad = harness.violations(v, strict=args.strict)
+    sys.stderr.write(harness.verdict_tail(v, bad))
+    return EXIT_VIOLATIONS if bad else EXIT_OK
 
 
 def _cmd_fuzz(args) -> int:
@@ -168,12 +121,13 @@ def _cmd_fuzz(args) -> int:
         args.n_min, args.n_max, args.trials, args.seed, alphas, args.tolerance
     )
     if args.out:
-        _write_output(_report_text(v, args.format), args.out)
+        _write_output(harness.reports_text(v, args.format), args.out)
     bad = harness.violations(v, strict=args.strict)
-    return _verdict_tail(v, bad + list(mono), (
+    sys.stderr.write(harness.verdict_tail(v, bad + list(mono)) + (
         f"{args.trials} graphs, {len(v.spectra)} reports, "
         f"{len(bad)} unexpected bound violations, "
         f"{len(mono)} monotonicity violations\n"))
+    return EXIT_VIOLATIONS if bad or mono else EXIT_OK
 
 
 _HUNT_FAMILIES = ("complete", "star", "cycle", "path", "petersen")
@@ -217,8 +171,7 @@ def _cmd_hunt(args) -> int:
     else:
         corpus = _family_corpus(args.family, args.n_min, args.n_max)
     hits = harness.equality_hits(harness.run_sweep(corpus, alphas, args.tolerance), args.bound)
-    lines = [json.dumps(h, separators=(",", ":")) for h in hits]
-    _write_output("\n".join(lines) + ("\n" if lines else ""), args.out)
+    _write_output(harness.hits_to_json(hits), args.out)
     contradicted = sum(h["contradicts_claim"] for h in hits)
     print(
         f"{len(hits)} equality hits for {args.bound}, "

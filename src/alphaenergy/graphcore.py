@@ -453,18 +453,21 @@ def serialize_graph6(g: Graph) -> bytes:
 def parse_edge_list(text: str) -> Graph:
     """Parse 'n m' followed by m 'u v' lines; '#' starts a comment line.
 
-    Raises MalformedEdgeListError for malformed text and GraphTooLargeError
-    for an order above MAX_ORDER.
+    Lines end at \\n, \\r\\n or \\r only and are stripped of ASCII whitespace;
+    spaces and tabs separate fields, and a non-ASCII character, or a vertical
+    tab or form feed inside a line, reads as '?'. Raises MalformedEdgeListError
+    for malformed text and GraphTooLargeError for an order above MAX_ORDER.
     """
     header = None
     edges = []
     expected = 0
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    data = text.encode("ascii", "replace").replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(b"#"):
             continue
-        fields = line.split()
+        fields = line.replace(b"\x0b", b"?").replace(b"\x0c", b"?").split()
         if header is None:
             if len(fields) != 2:
                 raise MalformedEdgeListError(f"line {lineno}: expected header 'n m'")
@@ -492,7 +495,6 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise MalformedEdgeListError(f"line {lineno}: non-integer endpoints") from None
-        n = header[0]
         if u == v:
             raise MalformedEdgeListError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

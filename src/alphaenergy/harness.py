@@ -1,29 +1,24 @@
-"""Corpus drivers: single-graph verdicts, sweeps over alpha grids, randomized
-fuzzing with edge-deletion monotonicity checks, and equality-case hunting.
+"""Corpus drivers, and every byte a call reads as a graph or writes as output:
+`cli` only hands these strings to a stream or a file.
 
+`read_record` names a graph6 record, positional or a corpus line, by its
+text stripped of ASCII whitespace less one header; `load_corpus` reads a
+file of such records, or one edge list, split at \\n, \\r\\n and \\r only.
 `run_sweep` and `run_fuzz` solve a call's (graph, alpha) rows as one
-`spectra.SpectrumTable`, one stacked eigensolve per order and chunk (the
-fuzz call's edge-deleted graphs share them; a sweep of one graph at one alpha
-solves and reduces its one row alone), then run the bound table once over
-the table, and return that one `bounds.Verdicts` table. A row is its index
-r into the table: graph `spectra.graphs[r // k]`, named `graph_ids[r // k]`
-(one id per graph), at `spectra.alphas[r % k]`, k the call's alpha count.
-`Verdicts.claims(r)` reads row r's stated-class claims from its graph and
-alpha only when asked. `summarize`, `violations`, hunt-equality's
-`equality_hits` and both writers read columns at row indices;
-`equality_hits` and `analyze` also certify the rows they report, from the
-row's graph and eigenvalues. `run_fuzz` draws every graph's order, model,
-degree or edge probability, per-graph seed and deleted edge from one
-`graphcore.seeded_rng(seed)`, uniform integers through
-`graphcore.randbelow`, so a seed gives the same graphs in every process.
-The CSV writer formats each float once to 12 significant digits with
-`fmt12`; the JSON writer writes the `round12` value, the float that string
-parses to, as `json.dumps` would. So the two formats carry identical numeric
-values, and reruns produce byte-identical files. A row's 15 bound cells are
-fixed by its verdict pattern (each bound's reason code, holds and equality)
-up to its applicable values and gaps, so both writers join one `%` template
-per distinct pattern per call and fill each row with one `%` call; a
-graph's id field and integers are formatted once per graph.
+`spectra.SpectrumTable` (fuzz's edge-deleted graphs share its stacked
+solves), run the bound table once over it and return one `bounds.Verdicts`
+table. Row r is graph `spectra.graphs[r // k]`, named `graph_ids[r // k]`,
+at `spectra.alphas[r % k]`, k the call's alpha count; `summarize`,
+`violations`, `equality_hits` and the writers read columns at row indices,
+and `equality_hits` and `analyze` certify the rows they report. `run_fuzz`
+draws everything from one `graphcore.seeded_rng(seed)`, so a seed gives the
+same graphs in every process. The writers are `reports_to_csv` and
+`reports_to_json` (picked by `reports_text`), `spectrum_to_json`,
+`hits_to_json` and `verdict_tail`, stderr's summary table and `violation`
+lines. CSV formats each float once with `fmt12`; JSON writes its `round12`
+value as `json.dumps` would, so both carry the same numbers and reruns give
+identical bytes. A row's 15 bound cells come from one `%` template per
+distinct verdict pattern per call, filled by one `%` call.
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -63,41 +59,42 @@ def analyze(graph_id: str, g: Graph, alpha: float,
 # -- corpus ingestion ------------------------------------------------------
 
 
+def read_record(record: str) -> tuple[str, Graph]:
+    """A graph6 record's (graph id, graph), positional or a corpus line:
+    `graphcore.parse_graph6` reads it as it stands, and the id is the record
+    stripped of the ASCII whitespace `parse_graph6` strips, less one header."""
+    g = graphcore.parse_graph6(record)
+    return record.strip(" \t\n\r\x0b\x0c").removeprefix(graphcore.GRAPH6_HEADER), g
+
+
 def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
     """Read graphs from a file, auto-detected by its first payload line.
 
-    A leading 'n m' integer pair means one edge-list graph; anything else is
-    treated as graph6, one record per line, which `graphcore.parse_graph6`
-    reads as it stands; its optional leading `graphcore.GRAPH6_HEADER` is
-    not part of its graph id. Returns (graphs, skipped) where skipped holds
-    human-readable parse-failure notes.
+    Lines end at \\n, \\r\\n or \\r only, as text-mode `open` reads them, and
+    are stripped of ASCII whitespace. A leading 'n m' integer pair means one
+    edge-list graph; anything else is treated as graph6, one record per
+    line, each read by `read_record`. Returns (graphs, skipped) where
+    skipped holds human-readable parse-failure notes.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode("latin-1")
-    lines = text.splitlines()
-    first = ""
-    for line in lines:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            first = stripped
-            break
+    lines = [line.strip() for line in
+             raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")]
+    first = next((line for line in lines if line and not line.startswith(b"#")), b"")
     fields = first.split()
-    if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
+    if len(fields) == 2 and all(f.lstrip(b"-").isdigit() for f in fields):
         try:
-            g = graphcore.parse_edge_list(text)
+            g = graphcore.parse_edge_list(raw.decode("latin-1"))
         except graphcore.MalformedEdgeListError as exc:
             return [], [f"{path}: {exc}"]
         return [(f"{path}:1", g)], []
     graphs: list[tuple[str, Graph]] = []
     skipped: list[str] = []
     for lineno, line in enumerate(lines, start=1):
-        record = line.strip()
-        if not record or record.startswith("#"):
+        if not line or line.startswith(b"#"):
             continue
         try:
-            graphs.append((record.removeprefix(graphcore.GRAPH6_HEADER),
-                           graphcore.parse_graph6(record)))
+            graphs.append(read_record(line.decode("latin-1")))
         except graphcore.MalformedGraph6Error as exc:
             skipped.append(f"{path}:{lineno}: {exc}")
     return graphs, skipped
@@ -365,6 +362,11 @@ _LEAD = "\0"
 _CSV_CELLS = _cell_templates(_LEAD + "%s,%s,%s,%s,%s,%s,%s,%s\n", _csv_field, "", "%.12g")
 
 
+def reports_text(v: bounds.Verdicts, fmt: str) -> str:
+    """`v` in the report format `fmt`, "csv" or "json"."""
+    return reports_to_csv(v) if fmt == "csv" else reports_to_json(v)
+
+
 def reports_to_json(v: bounds.Verdicts) -> str:
     """One JSON object per row of `v`, one row per line, built directly with
     the bytes `json.dumps` writes for the same dict with compact separators:
@@ -382,6 +384,38 @@ def reports_to_json(v: bounds.Verdicts) -> str:
         for alpha, (rho, energy, eta, body) in zip(alphas, rows):
             lines.append(f'{head}{alpha}"spectrum":[{",".join(_json_numbers(rho.tolist()))}],'
                          f'"energy":{energy},"eta":{eta},"bounds":[{body}]}}\n')
+    return "".join(lines)
+
+
+def spectrum_to_json(graph_ids: list[str], table: spectra.SpectrumTable) -> str:
+    """`spectrum`'s output: one JSON object per row of `table`, one row per
+    line, with the bytes `json.dumps` writes for the same dict with compact
+    separators and every float through `round12`. A row's floats are
+    formatted in one `_json_numbers` call, a graph's fields once per graph
+    and each alpha once per call. The centered eigenvalues s_i and
+    Gamma = |prod s_i| are formed here and nowhere else: Gamma is 0.0 at a
+    singular shift, and null where the product overflows a float64, since
+    JSON has no infinity."""
+    alphas = _json_numbers(list(table.alphas))
+    rows = zip(table.rho, table.shift.tolist(), table.energy.tolist(), table.eta.tolist(),
+               table.two_s.tolist(), table.log_gamma.tolist(), table.theta.tolist())
+    lines = []
+    with np.errstate(over="ignore"):
+        for gid, g in zip(graph_ids, table.graphs):
+            n, head = g.n, f'{{"graph_id":{json.dumps(gid)},"alpha":'
+            fields = (f',"n":{n},"m":{g.m},"zagreb":{g.zagreb},'
+                      f'"connected":{"true" if g.connected else "false"},"spectrum":[')
+            # alphas first: zip stops after the graph's last row, drawing no more.
+            for alpha, (rho, shift, energy, eta, two_s, log_gamma, theta) in zip(alphas, rows):
+                s = rho - shift
+                gamma = abs(float(np.prod(s))) if log_gamma > -math.inf else 0.0
+                x = _json_numbers(
+                    rho.tolist() + [shift] + s.tolist() + [energy, two_s, gamma, theta])
+                lines.append(
+                    f'{head}{alpha}{fields}{",".join(x[:n])}],"shift":{x[n]},'
+                    f'"centered":[{",".join(x[n + 1:-4])}],"energy":{x[-4]},"eta":{eta},'
+                    f'"two_s":{x[-3]},"gamma_det":{x[-2] if math.isfinite(gamma) else "null"},'
+                    f'"theta":{x[-1]}}}\n')
     return "".join(lines)
 
 
@@ -414,7 +448,18 @@ _SUMMARY_ROWS = tuple(f"{bid:<{_ID_WIDTH}}  %(applicable)10d  %(holds)5d  %(viol
                       "  %(equalities)10d" for bid in BOUND_IDS)
 
 
-def summary_lines(summary: dict[str, dict[str, int]]) -> list[str]:
-    """The summary table of `summarize`'s counts: a header, then one line
-    per bound in BOUND_IDS order."""
-    return [_SUMMARY_HEAD] + [row % summary[bid] for row, bid in zip(_SUMMARY_ROWS, BOUND_IDS)]
+def verdict_tail(v: bounds.Verdicts, bad: list[tuple[str, float, str]]) -> str:
+    """The text `sweep` and `fuzz` write to stderr after their reports: the
+    summary table of `summarize(v)`, a header then one line per bound in
+    BOUND_IDS order, then one `violation` line per (graph_id, alpha, label)
+    triple in `bad`."""
+    summary = summarize(v)
+    lines = [_SUMMARY_HEAD] + [row % summary[bid] for row, bid in zip(_SUMMARY_ROWS, BOUND_IDS)]
+    lines += [f"violation\t{gid}\t{fmt12(alpha)}\t{label}" for gid, alpha, label in bad]
+    return "\n".join(lines) + "\n"
+
+
+def hits_to_json(hits: list[dict]) -> str:
+    """hunt-equality's output: one compact JSON object per `equality_hits`
+    record, one per line."""
+    return "".join(json.dumps(h, separators=(",", ":")) + "\n" for h in hits)

@@ -162,9 +162,9 @@ def spectrum_tables(*groups) -> tuple[SpectrumTable, ...]:
             # alpha, m and the Zagreb index of each row.
             al, m, zagreb = np.array([(a, g.m, g.zagreb) for _, g, alphas in chunk
                                       for a in alphas], dtype=np.float64).T
-            stack = np.array([g.adjacency for _, g, alphas in chunk for _ in alphas])
-            # Row sums of 0/1 entries are the degrees, exact in any order.
-            diag = al[:, None] * (stack @ np.ones(n))
+            reps = [len(alphas) for _, _, alphas in chunk]  # rows per graph
+            stack = np.array([g.adjacency for _, g, _ in chunk]).repeat(reps, axis=0)
+            diag = al[:, None] * np.array([g.degrees() for _, g, _ in chunk]).repeat(reps, axis=0)
             stack *= (1.0 - al)[:, None, None]
             stack.reshape(len(at), n * n)[:, ::n + 1] = diag
             w = densela.eigendecompose(stack)

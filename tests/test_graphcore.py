@@ -446,17 +446,20 @@ def test_load_corpus_skip_notes_on_a_mixed_file(tmp_path):
 
 
 @given(st.lists(_graph6_variants(), max_size=8))
+@example(["Bw\x0cBw", "C~\x85D?{", "Bw\x1c", "Bw\xa0", "\x0bBw\x0c", "C~\x1eD?{\r\nBw"])
 @settings(max_examples=100)
 def test_load_corpus_skip_notes_read_as_the_reference_decoder_gives_them(tmp_path_factory,
                                                                        records):
     # Each line after a first good record, read by load_corpus and by the
-    # reference decoder: the same graph ids and the same skip notes.
+    # reference decoder: the same graph ids and the same skip notes. Lines
+    # end at \n, \r\n or \r only, and are stripped of ASCII whitespace only.
     lines = ["Bw"] + [r.decode("latin-1") if isinstance(r, bytes) else r for r in records]
     corpus = tmp_path_factory.mktemp("g6") / "corpus.g6"
     corpus.write_bytes("\n".join(lines).encode("latin-1"))
     ids, notes = [], []
-    for lineno, line in enumerate("\n".join(lines).splitlines(), start=1):
-        record = line.strip()
+    text = "\n".join(lines).replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        record = line.strip(" \t\n\r\x0b\x0c")
         if not record or record.startswith("#"):
             continue
         try:
@@ -535,6 +538,12 @@ def test_edge_list_order_cap():
     ("3 1\n0 1\n1 2", "more than the declared"),
     ("x y\n0 1", "non-integer"),
     ("# nothing\n", "no header"),
+    # Lines end at \n, \r\n and \r only; spaces and tabs separate fields.
+    ("2 1\x1c0 1", "line 1: expected header"),
+    ("2 1\n0\x0c1", "line 2: expected edge"),
+    ("2 1\r\n0 \x0b1", "line 2: non-integer endpoints"),
+    ("2 1\r0 1\x85", "line 2: non-integer endpoints"),
+    ("2 1\n0 1\xa0", "line 2: non-integer endpoints"),
 ])
 def test_edge_list_malformed(text, fragment):
     with pytest.raises(MalformedEdgeListError, match=fragment):

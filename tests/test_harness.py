@@ -523,6 +523,40 @@ def test_load_corpus_edge_list(tmp_path):
     assert gid.endswith(":1") and g.m == 3
 
 
+def test_load_corpus_lines_end_only_at_newlines(tmp_path):
+    # \x0b, \x0c, \x1c..\x1e and \x85 end a line for str.splitlines, not for
+    # a file read in text mode: a line holding one mid-record stays one bad
+    # record, and a trailing non-ASCII space is not stripped. \r\n and \r end
+    # lines, and trailing ASCII whitespace is stripped as parse_graph6 strips it.
+    p = tmp_path / "stray.g6"
+    p.write_bytes(b"Bw\x0cBw\nC~\x85D?{\r\nBw\x1cBw\rBw\xa0\nBw\x0b\n")
+    corpus, skipped = load_corpus(str(p))
+    assert corpus == [("Bw", graphcore.complete(3))]
+    assert skipped == [f"{p}:{line}: {message}" for line, message in (
+        (1, "expected 1 payload bytes for n=3, got 4"),
+        (2, "non-ascii input: 'ascii' codec can't encode character '\\x85' in position 2: "
+            "ordinal not in range(128)"),
+        (3, "expected 1 payload bytes for n=3, got 4"),
+        (4, "non-ascii input: 'ascii' codec can't encode character '\\xa0' in position 2: "
+            "ordinal not in range(128)"),
+    )]
+
+
+def test_load_corpus_edge_list_lines_end_only_at_newlines(tmp_path):
+    # A stray separator inside an edge line leaves one line, and one error;
+    # trailing ASCII whitespace is stripped.
+    p = tmp_path / "stray.txt"
+    for sep in (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x85"):
+        p.write_bytes(b"3 2\n0 1" + sep + b"1 2\n")
+        assert load_corpus(str(p)) == ([], [f"{p}: line 2: expected edge 'u v'"])
+    p.write_bytes(b"3 2\n0\x0c1\n1 2\n")
+    assert load_corpus(str(p)) == ([], [f"{p}: line 2: expected edge 'u v'"])
+    p.write_bytes(b"3 2\r\n0 1\r1 2\xa0\n")
+    assert load_corpus(str(p)) == ([], [f"{p}: line 3: non-integer endpoints"])
+    p.write_bytes(b"3 2\r\n0 1\r1 2\x0c\n")
+    assert load_corpus(str(p)) == ([(f"{p}:1", graphcore.path(3))], [])
+
+
 def test_fuzz_reproducible_and_sound():
     a, mono = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
     b, _ = run_fuzz(4, 8, 20, seed=7, alphas=[0.0, 0.5, 0.9])
@@ -764,7 +798,7 @@ def test_spectrum_writer_matches_its_reference():
                                             ("g400.txt:1", big)])
     ids = [gid for gid, _ in corpus]
     table, = spectra.spectrum_tables(([g for _, g in corpus], [0.0, 0.5, 1.0]))
-    lines = cli._spectrum_text(ids, table).splitlines(True)
+    lines = harness.spectrum_to_json(ids, table).splitlines(True)
     assert lines == oracles.spectrum_text_reference(ids, table).splitlines(True)
     gammas = [json.loads(line)["gamma_det"] for line in lines]
     assert gammas[-3] is None and min(gammas[-2:]) > 1e240
@@ -862,6 +896,32 @@ def test_cli_sweep_exit_codes(tmp_path, capsys):
     assert "lb_frobenius_asstated" in err
 
 
+def test_cli_strict_sweep_stderr_is_the_summary_then_the_violations(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("C~\n")
+    assert cli.main(["sweep", "--input", str(corpus), "--alpha", "0.5,0.9", "--strict",
+                     "--out", str(tmp_path / "rows.json")]) == 2
+    table = harness.verdict_tail(run_sweep([("C~", K4)], [0.5, 0.9]), []).splitlines()
+    assert capsys.readouterr().err == "\n".join(table + [
+        "violation\tC~\t0.5\tlb_frobenius_asstated",
+        "violation\tC~\t0.9\tlb_frobenius_asstated"]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bounds"])
+def test_cli_record_names_its_graph_however_it_is_passed(command, tmp_path, capsys):
+    # A record's graph id is its text stripped of ASCII whitespace, less one
+    # header, whether it is the positional argument or an --input line: all
+    # six calls write the same bytes.
+    corpus = tmp_path / "c.g6"
+    outs = []
+    for record in (" C~ ", "C~", ">>graph6<<C~"):
+        corpus.write_text(record + "\n")
+        for source in ([record], ["--input", str(corpus)]):
+            assert cli.main([command, *source, "--alpha", "0.5"]) == 0
+            outs.append(capsys.readouterr().out)
+    assert outs == [outs[0]] * 6 and json.loads(outs[0])["graph_id"] == "C~"
+
+
 def test_cli_sweep_csv_format(tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_text("C~\n")
@@ -912,7 +972,8 @@ def test_cli_fuzz_violations_follow_the_summary_on_stderr(capsys):
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
-    table = harness.summary_lines(summarize(run_fuzz(4, 10, 50, 3, list(DEFAULT_ALPHA_GRID))[0]))
+    v, _ = run_fuzz(4, 10, 50, 3, list(DEFAULT_ALPHA_GRID))
+    table = harness.verdict_tail(v, []).splitlines()
     assert lines[:len(table)] == table
     bad = lines[len(table):-1]
     assert len(bad) == 270
