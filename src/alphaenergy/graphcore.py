@@ -2,10 +2,10 @@
 connectivity, and graph6 / edge-list codecs.
 
 Vertices are dense 0-based integers so graphs index directly into matrices.
-A `Graph` is its one read-only 0/1 adjacency matrix: the graph6 decoder and
-the G(n, p), regular and edge-deletion generators write that matrix
-directly, and the edge set, edge count, degrees and connectivity are
-derived from it. The two random generators accept or reject a draw before
+A `Graph` is its one read-only 0/1 adjacency matrix: the graph6 and
+edge-list decoders and the G(n, p), regular and edge-deletion generators
+write that matrix directly, and the edge set, edge count, degrees and
+connectivity are derived from it. The two random generators accept or reject a draw before
 its float matrix exists: a G(n, p) draw is one 0/1 byte per vertex pair,
 placed in a boolean matrix that the connectivity test reads, and a pairing
 is abandoned at its first loop or repeated pair. Connectivity is one
@@ -450,25 +450,29 @@ def serialize_graph6(g: Graph) -> bytes:
 # -- edge-list codec ------------------------------------------------------
 
 
+def split_lines(data: bytes) -> list[bytes]:
+    """`data`'s lines, ended at \\n, \\r\\n or \\r only (as text-mode `open`
+    ends them) and stripped of ASCII whitespace: every input file's line rule."""
+    return [line.strip() for line in
+            data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse 'n m' followed by m 'u v' lines; '#' starts a comment line.
 
-    Lines end at \\n, \\r\\n or \\r only and are stripped of ASCII whitespace;
-    spaces and tabs separate fields, and a non-ASCII character, or a vertical
-    tab or form feed inside a line, reads as '?'. Raises MalformedEdgeListError
-    for malformed text and GraphTooLargeError for an order above MAX_ORDER.
+    Lines are `split_lines`'s; spaces and tabs separate fields, and a
+    non-ASCII character, or a vertical tab or form feed inside a line, reads
+    as '?'. Each edge is written into the matrix as it is read, so a repeated
+    edge is found at its entry. Raises MalformedEdgeListError for malformed
+    text and GraphTooLargeError for an order above MAX_ORDER.
     """
-    header = None
-    edges = []
-    expected = 0
-    seen = set()
-    data = text.encode("ascii", "replace").replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        line = raw.strip()
+    a = None
+    found = 0
+    for lineno, line in enumerate(split_lines(text.encode("ascii", "replace")), start=1):
         if not line or line.startswith(b"#"):
             continue
         fields = line.replace(b"\x0b", b"?").replace(b"\x0c", b"?").split()
-        if header is None:
+        if a is None:
             if len(fields) != 2:
                 raise MalformedEdgeListError(f"line {lineno}: expected header 'n m'")
             try:
@@ -483,9 +487,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphTooLargeError(
                     f"line {lineno}: order {n} exceeds the edge-list cap of {MAX_ORDER}"
                 )
-            header = (n, expected)
+            a = bytearray(n * n)
             continue
-        if len(edges) == expected:
+        if found == expected:
             raise MalformedEdgeListError(
                 f"line {lineno}: more than the declared {expected} edges"
             )
@@ -501,15 +505,12 @@ def parse_edge_list(text: str) -> Graph:
             raise MalformedEdgeListError(
                 f"line {lineno}: vertex outside range 0..{n - 1}"
             )
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if a[u * n + v]:
             raise MalformedEdgeListError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
-    if header is None:
+        a[u * n + v] = a[v * n + u] = 1
+        found += 1
+    if a is None:
         raise MalformedEdgeListError("no header line found")
-    if len(edges) != expected:
-        raise MalformedEdgeListError(
-            f"declared {expected} edges but found {len(edges)}"
-        )
-    return Graph(header[0], edges)
+    if found != expected:
+        raise MalformedEdgeListError(f"declared {expected} edges but found {found}")
+    return Graph._from_adjacency(np.frombuffer(a, dtype=np.uint8).reshape(n, n).astype(float))

@@ -3,7 +3,9 @@
 
 `read_record` names a graph6 record, positional or a corpus line, by its
 text stripped of ASCII whitespace less one header; `load_corpus` reads a
-file of such records, or one edge list, split at \\n, \\r\\n and \\r only.
+file's `graphcore.split_lines` lines as one edge list when its first payload
+line starts with an ASCII digit or '-' (every 'n m' header does, no graph6
+record can), else as one such record per line.
 `run_sweep` and `run_fuzz` solve a call's (graph, alpha) rows as one
 `spectra.SpectrumTable` (fuzz's edge-deleted graphs share its stacked
 solves), run the bound table once over it and return one `bounds.Verdicts`
@@ -68,21 +70,20 @@ def read_record(record: str) -> tuple[str, Graph]:
 
 
 def load_corpus(path: str) -> tuple[list[tuple[str, Graph]], list[str]]:
-    """Read graphs from a file, auto-detected by its first payload line.
+    """Read graphs from a file, its format picked by its first payload line.
 
-    Lines end at \\n, \\r\\n or \\r only, as text-mode `open` reads them, and
-    are stripped of ASCII whitespace. A leading 'n m' integer pair means one
-    edge-list graph; anything else is treated as graph6, one record per
-    line, each read by `read_record`. Returns (graphs, skipped) where
-    skipped holds human-readable parse-failure notes.
+    Lines are `graphcore.split_lines`'s; blank and '#' lines carry no payload.
+    A first payload line led by an ASCII digit or '-', as every 'n m' header
+    is and no graph6 record is, makes the file one edge list, whose error is
+    its one note. Otherwise each payload line is one graph6 record, read by
+    `read_record`. Returns (graphs, skipped) where skipped holds
+    human-readable parse-failure notes.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = [line.strip() for line in
-             raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")]
+    lines = graphcore.split_lines(raw)
     first = next((line for line in lines if line and not line.startswith(b"#")), b"")
-    fields = first.split()
-    if len(fields) == 2 and all(f.lstrip(b"-").isdigit() for f in fields):
+    if first[:1].isdigit() or first.startswith(b"-"):
         try:
             g = graphcore.parse_edge_list(raw.decode("latin-1"))
         except graphcore.MalformedEdgeListError as exc:
@@ -154,8 +155,6 @@ def _random_connected_graph(rng, n_min: int, n_max: int, trial: int) -> Graph:
             k = 2 + graphcore.randbelow(rng, min(5, n) - 2)
             if (n * k) % 2 != 0:
                 k = k - 1 if k > 2 else k + 1
-            if not 2 <= k < n:
-                continue
             g = graphcore.random_regular(n, k, rng.getrandbits(63))
             if g.connected:
                 return g
@@ -174,32 +173,31 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
     Each graph is drawn, then the edge it loses, indexed among its
     upper-triangle entries in row-major (sorted edge) order; the graphs and
     the edge-deleted graphs are solved together once all are drawn."""
-    if not 3 <= n_min <= n_max <= 62:
-        raise ValueError(f"n range must satisfy 3 <= n_min <= n_max <= 62, got [{n_min}, {n_max}]")
+    if not 3 <= n_min <= n_max <= graphcore.GRAPH6_MAX_ORDER:  # fuzz names graphs by graph6
+        raise ValueError("n range must satisfy 3 <= n_min <= n_max <= "
+                         f"{graphcore.GRAPH6_MAX_ORDER}, got [{n_min}, {n_max}]")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = graphcore.seeded_rng(seed)
     checked = [i for i, a in enumerate(alphas) if 0.5 <= float(a) < 1.0]
     graphs: list[Graph] = []
-    smaller: list[tuple[int, Graph]] = []  # (trial, its edge-deleted graph)
+    smaller: list[Graph] = []  # each graph less one edge, when checked
     for trial in range(trials):
         g = _random_connected_graph(rng, n_min, n_max, trial)
         graphs.append(g)
-        if g.m == 0:
-            continue
         edge = graphcore.randbelow(rng, g.m)
         if checked:
             u, v = np.nonzero(graphcore.upper_mask(g.n) & (g.adjacency > 0.0))
-            smaller.append((trial, graphcore.delete_edge(g, int(u[edge]), int(v[edge]))))
+            smaller.append(graphcore.delete_edge(g, int(u[edge]), int(v[edge])))
     table, after = spectra.spectrum_tables(
-        (graphs, alphas), ([h for _, h in smaller], [alphas[i] for i in checked]))
+        (graphs, alphas), (smaller, [alphas[i] for i in checked]))
     gids = [graphcore.serialize_graph6(g).decode("ascii") for g in graphs]
     k, mono = len(table.alphas), ()
     if len(after):
         # One comparison over every pair's spectra end to end, then one
         # any() per pair: pair (j, a) is after row j * len(checked) + a
         # against its graph's row at alpha index checked[a].
-        pairs = [(trial, i) for trial, _ in smaller for i in checked]
+        pairs = [(trial, i) for trial in range(len(smaller)) for i in checked]
         before = np.concatenate([table.rho[trial * k + i] for trial, i in pairs])
         lifted = np.concatenate(after.rho) > before + 1e-9
         starts = np.cumsum([0] + [len(row) for row in after.rho[:-1]])

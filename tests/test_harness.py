@@ -555,6 +555,17 @@ def test_load_corpus_edge_list_lines_end_only_at_newlines(tmp_path):
     assert load_corpus(str(p)) == ([], [f"{p}: line 3: non-integer endpoints"])
     p.write_bytes(b"3 2\r\n0 1\r1 2\x0c\n")
     assert load_corpus(str(p)) == ([(f"{p}:1", graphcore.path(3))], [])
+    # A first payload line that starts with a digit or '-' makes the file an
+    # edge list, so a header with a stray separator, or a count line above
+    # graph6 records, is one header error; an empty file is no edge list.
+    for data in (b"3 2\x0c0 1\n1 2\n", b"996\nBw\n"):
+        p.write_bytes(data)
+        assert load_corpus(str(p)) == ([], [f"{p}: line 1: expected header 'n m'"])
+    p.write_bytes(b"-3 2\n")
+    assert load_corpus(str(p)) == ([], [f"{p}: line 1: bad counts n=-3 m=2"])
+    for data in (b"", b"\n# c\n"):
+        p.write_bytes(data)
+        assert load_corpus(str(p)) == ([], [])
 
 
 def test_fuzz_reproducible_and_sound():

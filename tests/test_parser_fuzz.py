@@ -2,7 +2,7 @@
 a parser returns a graph or raises one of the package's typed errors."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from alphaenergy.graphcore import (
     MAX_ORDER,
@@ -72,6 +72,7 @@ def corpus_file(tmp_path_factory):
 
 
 @given(st.one_of(BYTES, st.lists(st.one_of(_G6_RECORD, _G6_TEXT)).map("\n".join).map(str.encode)))
+@example(b"3 2\x0c0 1\n1 2\n")  # an edge-list header holding a stray separator
 def test_load_corpus_fails_only_typed(corpus_file, data):
     corpus_file.write_bytes(data)
     try:
