@@ -126,18 +126,16 @@ def _rho_1(t: Terms) -> np.ndarray:
 class Bound:
     """One published bound: hypotheses, closed form, constrained quantity
     and stated equality class (decided from the row's graph and alpha).
-    `second_link(t, value)` must also be true for the bound to hold (the
-    chain bound's middle inequality)."""
+    Whether it holds is its gap test between closed form and target alone."""
 
-    __slots__ = ("id", "kind", "guards", "value", "target", "claim", "second_link")
+    __slots__ = ("id", "kind", "guards", "value", "target", "claim")
 
     def __init__(self, id: str, kind: str, guards: tuple[Guard, ...],
                  value: Callable[[Terms], np.ndarray],
                  target: Callable[[Terms], np.ndarray] = _energy,
-                 claim: Callable[[Graph, float], bool | None] = lambda g, alpha: None,
-                 second_link: Callable[[Terms, np.ndarray], np.ndarray] | None = None):
+                 claim: Callable[[Graph, float], bool | None] = lambda g, alpha: None):
         self.id, self.kind, self.guards, self.value = id, kind, guards, value
-        self.target, self.claim, self.second_link = target, claim, second_link
+        self.target, self.claim = target, claim
 
 
 # The closed forms' square, square root and max with 0, on a column through
@@ -326,10 +324,10 @@ BOUNDS: tuple[Bound, ...] = (
     Bound("rho_lb_star", "lower",
           (_CONNECTED, _ALPHA_BELOW_1, ("requires n >= 2", lambda t: t.n >= 2)),
           lambda t: 0.5 * t.star, target=_rho_1, claim=lambda g, alpha: g.is_star),
-    # Chain rho_1 >= sqrt(Zg/n) >= 2m/n; holds requires both links.
+    # Chain rho_1 >= sqrt(Zg/n) >= 2m/n. sqrt(Zg/n) >= 2m/n is Cauchy-Schwarz,
+    # n Zg >= (sum d_i)^2 = 4m^2, equal iff regular: true on every graph.
     Bound("rho_lb_chain", "lower", (_CONNECTED,),
-          lambda t: t.root_zn, target=_rho_1, claim=lambda g, alpha: g.is_regular,
-          second_link=lambda t, value: value >= t.avg - HOLDS_RTOL * (1.0 + abs(value))),
+          lambda t: t.root_zn, target=_rho_1, claim=lambda g, alpha: g.is_regular),
 )
 
 BOUND_IDS = tuple(b.id for b in BOUNDS)
@@ -348,7 +346,6 @@ _GUARD_COUNTS = np.array([[len(b.guards)] for b in BOUNDS])
 # Every distinct target once, and per bound the index of its own.
 _TARGETS = tuple({b.target: None for b in BOUNDS})
 _TARGET_ROWS = np.array([_TARGETS.index(b.target) for b in BOUNDS])
-_LINKED = tuple((i, b.second_link) for i, b in enumerate(BOUNDS) if b.second_link)
 
 
 class Verdicts:
@@ -358,10 +355,10 @@ class Verdicts:
     id per graph, as `spectra.graphs` holds one graph each. The verdicts are
     (15, R) arrays, rows of BOUNDS in BOUND_IDS order. `gap` is value -
     target for upper bounds and target - value for lower ones; holds means
-    gap >= -HOLDS_RTOL * (1 + |value|) and the bound's `second_link`. Where
-    a bound is not applicable its value, target and gap are NaN and holds
-    and equality are False. The fourth verdict, the stated-class claim, is
-    read per row from the row's graph and alpha by `claims(r)`."""
+    gap >= -HOLDS_RTOL * (1 + |value|), for every bound. Where a bound is
+    not applicable its value, target and gap are NaN and holds and equality
+    are False. The fourth verdict, the stated-class claim, is read per row
+    from the row's graph and alpha by `claims(r)`."""
 
     __slots__ = ("graph_ids", "spectra", "reason", "value", "target", "gap", "holds",
                  "equality")
@@ -386,8 +383,8 @@ class Verdicts:
 
 
 def _holds(gap, value):
-    """gap >= -HOLDS_RTOL * (1 + |value|), before a bound's second link; on
-    columns or on floats."""
+    """gap >= -HOLDS_RTOL * (1 + |value|), on columns or on floats: every
+    bound's whole holds test."""
     return gap >= -HOLDS_RTOL * (1.0 + abs(value))
 
 
@@ -440,10 +437,7 @@ def _column_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarra
     target = np.array([f(t) for f in _TARGETS])[_TARGET_ROWS]
     target[not_applicable] = np.nan
     gap = np.where(_UPPER, value - target, target - value)
-    holds = _holds(gap, value)
-    for i, second_link in _LINKED:
-        holds[i] &= second_link(t, value[i])
-    return reason, value, target, gap, holds, _equality(gap, target, equality_tol)
+    return reason, value, target, gap, _holds(gap, value), _equality(gap, target, equality_tol)
 
 
 def _row_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, ...]:
@@ -470,8 +464,8 @@ def _row_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, 
         else:
             value, target = b.value(t), b.target(t)
             gap = value - target if b.kind == "upper" else target - value
-            holds = _holds(gap, value) and (b.second_link is None or b.second_link(t, value))
-            rows.append((0, value, target, gap, holds, _equality(gap, target, equality_tol)))
+            rows.append((0, value, target, gap, _holds(gap, value),
+                         _equality(gap, target, equality_tol)))
     reason, value, target, gap, holds, equality = zip(*rows)
     return (np.array(reason, dtype=np.int8)[:, None], np.array(value)[:, None],
             np.array(target)[:, None], np.array(gap)[:, None],

@@ -356,8 +356,6 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
         inner = random_regular(n, n - 1 - k, seed)
         return Graph._from_adjacency(1.0 - inner.adjacency - np.eye(n))
     rng = seeded_rng(seed)
-    if k == 0:
-        return Graph(n)
     stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(REGULAR_MAX_PAIRINGS):
         free, a = stubs.copy(), bytearray(n * n)
@@ -457,13 +455,19 @@ def split_lines(data: bytes) -> list[bytes]:
             data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")]
 
 
+# What `bytes.split` and `int` take beyond -?[0-9]+ fields: vertical tab and
+# form feed as separators, '+' as a sign and '_' as a digit separator.
+_NON_FIELD = bytes.maketrans(b"\x0b\x0c+_", b"????")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse 'n m' followed by m 'u v' lines; '#' starts a comment line.
 
-    Lines are `split_lines`'s; spaces and tabs separate fields, and a
-    non-ASCII character, or a vertical tab or form feed inside a line, reads
-    as '?'. Each edge is written into the matrix as it is read, so a repeated
-    edge is found at its entry. Raises MalformedEdgeListError for malformed
+    Lines are `split_lines`'s; spaces and tabs separate fields, and a field
+    is an integer when it matches -?[0-9]+: a non-ASCII character, a
+    vertical tab or form feed inside a line, '+' and '_' read as '?'. Each
+    edge is written into the matrix as it is read, so a repeated edge is
+    found at its entry. Raises MalformedEdgeListError for malformed
     text and GraphTooLargeError for an order above MAX_ORDER.
     """
     a = None
@@ -471,7 +475,7 @@ def parse_edge_list(text: str) -> Graph:
     for lineno, line in enumerate(split_lines(text.encode("ascii", "replace")), start=1):
         if not line or line.startswith(b"#"):
             continue
-        fields = line.replace(b"\x0b", b"?").replace(b"\x0c", b"?").split()
+        fields = line.translate(_NON_FIELD).split()
         if a is None:
             if len(fields) != 2:
                 raise MalformedEdgeListError(f"line {lineno}: expected header 'n m'")

@@ -49,12 +49,11 @@ CSV_COLUMNS = (
 )
 
 
-def analyze(graph_id: str, g: Graph, alpha: float,
-            equality_tol: float = bounds.EQUALITY_RTOL
+def analyze(graph_id: str, g: Graph, alpha: float
             ) -> tuple[bounds.Verdicts, tuple[bool | None, ...], bounds.ExtremalCertificate]:
     """Every bound verdict for one graph at one alpha: the one-row table, its
     claims and its certificate, as hunt-equality writes it."""
-    v = run_sweep([(graph_id, g)], [alpha], equality_tol)
+    v = run_sweep([(graph_id, g)], [alpha])
     return v, v.claims(0), bounds.certify(g, v.spectra.rho[0])
 
 
@@ -153,8 +152,8 @@ def _random_connected_graph(rng, n_min: int, n_max: int, trial: int) -> Graph:
     if trial % 4 == 3 and n >= 4:
         for _ in range(50):
             k = 2 + graphcore.randbelow(rng, min(5, n) - 2)
-            if (n * k) % 2 != 0:
-                k = k - 1 if k > 2 else k + 1
+            if (n * k) % 2 != 0:  # k = 3 at odd n
+                k -= 1
             g = graphcore.random_regular(n, k, rng.getrandbits(63))
             if g.connected:
                 return g

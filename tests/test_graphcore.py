@@ -44,6 +44,10 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     g = Graph(3, [(2, 0), (0, 2), (1, 0)])
     assert g.edges == frozenset({(0, 2), (0, 1)})
+    # A graph is immutable, and equal only to a graph.
+    with pytest.raises(AttributeError, match="immutable"):
+        g.n = 3
+    assert (Graph(1) == 1) is False
 
 
 @pytest.mark.parametrize("order", [2.5, 2.0, "3", None, np.float64(3.0)])
@@ -334,6 +338,8 @@ def test_graph6_malformed():
         parse_graph6(b"B\x20")  # payload byte below 63
     with pytest.raises(MalformedGraph6Error):
         parse_graph6(bytes([63 + 63]) + b"???????")  # extended header marker
+    with pytest.raises(MalformedGraph6Error, match="^graph6 order 0 not representable here$"):
+        parse_graph6("?")
     # 'C' = 67 carries bits 000100: for n=3 the tail 100 is nonzero padding.
     with pytest.raises(MalformedGraph6Error):
         parse_graph6(b"BC")

@@ -563,6 +563,13 @@ def test_load_corpus_edge_list_lines_end_only_at_newlines(tmp_path):
         assert load_corpus(str(p)) == ([], [f"{p}: line 1: expected header 'n m'"])
     p.write_bytes(b"-3 2\n")
     assert load_corpus(str(p)) == ([], [f"{p}: line 1: bad counts n=-3 m=2"])
+    # A field is an integer when it matches -?[0-9]+: int's '+' sign and '_'
+    # digit separator are not.
+    for data, message in ((b"1_0 1\n0 9\n", "line 1: non-integer header fields"),
+                          (b"3 2\n+0 1\n1 2\n", "line 2: non-integer endpoints"),
+                          (b"3 2\n0 1\n1_0 2\n", "line 3: non-integer endpoints")):
+        p.write_bytes(data)
+        assert load_corpus(str(p)) == ([], [f"{p}: {message}"])
     for data in (b"", b"\n# c\n"):
         p.write_bytes(data)
         assert load_corpus(str(p)) == ([], [])
@@ -832,6 +839,24 @@ def test_cli_bounds(capsys):
     assert [b["id"] for b in row["bounds"]] == list(BOUND_IDS)
     lbf = next(b for b in row["bounds"] if b["id"] == "lb_frobenius_asstated")
     assert lbf["holds"] is False
+
+
+def test_cli_usage_errors_name_their_cause(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv, message in (
+        (["bounds", "C~", "--input", missing], "give either a graph6 record or --input, not both"),
+        (["bounds"], "need a graph6 record or --input"),
+        (["bounds", "--input", missing], f"[Errno 2] No such file or directory: {missing!r}"),
+        (["bounds", "C~", "--alpha", "x"], "bad alpha value 'x'"),
+        (["bounds", "C~", "--alpha", ","], "empty alpha list"),
+        (["hunt-equality", "--bound", "lb_zagreb", "--family", "cycle", "--n-min", "1",
+          "--n-max", "2"], "family 'cycle' has no members with order in [1, 2]"),
+    ):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # An empty entry in an alpha list is skipped.
+    assert cli.main(["bounds", "C~", "--alpha", "0.5,,1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
 
 
 @pytest.mark.parametrize("command", ["spectrum", "bounds"])

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from alphaenergy.spectra import AlphaOutOfRangeError, spectrum_tables
 from one_alpha import alpha_spectrum, row_table, solved_stacks
 
 SQRT3 = math.sqrt(3.0)
+ATLAS = Path(__file__).resolve().parents[1] / "perfbench" / "corpora" / "atlas7.g6"
 
 
 def alpha_matrices(g, alphas):
@@ -217,10 +219,23 @@ def test_radius_average_degree_equality_iff_regular():
 
 
 def test_radius_zagreb_chain(er_corpus):
-    for g in er_corpus:
+    # rho_1 >= sqrt(Zg/n) >= 2m/n. The second link is Cauchy-Schwarz,
+    # n Zg >= (sum d_i)^2 = 4m^2 with equality iff the graph is regular, and
+    # holds exactly in float64: off regularity the integer n Zg - 4m^2 is at
+    # least 1, a relative margin far above rounding up to n = 1000. It is the
+    # identity lb_zagreb - lb_average_degree = 2(sqrt(Zg/n) - 2m/n), ROADMAP
+    # item 16's first dominance.
+    atlas = [g for _, g in harness.load_corpus(str(ATLAS))[0]]
+    near_regular = [delete_edge(g, *min(g.edges))
+                    for g in (graphcore.random_regular(1000, k, k) for k in (3, 4))]
+    graphs = er_corpus + atlas + near_regular
+    assert len(atlas) == 996
+    table, = spectrum_tables((graphs, [0.4]))
+    for g, rho_1 in zip(table.graphs, table.rho_1.tolist()):
         root = math.sqrt(g.zagreb / g.n)
-        assert alpha_spectrum(g, 0.4).rho_1[0] >= root - 1e-9
-        assert root >= 2 * g.m / g.n - 1e-12
+        assert rho_1 >= root - 1e-9
+        assert root >= 2.0 * g.m / g.n
+        assert (root == 2.0 * g.m / g.n) == g.is_regular
 
 
 def test_regular_energy_factorization():
