@@ -16,17 +16,18 @@ stated equality classes decided from the graph.
   common neighbours every two vertices share); only the log class also
   tests alpha.
 
-Guards, value and target are expressions over `Terms`: the scalars of
-`spectra.Columns`, and the terms several closed forms share (2m/n,
-sqrt(Zg/n), 1 - alpha, alpha^2 Zg + (1-alpha)^2 2m, 4 alpha m/n,
-2 alpha m/n^2, the star radius bound and n - 1), each computed once per call
-in the expression tree the forms would use inline, so sharing changes no
-bit. The same expressions run on arrays, one entry per (graph, alpha) row,
-or on the Python floats of one row: their squares, square roots and maxima
-with 0 go through `_sq`, `_sqrt` and `_max0`, which take numpy on a column
-and Python's own arithmetic, with the same bits, on a float. Only the log
-forms' `np.log` stays numpy on a float (`math.log` differs from it in the
-last bit).
+Guards, value and target are expressions over `Terms`, what the table reads
+of a `spectra.SpectrumTable` and declared here alone: the graph's integers,
+alpha, the row's spectral scalars and connectivity, and the terms several
+closed forms share (2m/n, sqrt(Zg/n), 1 - alpha, alpha^2 Zg + (1-alpha)^2 2m,
+4 alpha m/n, 2 alpha m/n^2, the star radius bound and n - 1), each computed
+once per call in the expression tree the forms would use inline, so sharing
+changes no bit. `_terms` builds them for both passes. The same expressions
+run on arrays, one entry per (graph, alpha) row, or on the Python floats of
+one row: their squares, square roots and maxima with 0 go through `_sq`,
+`_sqrt` and `_max0`, which take numpy on a column and Python's own
+arithmetic, with the same bits, on a float. Only the log forms' `np.log`
+stays numpy on a float (`math.log` differs from it in the last bit).
 
 `evaluate_many` evaluates a call's `spectra.SpectrumTable` into (15, R)
 `Verdicts`, the call's one verdict record, with one of two passes chosen by
@@ -54,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphcore import Graph
-from .spectra import Columns, SpectrumTable
+from .spectra import SpectrumTable
 
 HOLDS_RTOL = 1e-9
 EQUALITY_RTOL = 1e-7
@@ -86,10 +87,14 @@ def certify(g: Graph, rho: np.ndarray) -> ExtremalCertificate:
     )
 
 
-# What guards, closed forms and targets read: a call's `Columns`, or one
-# row's scalars, then the terms that several closed forms share, computed
-# once per call.
-Terms = namedtuple("Terms", Columns._fields + (
+# What guards, closed forms and targets read of a table: the graph's integers,
+# alpha, the row's scalars and connectivity, as float64 columns with one entry
+# per (graph, alpha) row (but `eta` is the int64 count and `connected` is
+# boolean) or as one row's Python floats (an int `eta`, a bool `connected`);
+# then the terms that several closed forms share, computed once per call.
+Terms = namedtuple("Terms", (
+    "n", "m", "zagreb", "max_degree", "alpha", "shift", "energy", "eta", "two_s",
+    "log_gamma", "theta", "rho_1", "connected",
     "avg",              # 2m/n
     "root_zn",          # sqrt(Zg/n)
     "one_minus_alpha",  # 1 - alpha
@@ -101,14 +106,32 @@ Terms = namedtuple("Terms", Columns._fields + (
 ))
 
 
-def _terms(c: Columns) -> Terms:
-    """`c` and its shared terms, each in the expression tree the closed
-    forms wrote inline, so every value keeps its bits."""
-    one_minus_alpha = 1.0 - c.alpha
-    return Terms(*c, 2.0 * c.m / c.n, _sqrt(c.zagreb / c.n), one_minus_alpha,
-                 _sq(c.alpha) * c.zagreb + _sq(one_minus_alpha) * 2.0 * c.m,
-                 4.0 * c.alpha * c.m / c.n, 2.0 * c.alpha * c.m / c.n ** 2,
-                 _star_radius_bound(c), c.n - 1)
+def _terms(spectra: SpectrumTable, one_row: bool) -> Terms:
+    """The `Terms` of `spectra`: with `one_row`, Python floats of its one row,
+    else columns, the graph fields read and connectivity decided once per
+    graph. Each shared term is in the expression tree the closed forms wrote
+    inline, so every value keeps its bits."""
+    scalars = (spectra.shift, spectra.energy, spectra.eta, spectra.two_s, spectra.log_gamma,
+               spectra.theta, spectra.rho_1)
+    if one_row:
+        (g,), (alpha,) = spectra.graphs, spectra.alphas
+        n, m, zagreb, max_degree = map(float, (g.n, g.m, g.zagreb, g.degree_sequence[0]))
+        connected, scalars = g.connected, [x.item() for x in scalars]
+    else:
+        per_graph = np.array(
+            [(g.n, g.m, g.zagreb, g.degree_sequence[0], g.connected) for g in spectra.graphs],
+            dtype=np.float64).reshape(len(spectra.graphs), 5)
+        if len(spectra.alphas) != 1:
+            per_graph = per_graph.repeat(len(spectra.alphas), axis=0)
+        n, m, zagreb, max_degree, connected = per_graph.T
+        connected = connected != 0.0
+        alpha = np.array(spectra.alphas * len(spectra.graphs))
+    one_minus_alpha = 1.0 - alpha
+    return Terms(n, m, zagreb, max_degree, alpha, *scalars, connected,
+                 2.0 * m / n, _sqrt(zagreb / n), one_minus_alpha,
+                 _sq(alpha) * zagreb + _sq(one_minus_alpha) * 2.0 * m,
+                 4.0 * alpha * m / n, 2.0 * alpha * m / n ** 2,
+                 _star_radius_bound(alpha, max_degree), n - 1)
 
 
 Guard = tuple[str, Callable[[Terms], np.ndarray]]
@@ -123,19 +146,13 @@ def _rho_1(t: Terms) -> np.ndarray:
     return t.rho_1
 
 
-class Bound:
-    """One published bound: hypotheses, closed form, constrained quantity
-    and stated equality class (decided from the row's graph and alpha).
-    Whether it holds is its gap test between closed form and target alone."""
-
-    __slots__ = ("id", "kind", "guards", "value", "target", "claim")
-
-    def __init__(self, id: str, kind: str, guards: tuple[Guard, ...],
-                 value: Callable[[Terms], np.ndarray],
-                 target: Callable[[Terms], np.ndarray] = _energy,
-                 claim: Callable[[Graph, float], bool | None] = lambda g, alpha: None):
-        self.id, self.kind, self.guards, self.value = id, kind, guards, value
-        self.target, self.claim = target, claim
+# One published bound: hypotheses, closed form, constrained quantity and
+# stated equality class (decided from the row's graph and alpha). Whether it
+# holds is its gap test between closed form and target alone. Immutable: the
+# guard and target tables below and the report templates are compiled from
+# `BOUNDS` at import.
+Bound = namedtuple("Bound", "id kind guards value target claim",
+                   defaults=(_energy, lambda g, alpha: None))
 
 
 # The closed forms' square, square root and max with 0, on a column through
@@ -230,9 +247,8 @@ def _log_degree(t: Terms) -> np.ndarray:
     )
 
 
-def _star_radius_bound(c: Columns) -> np.ndarray:
+def _star_radius_bound(alpha, max_deg) -> np.ndarray:
     """a(D+1) + sqrt(a^2 (D+1)^2 + 4D(1-2a)), D the maximum degree."""
-    alpha, max_deg = c.alpha, c.max_degree
     disc = _sq(alpha) * (max_deg + 1) ** 2 + 4.0 * max_deg * (1.0 - 2.0 * alpha)
     return alpha * (max_deg + 1) + _sqrt(_max0(disc))
 
@@ -398,33 +414,34 @@ def evaluate_many(graph_ids: Sequence[str], spectra: SpectrumTable,
     """Every bound on every row of `spectra`, `graph_ids` naming its graphs,
     one id per graph: row r's graph is `graph_ids[r // len(spectra.alphas)]`.
 
-    Two passes read the one table and give the same bits; the row count
-    picks one. A table of two or more rows is evaluated over its columns
-    (`_column_pass`), where numpy's per-operation dispatch is shared by the
-    rows. A one-row table, one graph at one alpha as `bounds` on a graph and
+    Two passes read the table's `Terms`, built once by `_terms`, and give
+    the same bits; the row count picks one. A table of two or more rows is
+    evaluated over its columns (`_column_pass`), where numpy's per-operation
+    dispatch is shared by the rows. A one-row table, one graph at one alpha as `bounds` on a graph and
     `harness.analyze` ask for, is walked bound by bound on Python floats
     (`_row_pass`): on length-1 columns that dispatch, and in a fresh process
     the first use of each kernel, costs more than the arithmetic. Both run
     under errstate: the column pass meets inf and NaN on the rows where a
     bound is not applicable, and on one row the float helpers hand numpy
     any NaN, inf or negative argument they get."""
+    one_row = len(spectra) == 1
     with np.errstate(all="ignore"):
-        if len(spectra) == 1:
-            verdicts = _row_pass(spectra, equality_tol)
+        t = _terms(spectra, one_row)
+        if one_row:
+            verdicts = _row_pass(t, equality_tol)
         else:
-            verdicts = _column_pass(spectra, equality_tol)
+            verdicts = _column_pass(t, equality_tol)
     return Verdicts(tuple(graph_ids), spectra, *verdicts)
 
 
-def _column_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, ...]:
+def _column_pass(t: Terms, equality_tol: float) -> tuple[np.ndarray, ...]:
     """The (reason, value, target, gap, holds, equality) arrays of every row,
     in one pass over the table's columns: each distinct guard predicate,
     shared term and target once, and every closed form on whole columns, with
     the rows where the bound is not applicable set to NaN afterwards. A form
     may give inf or NaN on such a row (log theta at theta <= 0, -log Gamma at
     a singular shift); errstate keeps that silent and the NaN overwrites it."""
-    t = _terms(spectra.columns)
-    ok = np.zeros((len(_PREDICATES) + 1, len(spectra)), dtype=bool)  # the last row stays false
+    ok = np.zeros((len(_PREDICATES) + 1, len(t.energy)), dtype=bool)  # the last row stays false
     for j, pred in enumerate(_PREDICATES):
         ok[j] = pred(t)
     first = ok[_GUARD_ROWS].argmin(axis=1)
@@ -440,21 +457,14 @@ def _column_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarra
     return reason, value, target, gap, _holds(gap, value), _equality(gap, target, equality_tol)
 
 
-def _row_pass(spectra: SpectrumTable, equality_tol: float) -> tuple[np.ndarray, ...]:
-    """The same arrays for a one-row table, bound by bound on Python floats.
-    The `Terms` come from the graph's integers and the row's scalars. A
-    bound stops at its first failing guard, so a closed form runs only where
-    its bound applies. The stop is needed, not only cheaper: the log guard
-    divides by m, which is 0 on an edgeless graph, and a Python float raises
-    there where a column gives inf. The log forms read the row's log Gamma
-    as a float and take `np.log` of a float, which has the bits of `np.log`
-    on a column, so the two passes agree."""
-    g, = spectra.graphs
-    alpha, = spectra.alphas
-    t = _terms(Columns(
-        float(g.n), float(g.m), float(g.zagreb), float(g.degree_sequence[0]), alpha,
-        spectra.shift.item(), spectra.energy.item(), spectra.eta.item(), spectra.two_s.item(),
-        spectra.log_gamma.item(), spectra.theta.item(), spectra.rho_1.item(), g.connected))
+def _row_pass(t: Terms, equality_tol: float) -> tuple[np.ndarray, ...]:
+    """The same arrays for a one-row table, bound by bound on the Python
+    floats of its `Terms`. A bound stops at its first failing guard, so a
+    closed form runs only where its bound applies. The stop is needed, not
+    only cheaper: the log guard divides by m, which is 0 on an edgeless
+    graph, and a Python float raises there where a column gives inf. The log
+    forms read the row's log Gamma as a float and take `np.log` of a float,
+    which has the bits of `np.log` on a column, so the two passes agree."""
     rows = []
     for b in BOUNDS:
         for code, (_, pred) in enumerate(b.guards, 1):

@@ -52,7 +52,8 @@ CSV_COLUMNS = (
 def analyze(graph_id: str, g: Graph, alpha: float
             ) -> tuple[bounds.Verdicts, tuple[bool | None, ...], bounds.ExtremalCertificate]:
     """Every bound verdict for one graph at one alpha: the one-row table, its
-    claims and its certificate, as hunt-equality writes it."""
+    claims and its certificate. No command calls it; perfbench's set-up and
+    the tests do."""
     v = run_sweep([(graph_id, g)], [alpha])
     return v, v.claims(0), bounds.certify(g, v.spectra.rho[0])
 

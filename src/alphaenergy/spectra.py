@@ -1,5 +1,5 @@
 """Convex-combination adjacency/degree matrices, their spectra, and the
-scalar invariants the bound verdicts consume, as columns over a call's rows.
+scalar invariants of their spectra, one array entry per row of a call.
 
 For a graph with adjacency A and degree matrix D, the matrix under study is
 alpha*D + (1-alpha)*A. Its eigenvalues rho_i (descending), centered copies
@@ -34,19 +34,18 @@ the same numpy/LAPACK build give bit-identical spectra, another build may
 differ in the last few digits.
 
 A row is its index into its table and has no other representation: its
-consumers read the table's arrays at that index. The bound pass reads the
-table's `Columns`; certificates read a row's eigenvalues; only `spectrum`'s
-writer forms the centered eigenvalues and Gamma itself. What depends on the
-graph alone (adjacency matrix, degrees, Zagreb index, connectivity, common
-neighbours, adjacency inertia, complete/regular/star flags) is cached on the
-`Graph` itself.
+consumers read the table's arrays at that index. This module solves and
+reduces; what the bound table reads of a row is `bounds.Terms`, built from
+the table and its graphs there. Certificates read a row's eigenvalues; only
+`spectrum`'s writer forms the centered eigenvalues and Gamma itself. What
+depends on the graph alone (adjacency matrix, degrees, Zagreb index,
+connectivity, common neighbours, adjacency inertia, complete/regular/star
+flags) is cached on the `Graph` itself.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +70,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha + 0.0  # -0.0 is 0.0, in every matrix, scalar and report
 
 
-# The scalars the bound table reads, one entry per (graph, alpha) row: float64
-# (exact for the integers), but `eta` is the int64 count and `connected` is
-# boolean.
-Columns = namedtuple("Columns", "n m zagreb max_degree alpha shift energy eta two_s "
-                                "log_gamma theta rho_1 connected")
-
-
 class SpectrumTable:
     """Every graph in `graphs` at every alpha in `alphas`, as columns: row r
     is graph `graphs[r // k]` at `alphas[r % k]`, k = len(alphas), and is
@@ -96,20 +88,6 @@ class SpectrumTable:
 
     def __len__(self) -> int:
         return len(self.rho)
-
-    @cached_property
-    def columns(self) -> Columns:
-        """The bound table's columns; the graph fields are read, and
-        connectivity decided, on first access."""
-        per_graph = np.array(
-            [(g.n, g.m, g.zagreb, g.degree_sequence[0], g.connected) for g in self.graphs],
-            dtype=np.float64).reshape(len(self.graphs), 5)
-        if len(self.alphas) != 1:
-            per_graph = per_graph.repeat(len(self.alphas), axis=0)
-        n, m, zagreb, max_degree, connected = per_graph.T
-        return Columns(n, m, zagreb, max_degree, np.array(self.alphas * len(self.graphs)),
-                       self.shift, self.energy, self.eta, self.two_s, self.log_gamma,
-                       self.theta, self.rho_1, connected != 0.0)
 
 
 def _chunks(n: int, blocks: list):

@@ -425,6 +425,14 @@ def test_rho_lb_chain():
 # -- aggregate behavior --------------------------------------------------------
 
 
+def test_bound_rows_are_immutable():
+    # The guard and target tables and the report templates are compiled from
+    # BOUNDS at import; a row reassigned afterwards would disagree with them.
+    with pytest.raises(AttributeError):
+        B.BOUNDS[0].guards = ()
+    assert B.BOUNDS[0].guards
+
+
 def test_evaluate_all_order_and_count():
     evals = evaluate_all(complete(4), 0.5)
     assert tuple(e.bound_id for e in evals) == BOUND_IDS
@@ -634,18 +642,22 @@ def test_squares_keep_the_bits_of_python_floats():
 
 def _assert_closed_form_bits(v):
     # Every applicable value and target equals the scalar closed form of
-    # oracles.bound_closed_forms on the row's Python floats, bit for bit.
-    c = v.spectra.columns
-    rows = zip(*(col.tolist() for col in c))
+    # oracles.bound_closed_forms on the row's Python floats, bit for bit. The
+    # oracle reads the graph's integers, the row's alpha and the table's
+    # scalar arrays, not the `Terms` the bound table is given.
+    t, k = v.spectra, len(v.spectra.alphas)
+    rows = zip(*(col.tolist() for col in (t.shift, t.energy, t.eta, t.two_s, t.log_gamma,
+                                          t.theta, t.rho_1)))
     applicable = (v.reason == 0).T.tolist()
     values, targets = v.value.T.tolist(), v.target.T.tolist()
-    for r, (*scalars, _), ok, value, target in zip(range(len(v.spectra)), rows, applicable,
-                                                   values, targets):
-        forms = oracles.bound_closed_forms(*scalars)
+    for r, scalars, ok, value, target in zip(range(len(t)), rows, applicable, values, targets):
+        g, alpha = t.graphs[r // k], t.alphas[r % k]
+        forms = oracles.bound_closed_forms(float(g.n), float(g.m), float(g.zagreb),
+                                           float(g.degree_sequence[0]), alpha, *scalars)
         for i in np.flatnonzero(ok).tolist():
             want = forms[BOUND_IDS[i]]()
             assert (value[i].hex(), target[i].hex()) == (want[0].hex(), want[1].hex()), (
-                v.graph_ids[r // len(v.spectra.alphas)], c.alpha[r], BOUND_IDS[i])
+                v.graph_ids[r // k], alpha, BOUND_IDS[i])
 
 
 def test_values_and_targets_keep_the_scalar_bits_on_the_atlas(atlas_verdicts):
@@ -670,12 +682,16 @@ def test_values_and_targets_keep_the_scalar_bits_on_random_graphs(graphs, alphas
 def _assert_row_pass_is_its_table_row(g, alpha, other, equality_tol=B.EQUALITY_RTOL):
     # `g` at (alpha, other) is a two-row table, which the column pass
     # evaluates; its first row alone is a one-row table with the same bits,
-    # which the one-row pass evaluates without building the table's Columns.
+    # which the one-row pass evaluates on Python scalars: no field of its
+    # `Terms` is an array, and each has the bits of row 0 of the table's.
     table, = spectrum_tables(([g], [alpha, other]))
     whole = B.evaluate_many(["g"], table, equality_tol)
     alone = row_table(table, 0)
     one = B.evaluate_many(["g"], alone, equality_tol)
-    assert "columns" not in vars(alone)
+    floats, columns = B._terms(alone, True), B._terms(table, False)
+    for name, x, col in zip(B.Terms._fields, floats, columns, strict=True):
+        assert type(x) is type(col[0].item()), name
+        assert np.array(x, col.dtype).tobytes() == col[:1].tobytes(), (name, x, col[0])
     for name in ("reason", "value", "target", "gap", "holds", "equality"):
         got, want = getattr(one, name), getattr(whole, name)[:, :1]
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (

@@ -166,10 +166,12 @@ def test_one_sweep_equals_its_one_graph_sweeps(alphas, monkeypatch):
     assert json_lines == [line for v in alone for line in reports_to_json(v).splitlines(True)]
     assert csv_lines == [header] + [line for v in alone
                                     for line in reports_to_csv(v).splitlines(True)[1:]]
+    whole_terms = bounds._terms(whole.spectra, False)
     for j, v in enumerate(alone):
         rows = slice(j * k, (j + 1) * k)
-        for name, col in zip(spectra.Columns._fields, v.spectra.columns):
-            assert getattr(whole.spectra.columns, name)[rows].tobytes() == col.tobytes(), name
+        for name, want, got in zip(bounds.Terms._fields, whole_terms,
+                                   bounds._terms(v.spectra, False), strict=True):
+            assert want[rows].tobytes() == got.tobytes(), name
         for a in range(k):
             assert whole.spectra.rho[j * k + a].tobytes() == v.spectra.rho[a].tobytes()
         for name in ("reason", "value", "target", "gap", "holds", "equality"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from alphaenergy import cli, densela, graphcore, harness, spectra
+from alphaenergy import bounds, cli, densela, graphcore, harness, spectra
 from alphaenergy.graphcore import (
     INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, serialize_graph6,
     star,
@@ -153,7 +153,7 @@ def test_star_alpha_half_spectrum():
 def test_zagreb_values():
     for g, zagreb in ((complete(4), 36), (star(3), 12), (Graph(3), 0)):
         assert g.zagreb == zagreb
-        assert alpha_spectrum(g, 0.5).columns.zagreb.tolist() == [zagreb]
+        assert bounds._terms(alpha_spectrum(g, 0.5), False).zagreb.tolist() == [zagreb]
 
 
 def test_two_s_values(capsys):
@@ -301,7 +301,7 @@ def test_gamma_singular_shift_clamped(capsys):
 def test_disconnected_spectrum_still_computed():
     g = Graph(4, [(0, 1), (2, 3)])
     sp = alpha_spectrum(g, 0.5)
-    assert not sp.columns.connected[0]
+    assert not bounds._terms(sp, False).connected[0]
     assert sp.energy[0] > 0
     assert len(sp.rho[0]) == 4
 
@@ -398,8 +398,9 @@ def test_two_alpha_groups_sharing_chunks_are_each_group_alone(monkeypatch):
             assert a.tobytes() == b.tobytes()
         for name in ROW_COLUMNS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        for name, col in zip(spectra.Columns._fields, want.columns):
-            assert getattr(got.columns, name).tobytes() == col.tobytes(), name
+        for name, a, b in zip(bounds.Terms._fields, bounds._terms(got, False),
+                              bounds._terms(want, False), strict=True):
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_graph_invariants():
@@ -410,7 +411,7 @@ def test_graph_invariants():
     assert g.is_star and not g.is_regular and not g.is_complete
     assert g.adjacency_inertia == (1, 2, 1)  # spectrum sqrt(3), 0, 0, -sqrt(3)
     sp = alpha_spectrum(g, 0.3)
-    c = sp.columns
+    c = bounds._terms(sp, False)
     assert sp.graphs == (g,)
     assert (c.n[0], c.m[0], c.zagreb[0], c.connected[0]) == (4, 3, 12, True)
     g = Graph(4, [(0, 1), (2, 3)])
