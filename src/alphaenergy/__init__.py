@@ -2,18 +2,19 @@
 the associated centered-spectrum energy, and mechanical verification of the
 published upper/lower bounds and their stated equality classes.
 
-A `Graph` caches what depends on it alone. `run_sweep` and `run_fuzz` check
-corpora over whole alpha grids: each solves its call's (graph, alpha) rows
-as one `SpectrumTable` of columns, one stacked eigensolve per graph order
-and chunk, or one solve reduced on its own for one graph at one alpha, and
-returns one `bounds.Verdicts` table per call, a row per (graph, alpha).
-That table is the call's one verdict record, and a row is its index r into
-it: graph r // k at alpha r % k, k the call's alpha count, with one graph id
-per graph. `Verdicts.claims(r)` reads row r's stated-class claims from its
-graph and alpha, and solves nothing; `certify` reads a row's graph and
-eigenvalues. `analyze` returns the one-row table of one graph at one alpha
-with its claims and certificate, and `equality_hits` reads one bound's
-equality cases from a table, each with its certificate."""
+A `Graph` caches the exact facts that depend on it alone; only `spectra`
+solves. `run_sweep` and `run_fuzz` check corpora over whole alpha grids:
+each solves its call's (graph, alpha) rows as one `SpectrumTable` of
+columns, one stacked eigensolve per graph order and chunk, or one solve
+reduced on its own for one graph at one alpha, and returns one
+`bounds.Verdicts` table per call, a row per (graph, alpha). That table is
+the call's one verdict record, and a row is its index r into it: graph
+r // k at alpha r % k, k the call's alpha count, with one graph id per graph.
+`Verdicts.claims(r)` reads row r's stated-class claims from its graph and
+alpha, and solves nothing; `certify` reads a row's graph, its eigenvalues
+and the graph's alpha = 0 row. `analyze` returns the one-row table of one
+graph at one alpha with its claims and certificate, and `equality_hits`
+reads one bound's equality cases from a table, each with its certificate."""
 
 from .densela import NoConvergenceError, eigendecompose
 from .graphcore import (

@@ -43,7 +43,8 @@ the row count; both give the same bits.
   fresh process, on the first use of each kernel, costs several times the
   arithmetic, and a CLI call pays it once per process.
 `Verdicts.claims(r)` reads row r's claims from its graph and alpha only when
-asked, and solves nothing. `certify` is hunt-equality's per-hit certificate.
+asked, and solves nothing. `certify` is hunt-equality's per-hit certificate,
+read from the row's eigenvalues and its graph's alpha = 0 row.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .spectra import SpectrumTable
 HOLDS_RTOL = 1e-9
 EQUALITY_RTOL = 1e-7
 DISTINCT_EIG_TOL = 1e-7
+INERTIA_TOL = 1e-9  # alpha = 0 eigenvalues within this of 0 count as zero
 
 
 # The structural facts hunt-equality writes next to each hit; the inertia is
@@ -71,19 +73,21 @@ ExtremalCertificate = namedtuple(
     "is_complete is_regular is_star distinct_alpha_eigenvalue_count adjacency_inertia")
 
 
-def certify(g: Graph, rho: np.ndarray) -> ExtremalCertificate:
+def certify(g: Graph, rho: np.ndarray, rho_0: np.ndarray) -> ExtremalCertificate:
     """Structural certificate of one row, graph `g` with alpha-eigenvalues
     `rho` (descending): completeness, regularity, star shape, the count of
     distinct alpha-eigenvalues (clusters chained by consecutive gaps of at
-    most DISTINCT_EIG_TOL) and the adjacency inertia, which `g` solves once,
-    on its first certificate."""
+    most DISTINCT_EIG_TOL) and the adjacency inertia, counted up to
+    INERTIA_TOL from `rho_0`, the graph's alpha = 0 row: the eigenvalues of
+    A itself. It solves nothing."""
+    pos, neg = int(np.sum(rho_0 > INERTIA_TOL)), int(np.sum(rho_0 < -INERTIA_TOL))
     return ExtremalCertificate(
         is_complete=g.is_complete,
         is_regular=g.is_regular,
         is_star=g.is_star,
         distinct_alpha_eigenvalue_count=1 + int(np.count_nonzero(
             rho[:-1] - rho[1:] > DISTINCT_EIG_TOL)),
-        adjacency_inertia=g.adjacency_inertia,
+        adjacency_inertia=(pos, g.n - pos - neg, neg),
     )
 
 

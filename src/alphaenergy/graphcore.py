@@ -13,9 +13,10 @@ breadth-first search, `_reaches_all`, over Python-int bitsets read from one
 `np.packbits` of the matrix. Every pass over the vertex pairs u < v (graph6
 encoding and decoding, the G(n, p) matrix, the edge set) goes through one
 read-only strict upper-triangle mask per order, `upper_mask(n)`, built once
-and cached for the last 64 orders used. The adjacency inertia solves it as
-it stands, and `spectra.spectrum_tables` builds every alpha*D + (1-alpha)*A
-from it. Random generators draw from `seeded_rng(seed)`, the standard
+and cached for the last 64 orders used. `spectra.spectrum_tables` builds
+every alpha*D + (1-alpha)*A from the matrix; this module solves nothing, and
+a `Graph` caches only exact facts: its integers, connectivity and common
+neighbours. Random generators draw from `seeded_rng(seed)`, the standard
 library's Mersenne Twister, through its `random()` and `getrandbits()` only,
 whose output for an integer seed CPython keeps the same across versions and
 platforms; so identical seeds give identical graphs.
@@ -30,8 +31,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import densela
-
 GRAPH6_MAX_ORDER = 62
 GRAPH6_HEADER = ">>graph6<<"  # optional record prefix of the graph6 format
 # Largest order an edge list may declare. The solvers hold dense (k, n, n)
@@ -40,7 +39,6 @@ MAX_ORDER = 1000
 # Draw budgets of the randomized generators before GenerationFailureError.
 ER_MAX_DRAWS = 1000
 REGULAR_MAX_PAIRINGS = 20000
-INERTIA_TOL = 1e-9  # adjacency eigenvalues within this of 0 count as zero
 
 
 class InvalidParametersError(ValueError):
@@ -86,9 +84,9 @@ class Graph:
     per-graph record of what the bound verdicts read.
 
     `n` is the matrix's order. `edges` (the frozenset of (u, v) with u < v),
-    `m`, `degrees()`, `degree_sequence`, `zagreb`, `connected`,
-    `common_neighbours` and `adjacency_inertia` are derived from the matrix
-    on first read and cached on the instance. Two graphs are equal, and hash
+    `m`, `degrees()`, `degree_sequence`, `zagreb`, `connected` and
+    `common_neighbours` are derived from the matrix on first read and cached
+    on the instance; each is exact, and none solves the matrix. Two graphs are equal, and hash
     alike, when they have the same order and the same edge set, that is the
     same matrix."""
 
@@ -187,14 +185,6 @@ class Graph:
         the diagonal of A @ A, which is exact in float64 for a 0/1 matrix."""
         counts = (self.adjacency @ self.adjacency)[upper_mask(self.n)]
         return int(counts[0]) if counts.size and counts.min() == counts.max() else None
-
-    @cached_property
-    def adjacency_inertia(self) -> tuple[int, int, int]:
-        """(+, 0, -) counts of the adjacency eigenvalues, up to INERTIA_TOL,
-        from one solve of `adjacency` itself."""
-        adj = densela.eigendecompose(self.adjacency)
-        pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
-        return (pos, self.n - pos - neg, neg)
 
     @property
     def is_complete(self) -> bool:

@@ -12,7 +12,8 @@ solves), run the bound table once over it and return one `bounds.Verdicts`
 table. Row r is graph `spectra.graphs[r // k]`, named `graph_ids[r // k]`,
 at `spectra.alphas[r % k]`, k the call's alpha count; `summarize`,
 `violations`, `equality_hits` and the writers read columns at row indices,
-and `equality_hits` and `analyze` certify the rows they report. `run_fuzz`
+and `equality_hits` and `analyze` certify the rows they report, each from
+its graph's alpha = 0 row, solved in one `spectra` call. `run_fuzz`
 draws everything from one `graphcore.seeded_rng(seed)`, so a seed gives the
 same graphs in every process. The writers are `reports_to_csv` and
 `reports_to_json` (picked by `reports_text`), `spectrum_to_json`,
@@ -25,11 +26,8 @@ distinct verdict pattern per call, filled by one `%` call.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-import re
 
 import numpy as np
 
@@ -52,10 +50,11 @@ CSV_COLUMNS = (
 def analyze(graph_id: str, g: Graph, alpha: float
             ) -> tuple[bounds.Verdicts, tuple[bool | None, ...], bounds.ExtremalCertificate]:
     """Every bound verdict for one graph at one alpha: the one-row table, its
-    claims and its certificate. No command calls it; perfbench's set-up and
-    the tests do."""
+    claims and its certificate, which reads the graph's alpha = 0 row, solved
+    on its own. No command calls it; perfbench's set-up and the tests do."""
     v = run_sweep([(graph_id, g)], [alpha])
-    return v, v.claims(0), bounds.certify(g, v.spectra.rho[0])
+    zero, = spectra.spectrum_tables(([g], [0.0]))
+    return v, v.claims(0), bounds.certify(g, v.spectra.rho[0], zero.rho[0])
 
 
 # -- corpus ingestion ------------------------------------------------------
@@ -213,16 +212,22 @@ def run_fuzz(n_min: int, n_max: int, trials: int, seed: int,
 def equality_hits(v: bounds.Verdicts, bound_id: str) -> list[dict]:
     """The rows of `v` where the bound is met with equality, in row order, as
     the records hunt-equality writes: the row's numbers through `round12`,
-    and its certificate once per hit, so claim contradictions stand out."""
+    and its certificate once per hit, so claim contradictions stand out. The
+    certificates read the alpha = 0 rows of the distinct hit graphs, solved
+    in one `spectra.spectrum_tables` call."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound_id {bound_id!r}")
     i = BOUND_IDS.index(bound_id)
     t = v.spectra
     k = len(t.alphas)
+    rows = np.flatnonzero(v.equality[i]).tolist()
+    hit_graphs = list(dict.fromkeys(r // k for r in rows))  # graph indices, first hit first
+    zero, = spectra.spectrum_tables(([t.graphs[j] for j in hit_graphs], [0.0]))
+    rho_0 = dict(zip(hit_graphs, zero.rho))
     hits = []
-    for r in np.flatnonzero(v.equality[i]).tolist():
+    for r in rows:
         g, alpha = t.graphs[r // k], t.alphas[r % k]
-        cert = bounds.certify(g, t.rho[r])
+        cert = bounds.certify(g, t.rho[r], rho_0[r // k])
         matched = bounds.BOUNDS[i].claim(g, alpha)
         hits.append({
             "graph_id": v.graph_ids[r // k],
@@ -275,19 +280,14 @@ def _csv_join(values: list[float]) -> str:
     return ("%.12g;" * len(values))[:-1] % tuple(values)
 
 
-# CSV quoting is csv.writer's, applied only where it can change a field: a
-# graph id with a character outside the graph6 bytes 63..126 (which csv never
-# quotes), and a reason string. Every other field is an integer, a formatted
-# float, a bound id or kind, or true/false.
-_GRAPH6_ID = re.compile("[?-~]+")
-
-
-def _csv_field(text: str) -> str:
-    """`text` as csv.writer writes it inside a row, quoted only if needed.
-    The CR LF terminator makes csv.writer quote a lone carriage return too."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
-    return buf.getvalue()[:-3]
+def _csv_quote(text: str) -> str:
+    """`text` as a CSV field, as csv.writer with a CR LF terminator writes it
+    inside a row: wrapped in '"', each '"' doubled, when it holds ',', '"',
+    CR or LF, and unchanged otherwise. Graph ids and reasons are the only
+    fields that can need it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 _BOOL = ("false", "true")
@@ -357,7 +357,7 @@ _JSON_CELLS = _cell_templates(
 # replaces with the row's eight leading fields. No cell holds a NUL: cells
 # are bound ids and kinds, true/false, reasons and formatted numbers.
 _LEAD = "\0"
-_CSV_CELLS = _cell_templates(_LEAD + "%s,%s,%s,%s,%s,%s,%s,%s\n", _csv_field, "", "%.12g")
+_CSV_CELLS = _cell_templates(_LEAD + "%s,%s,%s,%s,%s,%s,%s,%s\n", _csv_quote, "", "%.12g")
 
 
 def reports_text(v: bounds.Verdicts, fmt: str) -> str:
@@ -423,15 +423,15 @@ def reports_to_csv(v: bounds.Verdicts) -> str:
     Each float is formatted once with `fmt12`, which gives the same string
     as the JSON writer's `round12` value, so both formats carry the same
     numbers. A row's eight leading fields are built once and shared by its
-    bound rows; a graph's integers and id field (quoted only where csv.writer
-    would quote it) once per graph, each alpha once per call.
+    bound rows; a graph's integers and id field (`_csv_quote`) once per
+    graph, each alpha once per call.
     """
     t = v.spectra
     alphas = [f",{fmt12(a)}," for a in t.alphas]
     rows = zip(t.rho, t.energy.tolist(), t.eta.tolist(), _bound_texts(v, _CSV_CELLS, ""))
     lines = [",".join(CSV_COLUMNS) + "\n"]
     for gid, g in zip(v.graph_ids, t.graphs):
-        head = f"{gid if _GRAPH6_ID.fullmatch(gid) else _csv_field(gid)},{g.n},{g.m},{g.zagreb}"
+        head = f"{_csv_quote(gid)},{g.n},{g.m},{g.zagreb}"
         # alphas first: zip stops after the graph's last row, drawing no more.
         for alpha, (rho, energy, eta, body) in zip(alphas, rows):
             lines.append(body.replace(

@@ -36,11 +36,12 @@ differ in the last few digits.
 A row is its index into its table and has no other representation: its
 consumers read the table's arrays at that index. This module solves and
 reduces; what the bound table reads of a row is `bounds.Terms`, built from
-the table and its graphs there. Certificates read a row's eigenvalues; only
-`spectrum`'s writer forms the centered eigenvalues and Gamma itself. What
-depends on the graph alone (adjacency matrix, degrees, Zagreb index,
-connectivity, common neighbours, adjacency inertia, complete/regular/star
-flags) is cached on the `Graph` itself.
+the table and its graphs there. Certificates read a row's eigenvalues and
+its graph's alpha = 0 row, whose matrix is A bit for bit; only `spectrum`'s
+writer forms the centered eigenvalues and Gamma itself. This is the one
+module that solves: what depends on the graph alone (adjacency matrix,
+degrees, Zagreb index, connectivity, common neighbours, complete/regular/star
+flags) is exact and cached on the `Graph` itself.
 """
 
 from __future__ import annotations

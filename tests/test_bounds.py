@@ -33,8 +33,9 @@ DISCONNECTED = Graph(4, [(0, 1), (2, 3)])
 
 
 def _certify(g, alpha):
-    """The certificate of `g` at one alpha, from its one-row table."""
-    return certify(g, alpha_spectrum(g, alpha).rho[0])
+    """The certificate of `g` at one alpha, from its one-row table and its
+    alpha = 0 row."""
+    return certify(g, alpha_spectrum(g, alpha).rho[0], alpha_spectrum(g, 0.0).rho[0])
 
 
 def test_certify_complete():
@@ -58,15 +59,18 @@ def test_certify_star():
     assert cert.adjacency_inertia == (1, 2, 1)
 
 
-def test_certify_reads_inertia_from_graph_record():
-    # certify reads the inertia the Graph cached; it solves nothing itself.
+def test_certify_reads_inertia_from_its_alpha_0_row(monkeypatch):
+    # certify counts the inertia from the alpha = 0 eigenvalues it is given,
+    # up to INERTIA_TOL, and reads the rest from the row; it solves nothing.
     g = petersen()
-    rho = alpha_spectrum(g, 0.5).rho[0]
-    assert certify(g, rho).adjacency_inertia == (6, 0, 4)
-    g.__dict__["adjacency_inertia"] = (7, 2, 1)  # mark the cached field
-    assert certify(g, rho).adjacency_inertia == (7, 2, 1)
-    assert _certify(g, 0.9).adjacency_inertia == (7, 2, 1)
-    assert _certify(petersen(), 0.5).adjacency_inertia == (6, 0, 4)
+    rho, rho_0 = alpha_spectrum(g, 0.5).rho[0], alpha_spectrum(g, 0.0).rho[0]
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any solve would raise
+    cert = certify(g, rho, rho_0)
+    assert cert.adjacency_inertia == (6, 0, 4)
+    tol = B.INERTIA_TOL
+    marked = np.array([3.0, 1.0, 2 * tol, tol, 0.0, -0.0, -tol, -2 * tol, -2.0, -2.0])
+    assert certify(g, rho, marked) == cert._replace(adjacency_inertia=(3, 4, 3))
+    assert certify(g, rho_0, marked).adjacency_inertia == (3, 4, 3)
 
 
 def test_certificate_invariants(er_corpus_small):
@@ -82,9 +86,10 @@ def test_certificate_chains_its_clusters():
     # the run is still one cluster, as a chained merge counts it.
     step = 0.6 * B.DISTINCT_EIG_TOL
     g = complete(3)
+    rho_0 = alpha_spectrum(g, 0.0).rho[0]
 
     def count(rho):
-        return certify(g, np.array(rho)).distinct_alpha_eigenvalue_count
+        return certify(g, np.array(rho), rho_0).distinct_alpha_eigenvalue_count
 
     assert count([2.0, 2.0 - step, 2.0 - 2 * step]) == 1
     assert count([2.0, 2.0 - step, 2.0 - 2 * step, -1.0]) == 2

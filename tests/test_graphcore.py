@@ -9,7 +9,7 @@ import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alphaenergy import graphcore, harness
+from alphaenergy import bounds, graphcore, harness
 from alphaenergy.graphcore import (
     GRAPH6_HEADER,
     GenerationFailureError,
@@ -130,13 +130,21 @@ def test_degree_matrix():
         assert np.allclose(solved_stacks(g, [1.0])[0][0], np.diag(d))
 
 
+def test_graphcore_solves_nothing():
+    # A Graph caches exact facts only: the adjacency inertia is counted by
+    # bounds.certify from the graph's alpha = 0 row, which spectra solves.
+    assert not hasattr(graphcore, "densela")
+    assert not hasattr(graphcore, "INERTIA_TOL")
+    assert not hasattr(Graph, "adjacency_inertia")
+    assert bounds.INERTIA_TOL == 1e-9
+
+
 def test_cached_fields_leave_equality_and_hash_alone():
     a, b = petersen(), petersen()
-    a.edges, a.m, a.degrees(), a.degree_sequence, a.zagreb, a.connected, a.adjacency_inertia
-    a.common_neighbours
+    a.edges, a.m, a.degrees(), a.degree_sequence, a.zagreb, a.connected, a.common_neighbours
     assert {"edges", "m", "degree_sequence", "zagreb", "connected",
-            "adjacency_inertia", "common_neighbours"} <= vars(a).keys()
-    assert not {"edges", "m", "adjacency_inertia", "common_neighbours"} & vars(b).keys()
+            "common_neighbours"} <= vars(a).keys()
+    assert not {"edges", "m", "common_neighbours"} & vars(b).keys()
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != delete_edge(a, *min(a.edges))
 

@@ -30,7 +30,7 @@ from alphaenergy.harness import (
     summarize,
     violations,
 )
-from one_alpha import evaluation_bits, row_view
+from one_alpha import alpha_spectrum, evaluation_bits, row_view
 
 
 def g6(g) -> str:
@@ -45,9 +45,9 @@ def _count_certify(monkeypatch) -> list:
     calls = []
     real = bounds.certify
 
-    def counting(g, rho):
+    def counting(g, rho, rho_0):
         calls.append(g)
-        return real(g, rho)
+        return real(g, rho, rho_0)
 
     monkeypatch.setattr(bounds, "certify", counting)
     return calls
@@ -470,6 +470,27 @@ def test_writers_match_reference_on_drawn_verdict_patterns(data):
     assert reports_to_json(drawn).splitlines(True) == json_lines
 
 
+def _csv_writer_field(text: str) -> str:
+    """`text` as csv.writer with a CR LF terminator writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+    return buf.getvalue()[:-3]
+
+
+@given(st.text(st.characters(exclude_characters="\0")))
+@example("")
+@example("a,b")
+@example('say "hi"')
+@example("\r")
+@example("x\ny")
+@example(" \t'")
+@settings(max_examples=300, deadline=None)
+def test_csv_quote_is_csv_writers(text):
+    # One rule quotes every CSV field that can need it: the bytes csv.writer
+    # writes, on any text without NUL (no graph id or reason holds one).
+    assert harness._csv_quote(text) == _csv_writer_field(text)
+
+
 def test_csv_awkward_ids_read_back(tmp_path):
     # A lone carriage return, a newline, quotes and commas all survive csv.reader.
     v = _awkward_ids(tmp_path)
@@ -723,7 +744,8 @@ def _hits_by_row(v):
         for e in row_view(v, r):
             if not e.equality:
                 continue
-            cert = bounds.certify(t.graphs[r // k], t.rho[r])
+            g = t.graphs[r // k]
+            cert = bounds.certify(g, t.rho[r], alpha_spectrum(g, 0.0).rho[0])
             hits[e.bound_id].append({
                 "graph_id": v.graph_ids[r // k],
                 "alpha": round12(t.alphas[r % k]),

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from alphaenergy import bounds, cli, densela, graphcore, harness, spectra
+from alphaenergy.bounds import INERTIA_TOL
 from alphaenergy.graphcore import (
-    INERTIA_TOL, Graph, complete, cycle, delete_edge, parse_graph6, petersen, serialize_graph6,
-    star,
+    Graph, complete, cycle, delete_edge, parse_graph6, petersen, serialize_graph6, star,
 )
 from alphaenergy.harness import DEFAULT_ALPHA_GRID
 from alphaenergy.spectra import AlphaOutOfRangeError, spectrum_tables
@@ -335,11 +335,13 @@ def test_stacked_spectra_bit_identical(name, alphas):
     for alpha, rho in zip(alphas, table.rho, strict=True):
         assert rho.tobytes() == _one_solve(alpha_matrix(g, alpha)).tobytes()
     if 0.0 in alphas:
-        # The alpha = 0 slice is the adjacency spectrum: same inertia as the
-        # Graph's own adjacency solve.
+        # The alpha = 0 slice is the adjacency spectrum, with the bits of A
+        # solved on its own, so the certificate reads A's own inertia.
         adj = table.rho[alphas.index(0.0)]
-        pos, neg = int(np.sum(adj > INERTIA_TOL)), int(np.sum(adj < -INERTIA_TOL))
-        assert g.adjacency_inertia == (pos, g.n - pos - neg, neg)
+        own = densela.eigendecompose(g.adjacency)
+        assert adj.tobytes() == own.tobytes()
+        pos, neg = int(np.sum(own > INERTIA_TOL)), int(np.sum(own < -INERTIA_TOL))
+        assert bounds.certify(g, adj, adj).adjacency_inertia == (pos, g.n - pos - neg, neg)
 
 
 ROW_COLUMNS = ("shift", "energy", "eta", "two_s", "log_gamma", "theta", "rho_1")
@@ -403,22 +405,28 @@ def test_two_alpha_groups_sharing_chunks_are_each_group_alone(monkeypatch):
             assert a.tobytes() == b.tobytes(), name
 
 
+def _inertia(g):
+    """The adjacency inertia `certify` reads from the graph's alpha = 0 row."""
+    rho_0 = alpha_spectrum(g, 0.0).rho[0]
+    return bounds.certify(g, rho_0, rho_0).adjacency_inertia
+
+
 def test_graph_invariants():
     g = star(3)
     assert (g.n, g.m, g.zagreb, g.connected) == (4, 3, 12, True)
     assert g.degrees().tolist() == [3, 1, 1, 1]
     assert g.degree_sequence == (3, 1, 1, 1)
     assert g.is_star and not g.is_regular and not g.is_complete
-    assert g.adjacency_inertia == (1, 2, 1)  # spectrum sqrt(3), 0, 0, -sqrt(3)
+    assert _inertia(g) == (1, 2, 1)  # spectrum sqrt(3), 0, 0, -sqrt(3)
     sp = alpha_spectrum(g, 0.3)
     c = bounds._terms(sp, False)
     assert sp.graphs == (g,)
     assert (c.n[0], c.m[0], c.zagreb[0], c.connected[0]) == (4, 3, 12, True)
     g = Graph(4, [(0, 1), (2, 3)])
     assert g.is_regular and not g.connected and not g.is_star
-    assert g.adjacency_inertia == (2, 0, 2)
+    assert _inertia(g) == (2, 0, 2)
     assert complete(4).is_complete and complete(4).is_regular and not complete(4).is_star
-    assert Graph(1).is_complete and Graph(1).adjacency_inertia == (0, 1, 0)
+    assert Graph(1).is_complete and _inertia(Graph(1)) == (0, 1, 0)
 
 
 def test_adjacency_solved_once_per_graph(monkeypatch):
@@ -431,14 +439,30 @@ def test_adjacency_solved_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     g = petersen()
-    # One stack solve per analyze call; the adjacency spectrum, read by the
-    # certificate, is solved once for the Graph object, not once per alpha.
+    # Each analyze call solves two (1, n, n) stacks: its row, and its graph's
+    # alpha = 0 row, which the certificate reads.
     for alpha in DEFAULT_ALPHA_GRID:
         v, _, _ = harness.analyze("P", g, alpha)
         assert v.reason[0, 0] == 0  # ub_mcclelland applicable
-    stack = (1, 10, 10)
-    assert calls == [stack, (10, 10)] + [stack] * (len(DEFAULT_ALPHA_GRID) - 1)
-    # Sweeps never certify, so they never solve the adjacency spectrum.
+    assert calls == [(1, 10, 10)] * (2 * len(DEFAULT_ALPHA_GRID))
+    # A hunt solves the alpha = 0 rows of all its hit graphs in one
+    # spectrum_tables call, one stack per order (the two 4-vertex stars
+    # share one), whatever their hit count; the graphs without a hit are not
+    # solved at alpha = 0.
+    tables = []
+    real_tables = spectra.spectrum_tables
+    monkeypatch.setattr(spectra, "spectrum_tables",
+                        lambda *groups: tables.append(groups) or real_tables(*groups))
+    stars = [star(2), star(3), star(3), star(4)]
+    corpus = [(serialize_graph6(h).decode(), h) for h in [cycle(5), *stars, complete(4)]]
+    v = harness.run_sweep(corpus, list(DEFAULT_ALPHA_GRID))
+    calls.clear()
+    hits = harness.equality_hits(v, "lb_maxdeg")
+    assert len(hits) == len(stars) * len(DEFAULT_ALPHA_GRID)
+    assert tables[1:] == [((stars, [0.0]),)]
+    assert calls == [(1, 3, 3), (2, 4, 4), (1, 5, 5)]
+    # Sweeps never certify, so they never solve an alpha = 0 row they were
+    # not asked for.
     calls.clear()
     harness.run_sweep([("P", petersen())], [0.5, 0.9])
     assert calls == [(2, 10, 10)]
